@@ -4,15 +4,20 @@ Layout: magic, container version, payload length, SHA-256 of the payload,
 then the payload itself.  The payload is a canonical JSON metadata block
 followed by raw little-endian array blobs described by that metadata.
 Writes are deterministic: identical inputs produce identical bytes.
+Reads return read-only array views over one payload buffer, and sparse
+matrices are range-checked before any reader builds on them.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import operator
 import struct
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 MAGIC = b"BLAF"
 CONTAINER_VERSION = 1
@@ -106,10 +111,12 @@ def read_artifact(
     """Read and verify one artifact file.
 
     Returns:
-        The stored metadata and the named blob arrays.
+        The stored metadata and the named blob arrays, as read-only views
+        over the payload.
 
     Raises:
-        ArtifactFormatError: Bad magic or mismatched kind.
+        ArtifactFormatError: Bad magic, mismatched kind, or a blob whose
+            dtype, shape and byte count disagree.
         ArtifactVersionError: Unsupported container or kind version.
         ArtifactTruncatedError: File shorter than its declared payload.
         ArtifactChecksumError: Payload digest mismatch.
@@ -152,12 +159,60 @@ def read_artifact(
             f"{path}: {kind} format version {stored_version}, expected {kind_version}"
         )
 
-    body = payload[4 + meta_len :]
+    body = memoryview(payload)[4 + meta_len :]
     blobs: dict[str, np.ndarray] = {}
     for entry in directory:
-        start, nbytes = entry["offset"], entry["nbytes"]
-        if start + nbytes > len(body):
-            raise ArtifactTruncatedError(f"{path}: blob {entry['name']!r} overruns payload")
-        array = np.frombuffer(body[start : start + nbytes], dtype=entry["dtype"])
-        blobs[entry["name"]] = array.reshape(entry["shape"])
+        try:
+            name, dtype = entry["name"], np.dtype(entry["dtype"])
+            shape = tuple(operator.index(n) for n in entry["shape"])
+            start, nbytes = int(entry["offset"]), int(entry["nbytes"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ArtifactFormatError(f"{path}: malformed blob directory") from exc
+        count = math.prod(shape)
+        if (
+            dtype.str not in _ALLOWED_DTYPES
+            or min(shape, default=0) < 0
+            or nbytes != count * dtype.itemsize
+        ):
+            raise ArtifactFormatError(f"{path}: blob {name!r} dtype, shape and size disagree")
+        if start < 0 or start + nbytes > len(body):
+            raise ArtifactTruncatedError(f"{path}: blob {name!r} overruns payload")
+        blobs[name] = np.frombuffer(body, dtype, count, start).reshape(shape)
     return meta, blobs
+
+
+def csc_blobs(matrix: sp.spmatrix, prefix: str) -> dict[str, np.ndarray]:
+    """A matrix as the ``<prefix>/data|indices|indptr`` CSC blobs it is stored as."""
+    csc = matrix.tocsc()
+    csc.sort_indices()
+    return {
+        f"{prefix}/data": csc.data.astype(np.float64, copy=False),
+        f"{prefix}/indices": csc.indices.astype(np.int64),
+        f"{prefix}/indptr": csc.indptr.astype(np.int64),
+    }
+
+
+def csr_from_csc_blobs(
+    path: str | Path, blobs: dict[str, np.ndarray], prefix: str, shape: tuple[int, int]
+) -> sp.csr_matrix:
+    """Rebuild a matrix written by :func:`csc_blobs`, row-major.
+
+    Raises KeyError for a missing blob and ArtifactFormatError for a
+    structure scipy's unchecked conversion loops must not see.
+    """
+    data = np.asarray(blobs[f"{prefix}/data"], dtype=np.float64)
+    indices = np.asarray(blobs[f"{prefix}/indices"], dtype=np.int64)
+    indptr = np.asarray(blobs[f"{prefix}/indptr"], dtype=np.int64)
+    n_rows, n_cols = shape
+    if (
+        indices.ndim != 1
+        or indptr.shape != (n_cols + 1,)
+        or indptr[0] != 0
+        or np.any(indptr[1:] < indptr[:-1])
+        or indptr[-1] != len(indices)
+        or data.shape != indices.shape
+    ):
+        raise ArtifactFormatError(f"{path}: {prefix} has a malformed indptr")
+    if len(indices) and (indices.min() < 0 or indices.max() >= n_rows):
+        raise ArtifactFormatError(f"{path}: {prefix} has a row index out of range")
+    return sp.csc_matrix((data, indices, indptr), shape=shape).tocsr()

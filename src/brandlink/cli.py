@@ -492,14 +492,10 @@ def _centroid_model(
             shape=(len(sizes), child.shape[0]),
         )
         layer_features.insert(0, _normalize_rows(agg @ child))
-    weights = []
-    for feats in layer_features:
-        mat = feats.T.tocsc().astype(np.float64)
-        mat = sp.vstack(
-            [mat, sp.csc_matrix((1, mat.shape[1]), dtype=np.float64)]
-        ).tocsc()
-        mat.sort_indices()
-        weights.append(mat)
+    weights = [
+        sp.vstack([feats.T, sp.csr_matrix((1, feats.shape[0]))], format="csr", dtype=np.float64)
+        for feats in layer_features
+    ]
     return XmcModel(
         labels=labels, tree=tree, layer_weights=weights, featurizer=featurizer
     )

@@ -1,4 +1,4 @@
-"""Sparse L2-regularized logistic training shared by the linear rankers.
+"""Sparse L2-regularized logistic training and scoring shared by the linear rankers.
 
 Sibling columns of one tree node share the same training rows, so they are
 fit jointly: the objective is the per-column mean logistic loss summed over
@@ -8,6 +8,9 @@ are weighted by that column's negative-to-positive count ratio, so a label
 with few examples is not drowned out by its siblings and label priors do
 not leak into the scores.  Both the averaging and the count ratio are
 invariant to uniform duplication of the training data.
+
+Every trained model scores through :func:`score_rows`, which reads only the
+query's feature rows of a row-major weight matrix.
 """
 from __future__ import annotations
 
@@ -17,6 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import minimize
 from scipy.special import expit
+
+from .text import SparseVector
 
 LOGGER = logging.getLogger(__name__)
 
@@ -184,3 +189,32 @@ def fit_sparse_ova(
         )
     empty_i = np.empty(0, dtype=np.int64)
     return empty_i, empty_i.copy(), np.empty(0, dtype=np.float64), len(defaults)
+
+
+def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenate ``arange(s, s + c)`` over paired starts and counts."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(counts.sum())
+
+
+def query_rows(x: SparseVector) -> tuple[np.ndarray, np.ndarray]:
+    """Feature rows and values of ``x`` with the constant bias row appended."""
+    return np.append(x.indices, x.dim), np.append(x.values, 1.0)
+
+
+def score_rows(weights: sp.csr_matrix, rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Margins ``weights.T @ x`` of every column, reading only the rows where x is nonzero.
+
+    Each column sums its terms in the order of ``rows``; for ascending rows
+    that is the order of a dense matvec, so the margins equal it bit for bit.
+    """
+    indptr = weights.indptr
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    picked = concat_ranges(starts, counts)
+    terms = weights.data[picked] * np.repeat(vals, counts)
+    margins = np.bincount(
+        weights.indices[picked], weights=terms, minlength=weights.shape[1]
+    )
+    # With no stored weight in any gathered row bincount counts in integers.
+    return margins.astype(np.float64, copy=False)

@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Protocol
 import numpy as np
 import scipy.sparse as sp
 
+from .binio import ArtifactFormatError, csc_blobs, csr_from_csc_blobs
 from .binio import read_artifact, write_artifact
 from .core import (
     BrandEntityId,
@@ -27,8 +28,9 @@ from .core import (
     TraceRecord,
     entity_from_id,
 )
-from .linear import GRAD_TOL, MAX_EPOCHS, fit_sparse_ova
-from .text import FeaturizerConfig, IdfTable, SparseVector, featurize, normalize
+from .linear import GRAD_TOL, MAX_EPOCHS, fit_sparse_ova, query_rows, score_rows
+from .text import FeaturizerConfig, SparseVector, featurize, featurizer_from_meta
+from .text import featurizer_to_meta, normalize
 from .xmc.train import DEFAULT_REG, _stack_rows
 
 LOGGER = logging.getLogger(__name__)
@@ -172,24 +174,26 @@ class PtPredictor(Protocol):
 
 @dataclass(eq=False)
 class LinearPtPredictor:
-    """Flat one-vs-all linear classifier over the featurizer space."""
+    """Flat one-vs-all linear classifier over the featurizer space.
+
+    Weights of any sparse layout are converted to row-major once, here.
+    """
 
     product_types: tuple[ProductType, ...]
-    weights: sp.csc_matrix  # (dim + 1, n_types)
+    weights: sp.csr_matrix  # (dim + 1, n_types)
     featurizer: FeaturizerConfig
     threshold: float = PT_CONFIDENCE_THRESHOLD
+
+    def __post_init__(self) -> None:
+        self.weights = self.weights.tocsr()
 
     def predict(self, query: Query) -> ProductType | None:
         x = featurize(normalize(query.text), self.featurizer)
         if x.nnz == 0:
             return None
-        dense = np.zeros(x.dim + 1, dtype=np.float64)
-        dense[x.indices] = x.values
-        dense[x.dim] = 1.0
-        margins = self.weights.T @ dense
+        margins = score_rows(self.weights, *query_rows(x))
         scores = 1.0 / (1.0 + np.exp(-margins))
-        order = np.lexsort((np.arange(len(scores)), -scores))
-        best = int(order[0])
+        best = int(np.argmax(scores))  # the lowest index among ties
         if scores[best] < self.threshold:
             return None
         return self.product_types[best]
@@ -256,8 +260,7 @@ def train_pt_baseline(
     )
     weights = sp.coo_matrix(
         (vals, (rows, cols)), shape=(featurizer.dim + 1, len(types))
-    ).tocsc()
-    weights.sort_indices()
+    )
     LOGGER.info(
         "trained pt baseline: %d types over %d queries", len(types), len(vectors)
     )
@@ -267,61 +270,29 @@ def train_pt_baseline(
 
 
 def save_pt_predictor(predictor: LinearPtPredictor, path: str | Path) -> None:
-    config = predictor.featurizer
+    featurizer, blobs = featurizer_to_meta(predictor.featurizer)
     meta = {
         "product_types": [pt.code for pt in predictor.product_types],
         "threshold": predictor.threshold,
-        "featurizer": {
-            "dim": config.dim,
-            "word_ngrams": config.word_ngrams,
-            "char_ngrams": list(config.char_ngrams),
-            "hash_name": config.hash_name,
-            "idf_docs": None if config.idf is None else config.idf.n_docs,
-        },
+        "featurizer": featurizer,
     }
-    weights = predictor.weights.tocsc()
-    weights.sort_indices()
-    blobs = {
-        "weights/data": weights.data.astype(np.float64),
-        "weights/indices": weights.indices.astype(np.int64),
-        "weights/indptr": weights.indptr.astype(np.int64),
-    }
-    if config.idf is not None:
-        blobs["featurizer/idf"] = config.idf.weights
+    blobs.update(csc_blobs(predictor.weights, "weights"))
     write_artifact(path, _PT_MODEL_KIND, _PT_MODEL_VERSION, meta, blobs)
 
 
 def load_pt_predictor(path: str | Path) -> LinearPtPredictor:
     meta, blobs = read_artifact(path, _PT_MODEL_KIND, _PT_MODEL_VERSION)
-    fz = meta["featurizer"]
-    idf = None
-    if fz["idf_docs"] is not None:
-        idf = IdfTable(
-            weights=np.array(blobs["featurizer/idf"], dtype=np.float32),
-            n_docs=int(fz["idf_docs"]),
+    try:
+        config = featurizer_from_meta(meta["featurizer"], blobs)
+        types = tuple(ProductType(code) for code in meta["product_types"])
+        return LinearPtPredictor(
+            product_types=types,
+            weights=csr_from_csc_blobs(path, blobs, "weights", (config.dim + 1, len(types))),
+            featurizer=config,
+            threshold=float(meta["threshold"]),
         )
-    config = FeaturizerConfig(
-        dim=int(fz["dim"]),
-        word_ngrams=int(fz["word_ngrams"]),
-        char_ngrams=tuple(fz["char_ngrams"]),
-        idf=idf,
-        hash_name=fz["hash_name"],
-    )
-    types = tuple(ProductType(code) for code in meta["product_types"])
-    weights = sp.csc_matrix(
-        (
-            np.array(blobs["weights/data"], dtype=np.float64),
-            np.array(blobs["weights/indices"], dtype=np.int64),
-            np.array(blobs["weights/indptr"], dtype=np.int64),
-        ),
-        shape=(config.dim + 1, len(types)),
-    )
-    return LinearPtPredictor(
-        product_types=types,
-        weights=weights,
-        featurizer=config,
-        threshold=float(meta["threshold"]),
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactFormatError(f"{path}: inconsistent pt model: {exc}") from exc
 
 
 def read_associations_tsv(path: str | Path) -> Iterator[tuple[BrandEntityId, ProductType]]:

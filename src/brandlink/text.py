@@ -169,6 +169,37 @@ class FeaturizerConfig:
             raise ValueError("idf table shape does not match dim")
 
 
+def featurizer_to_meta(config: FeaturizerConfig) -> tuple[dict, dict[str, np.ndarray]]:
+    """Artifact metadata and blobs that :func:`featurizer_from_meta` reads back."""
+    meta = {
+        "dim": config.dim,
+        "word_ngrams": config.word_ngrams,
+        "char_ngrams": list(config.char_ngrams),
+        "hash_name": config.hash_name,
+        "idf_docs": None if config.idf is None else config.idf.n_docs,
+    }
+    blobs = {} if config.idf is None else {"featurizer/idf": config.idf.weights}
+    return meta, blobs
+
+
+def featurizer_from_meta(meta: dict, blobs: dict[str, np.ndarray]) -> FeaturizerConfig:
+    """Rebuild the featurizer written by :func:`featurizer_to_meta`."""
+    idf = None
+    if meta["idf_docs"] is not None:
+        # A copy, so the model keeps no view into the artifact's payload.
+        idf = IdfTable(
+            weights=np.array(blobs["featurizer/idf"], dtype=np.float32),
+            n_docs=int(meta["idf_docs"]),
+        )
+    return FeaturizerConfig(
+        dim=int(meta["dim"]),
+        word_ngrams=int(meta["word_ngrams"]),
+        char_ngrams=tuple(meta["char_ngrams"]),
+        idf=idf,
+        hash_name=meta["hash_name"],
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class SparseVector:
     """Immutable sparse vector with strictly increasing indices."""

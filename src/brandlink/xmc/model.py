@@ -1,18 +1,12 @@
 """Trained ranker model and level-wise beam inference.
 
-A model holds one sparse weight matrix per tree layer, one column per node.
+A model holds one sparse weight matrix per tree layer, one column per node,
+stored row-major so a query reads only its own feature rows.
 Inference walks the layers keeping the ``beam_size`` best partial paths; a
 path's score is the product of sigmoid-transformed node margins, so leaf
-scores stay in (0, 1) and each layer touches only the columns under the
-surviving beam rather than the whole label space.
-
-Margins for the surviving columns are computed one of two ways, whichever
-is cheaper for the query at hand: slicing the candidate columns (cost
-proportional to their stored weights) or slicing the query's feature rows
-from a lazily built row-major mirror (cost proportional to the query's
-nonzeros times their fan-out).  Dense upper layers take the feature path,
-wide sparse leaf layers the column path.  Both accumulate the same terms
-in ascending feature order, so the choice never changes a result.
+scores stay in (0, 1) and each layer keeps only the columns under the
+surviving beam.  Margins come from :func:`brandlink.linear.score_rows`,
+which sums each column's terms in ascending feature order.
 """
 from __future__ import annotations
 
@@ -22,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..core import BrandEntityId, BrandMention, Query, ScoredEntity
+from ..linear import concat_ranges, query_rows, score_rows
 from ..text import FeaturizerConfig, SparseVector, featurize, normalize
 from .tree import LabelTree
 
@@ -51,17 +46,17 @@ class XmcModel:
 
     Weight matrices have ``featurizer.dim + 1`` rows; the extra final row
     is the constant bias feature appended at train and inference time.
+    Any sparse layout is accepted and converted to row-major once here.
     """
 
     labels: tuple[BrandEntityId, ...]
     tree: LabelTree
-    layer_weights: list[sp.csc_matrix]
+    layer_weights: list[sp.csr_matrix]
     featurizer: FeaturizerConfig
     score_transform: str = SCORE_TRANSFORM
     stats: dict = field(default_factory=dict, repr=False)
-    # Per-layer [row_nnz, row-major mirror], built on first use; never
-    # serialized.
-    _feature_views: list = field(default_factory=list, init=False, repr=False)
+    # Rank of each label index by label id, for tie-breaking; derived.
+    _id_rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.score_transform != SCORE_TRANSFORM:
@@ -74,6 +69,10 @@ class XmcModel:
                 raise ValueError(f"layer {layer} weight shape mismatch")
         if len(self.labels) != self.tree.n_labels:
             raise ValueError("label count must match the tree")
+        self.layer_weights = [weights.tocsr() for weights in self.layer_weights]
+        by_id = sorted(range(len(self.labels)), key=lambda i: self.labels[i].id)
+        self._id_rank = np.empty(len(by_id), dtype=np.int64)
+        self._id_rank[by_id] = np.arange(len(by_id))
 
     @property
     def n_labels(self) -> int:
@@ -82,66 +81,6 @@ class XmcModel:
 
 def _log_sigmoid(margins: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -margins)
-
-
-def _feature_view(model: XmcModel, layer: int) -> list:
-    views = model._feature_views
-    if not views:
-        views.extend([None] * len(model.layer_weights))
-    if views[layer] is None:
-        weights = model.layer_weights[layer]
-        row_nnz = np.bincount(weights.indices, minlength=weights.shape[0])
-        views[layer] = [row_nnz.astype(np.int64), None]
-    return views[layer]
-
-
-def _margins_by_columns(
-    weights: sp.csc_matrix, children: np.ndarray, dense_x: np.ndarray
-) -> np.ndarray:
-    # Transposing the column slice gives a small CSR whose matvec against
-    # the dense query costs only the nnz of the selected columns.
-    if len(children) == weights.shape[1]:
-        sub = weights
-    else:
-        sub = weights[:, children]
-    return sub.T @ dense_x
-
-
-def _margins_by_features(
-    row_major: sp.csr_matrix,
-    children: np.ndarray,
-    x_rows: np.ndarray,
-    x_vals: np.ndarray,
-) -> np.ndarray:
-    margins = row_major[x_rows].T @ x_vals
-    if len(children) == row_major.shape[1]:
-        return margins
-    return margins[children]
-
-
-def _candidate_margins(
-    model: XmcModel,
-    layer: int,
-    children: np.ndarray,
-    dense_x: np.ndarray,
-    x_rows: np.ndarray,
-    x_vals: np.ndarray,
-) -> np.ndarray:
-    weights = model.layer_weights[layer]
-    view = _feature_view(model, layer)
-    col_cost = int(
-        (weights.indptr[children + 1] - weights.indptr[children]).sum()
-    )
-    # The feature path materializes margins for the whole layer, so its
-    # width counts toward the cost alongside the selected rows' weights.
-    row_cost = weights.shape[1] + int(view[0][x_rows].sum())
-    if row_cost < col_cost:
-        if view[1] is None:
-            mirror = model.layer_weights[layer].tocsr()
-            mirror.sort_indices()
-            view[1] = mirror
-        return _margins_by_features(view[1], children, x_rows, x_vals)
-    return _margins_by_columns(weights, children, dense_x)
 
 
 def beam_predict(
@@ -164,32 +103,21 @@ def beam_predict(
         return []
     if x.dim != model.featurizer.dim:
         raise ValueError("input dimension does not match the model featurizer")
-    dense_x = np.zeros(x.dim + 1, dtype=np.float64)
-    dense_x[x.indices] = x.values
-    dense_x[x.dim] = 1.0
-    x_rows = np.append(np.asarray(x.indices, dtype=np.int64), x.dim)
-    x_vals = np.append(np.asarray(x.values, dtype=np.float64), 1.0)
+    x_rows, x_vals = query_rows(x)
     tree = model.tree
 
     nodes = np.arange(tree.layer_sizes[0], dtype=np.int64)
     path_logs = np.zeros(len(nodes), dtype=np.float64)
     for layer in range(tree.n_layers):
+        margins = score_rows(model.layer_weights[layer], x_rows, x_vals)
         if layer > 0:
             indptr = tree.children_indptr[layer - 1]
-            spans = [(int(indptr[p]), int(indptr[p + 1])) for p in nodes]
-            children = np.concatenate(
-                [np.arange(s, e, dtype=np.int64) for s, e in spans]
-            )
-            parent_logs = np.concatenate(
-                [np.full(e - s, path_logs[i]) for i, (s, e) in enumerate(spans)]
-            )
+            counts = indptr[nodes + 1] - indptr[nodes]
+            children = concat_ranges(indptr[nodes], counts)
+            logs = np.repeat(path_logs, counts) + _log_sigmoid(margins[children])
         else:
             children = nodes
-            parent_logs = path_logs
-        margins = _candidate_margins(
-            model, layer, children, dense_x, x_rows, x_vals
-        )
-        logs = parent_logs + _log_sigmoid(margins)
+            logs = path_logs + _log_sigmoid(margins)
         if layer < tree.n_layers - 1 and len(children) > params.beam_size:
             order = np.lexsort((children, -logs))[: params.beam_size]
             nodes = children[order]
@@ -200,15 +128,13 @@ def beam_predict(
 
     scores = np.exp(path_logs)
     label_indices = tree.label_order[nodes]
-    ranked = sorted(
-        (
-            ScoredEntity(model.labels[int(li)], float(score))
-            for li, score in zip(label_indices, scores)
-            if score >= params.score_floor and score > 0.0
-        ),
-        key=lambda s: (-s.score, s.entity.id),
-    )
-    return ranked[: params.top_k]
+    keep = (scores >= params.score_floor) & (scores > 0.0)
+    scores, label_indices = scores[keep], label_indices[keep]
+    top = np.lexsort((model._id_rank[label_indices], -scores))[: params.top_k]
+    return [
+        ScoredEntity(model.labels[int(label_indices[i])], float(scores[i]))
+        for i in top
+    ]
 
 
 def m2e_match(

@@ -112,7 +112,7 @@ def train(
         "skipped_zero_vectors": skipped_zero,
         "default_columns": [],
     }
-    layer_weights: list[sp.csc_matrix] = []
+    layer_weights: list[sp.csr_matrix] = []
     for layer in range(tree.n_layers):
         if layer == 0:
             group_slices = [(np.arange(len(vectors), dtype=np.int64), 0, tree.layer_sizes[0])]
@@ -162,8 +162,7 @@ def train(
         stats["default_columns"].append(int(n_defaults))
         matrix = sp.coo_matrix(
             (vals, (rows, cols)), shape=(dim + 1, tree.layer_sizes[layer])
-        ).tocsc()
-        matrix.sort_indices()
+        ).tocsr()
         layer_weights.append(matrix)
         LOGGER.info(
             "trained layer %d: %d columns, %d default, nnz %d",

@@ -125,6 +125,10 @@ class LabelTree:
                 raise ValueError(f"indptr {l} does not cover its layer")
             if int(indptr[-1]) != self.layer_sizes[l + 1]:
                 raise ValueError(f"indptr {l} does not span the next layer")
+            if int(indptr[0]) != 0 or np.any(np.diff(indptr) < 0):
+                raise ValueError(f"indptr {l} must rise from 0")
+        if not np.array_equal(np.sort(self.label_order), np.arange(self.n_labels)):
+            raise ValueError("label_order must be a permutation of the labels")
 
     @property
     def n_layers(self) -> int:

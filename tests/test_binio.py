@@ -1,4 +1,8 @@
 """Artifact container: determinism, round-trips, corruption detection."""
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,6 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from brandlink.binio import (
+    _HEADER,
+    CONTAINER_VERSION,
+    MAGIC,
     ArtifactChecksumError,
     ArtifactFormatError,
     ArtifactTruncatedError,
@@ -94,6 +101,50 @@ def test_trailing_garbage_detected(tmp_path):
     path.write_bytes(path.read_bytes() + b"junk")
     with pytest.raises(ArtifactTruncatedError):
         read_artifact(path, "pt-model", 1)
+
+
+def _rewrite_directory(path, edit):
+    """Apply ``edit`` to the stored blob directory and re-seal the checksum."""
+    data = path.read_bytes()
+    payload = data[_HEADER.size :]
+    (meta_len,) = struct.unpack_from("<I", payload)
+    document = json.loads(payload[4 : 4 + meta_len])
+    edit(document["_container"]["blobs"][0])
+    meta = json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
+    payload = struct.pack("<I", len(meta)) + meta + payload[4 + meta_len :]
+    digest = hashlib.sha256(payload).digest()
+    path.write_bytes(_HEADER.pack(MAGIC, CONTAINER_VERSION, len(payload), digest) + payload)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda entry: entry.update(shape=[2, 2]),
+        lambda entry: entry.update(shape=[7]),
+        lambda entry: entry.update(shape=[-2, -3]),
+        lambda entry: entry.update(dtype="<f4"),
+        lambda entry: entry.update(dtype="<u8"),
+        lambda entry: entry.update(nbytes=8),
+        lambda entry: entry.pop("shape"),
+    ],
+    ids=["shape-short", "shape-long", "shape-negative", "dtype-narrow", "dtype-unknown",
+         "nbytes", "no-shape"],
+)
+def test_blob_size_must_match_shape_and_dtype(tmp_path, edit):
+    path = tmp_path / "x.blaf"
+    write_artifact(path, "k", 1, {}, {"w": np.arange(6, dtype=np.float64).reshape(2, 3)})
+    _rewrite_directory(path, edit)
+    with pytest.raises(ArtifactFormatError):
+        read_artifact(path, "k", 1)
+
+
+def test_blobs_are_read_only_views(tmp_path):
+    path = tmp_path / "x.blaf"
+    write_artifact(path, "k", 1, {}, {"a": np.ones(3), "b": np.arange(4)})
+    _, blobs = read_artifact(path, "k", 1)
+    for blob in blobs.values():
+        assert not blob.flags.writeable
+        assert not blob.flags.owndata
 
 
 def test_unsupported_dtype_rejected(tmp_path):

@@ -1,4 +1,8 @@
 """End-to-end linker wiring: two-stage, query-direct, and fusion."""
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from brandlink.core import NIL, BrandEntityId, Outcome, Query, StoreTag
@@ -11,9 +15,16 @@ from brandlink.pipeline import (
     link_fused,
     link_two_stage,
 )
-from brandlink.ptfilter import ProductType, mine_associations
+from brandlink.ptfilter import (
+    ProductType,
+    load_pt_predictor,
+    mine_associations,
+    save_pt_predictor,
+    train_pt_baseline,
+)
 from brandlink.text import FeaturizerConfig, vectorize
 from brandlink.xmc.model import BeamParams
+from brandlink.xmc.serialize import load_model, save_model
 from brandlink.xmc.train import train
 from brandlink.xmc.tree import aggregate_label_features, build_tree
 
@@ -248,3 +259,45 @@ class TestFused:
                 matcher=LexicalMatcher(dictionary),
                 fusion=True,
             )
+
+
+def test_threads_sharing_loaded_models_match_sequential(dictionary, tmp_path):
+    # Every model is loaded from disk and shared, so no first-use state may
+    # be built or filled lazily while four threads score through it.
+    save_model(toy_q2e(), tmp_path / "q2e.blaf")
+    save_model(toy_m2e(), tmp_path / "m2e.blaf")
+    pt = train_pt_baseline(
+        [(Query(t, US), ProductType(p)) for t, p in [
+            ("nike shoes", "shoe"), ("red shoes", "shoe"),
+            ("sony tv", "tv"), ("hdmi tv", "tv"),
+        ]],
+        CFG,
+    )
+    save_pt_predictor(pt, tmp_path / "pt.blaf")
+    config = LinkerConfig(
+        detector=TrieDetector(dictionary),
+        matcher=M2eMatcher(load_model(tmp_path / "m2e.blaf")),
+        q2e=load_model(tmp_path / "q2e.blaf"),
+        pt_predictor=load_pt_predictor(tmp_path / "pt.blaf"),
+        associations=mine_associations([(E1, ProductType("shoe")), (E2, ProductType("tv"))]),
+        fusion=True,
+    )
+    texts = ["nike shoes", "sony tv", "nikee shoes", "usb cable", "ab charger", "sony", ""]
+    queries = [Query(t, US) for t in texts * 30]
+
+    def run(seed):
+        order = list(range(len(queries)))
+        random.Random(seed).shuffle(order)
+        return {i: link_fused(config, queries[i]) for i in order}
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run, seed) for seed in range(4)]
+            threaded = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    sequential = {i: link_fused(config, q) for i, q in enumerate(queries)}
+    for results in threaded:
+        assert results == sequential

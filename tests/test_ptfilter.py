@@ -1,12 +1,19 @@
 """Association mining, candidate filtering, and the PT baseline model."""
+import tracemalloc
+
+import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
+from brandlink.binio import ArtifactFormatError, read_artifact, write_artifact
 from brandlink.core import NIL, BrandEntityId, Outcome, Query, ScoredEntity, StoreTag
+from brandlink.linear import query_rows, score_rows
 from brandlink.ptfilter import (
     PT_CONFIDENCE_THRESHOLD,
     FilterMode,
+    LinearPtPredictor,
     OraclePtPredictor,
     ProductType,
     PtAssociations,
@@ -18,7 +25,7 @@ from brandlink.ptfilter import (
     train_pt_baseline,
     write_associations_tsv,
 )
-from brandlink.text import FeaturizerConfig
+from brandlink.text import FeaturizerConfig, vectorize
 
 US = StoreTag("us")
 SHOE = ProductType("shoe")
@@ -226,6 +233,61 @@ class TestPtBaseline:
         loaded = load_pt_predictor(path)
         for q, _ in rows:
             assert loaded.predict(q) == model.predict(q)
+
+
+    def test_margins_equal_dense_matvec(self, trained):
+        rows, model = trained
+        for q, _ in rows + [(Query("red lamp cable", US), None)]:
+            vec = vectorize(q.text, CFG)
+            dense = np.zeros(vec.dim + 1, dtype=np.float64)
+            dense[vec.indices] = vec.values
+            dense[vec.dim] = 1.0
+            got = score_rows(model.weights, *query_rows(vec))
+            assert np.array_equal(got, model.weights.T @ dense)
+
+    def test_tied_types_resolve_to_lowest_index(self):
+        # Columns 1 and 2 carry identical weights and beat column 0.
+        vec = vectorize("red shoes", CFG)
+        weights = np.zeros((CFG.dim + 1, 3))
+        weights[vec.indices, 1] = weights[vec.indices, 2] = 1.0
+        weights[CFG.dim] = [-1.0, 0.5, 0.5]
+        weights = sp.csc_matrix(weights)
+        model = LinearPtPredictor((SOCK, SHOE, TOY), weights, CFG, threshold=0.0)
+        assert model.predict(Query("red shoes", US)) == SHOE
+        swapped = LinearPtPredictor((SOCK, TOY, SHOE), weights, CFG, threshold=0.0)
+        assert swapped.predict(Query("red shoes", US)) == TOY
+
+    def test_predict_allocates_no_dense_vector(self, trained):
+        rows, _ = trained
+        wide = FeaturizerConfig(dim=2**20)
+        model = train_pt_baseline(rows, wide)
+        tracemalloc.start()
+        try:
+            assert model.predict(Query("red running shoes", US)) == SHOE
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (wide.dim + 1) * 8 // 16
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("weights/indptr", lambda a: a[1:]),
+            ("weights/indptr", lambda a: a[::-1].copy()),
+            ("weights/indices", lambda a: np.append(a[:-1], CFG.dim + 1)),
+        ],
+        ids=["indptr-short", "indptr-decreasing", "index-past-bias-row"],
+    )
+    def test_crafted_structure_rejected(self, trained, tmp_path, name, edit):
+        _, model = trained
+        path = tmp_path / "pt.blaf"
+        save_pt_predictor(model, path)
+        meta, blobs = read_artifact(path, "pt-model", 1)
+        blobs = dict(blobs)
+        blobs[name] = edit(np.array(blobs[name]))
+        write_artifact(path, "pt-model", 1, meta, blobs)
+        with pytest.raises(ArtifactFormatError):
+            load_pt_predictor(path)
 
 
 class TestOraclePredictor:

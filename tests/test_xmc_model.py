@@ -1,26 +1,25 @@
 """Beam inference against an independent exhaustive scorer, plus training
 behavior and artifact round-trips."""
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from brandlink.binio import (
     ArtifactChecksumError,
+    ArtifactFormatError,
     ArtifactVersionError,
+    read_artifact,
     write_artifact,
 )
 from brandlink.core import NIL, BrandEntityId, BrandMention, Query, StoreTag
 from brandlink.text import FeaturizerConfig, SparseVector, vectorize
-from brandlink.xmc.model import (
-    BeamParams,
-    _margins_by_columns,
-    _margins_by_features,
-    beam_predict,
-    m2e_match,
-    q2e_predict,
-)
-from brandlink.xmc.serialize import load_model, save_model
+from brandlink.linear import query_rows, score_rows
+from brandlink.xmc.model import BeamParams, XmcModel, beam_predict, m2e_match, q2e_predict
+from brandlink.xmc.serialize import MODEL_KIND, MODEL_VERSION, load_model, save_model
 from brandlink.xmc.train import train
-from brandlink.xmc.tree import aggregate_label_features, build_tree
+from brandlink.xmc.tree import LabelTree, aggregate_label_features, build_tree
 
 CFG = FeaturizerConfig(dim=2**16)
 US = StoreTag("us")
@@ -202,32 +201,61 @@ class TestBeamAgainstOracle:
             assert keys == sorted(keys)
             assert len({c.entity for c in out}) == len(out)
 
-    def test_margin_paths_are_bit_identical(self, fifty_label_model):
-        # Column-sliced and feature-sliced scoring accumulate the same
-        # terms in the same order; the cost-based choice between them
-        # must never change a margin.
+    def test_score_rows_equals_dense_matvec(self, fifty_label_model):
+        # Gathering the query's rows must sum the same terms in the same
+        # order as a dense matvec, on whole layers and on child subsets.
         model, queries = fifty_label_model
         rng = np.random.default_rng(7)
         for text in queries[:10]:
             vec = vectorize(text, CFG)
-            x_rows = np.append(np.asarray(vec.indices, dtype=np.int64), vec.dim)
-            x_vals = np.append(np.asarray(vec.values, dtype=np.float64), 1.0)
             dense = np.zeros(vec.dim + 1, dtype=np.float64)
             dense[vec.indices] = vec.values
             dense[vec.dim] = 1.0
             for weights in model.layer_weights:
-                mirror = weights.tocsr()
-                mirror.sort_indices()
+                want = weights.T @ dense
+                got = score_rows(weights, *query_rows(vec))
+                assert got.dtype == np.float64
+                assert np.array_equal(got, want)
                 width = weights.shape[1]
-                subsets = [np.arange(width, dtype=np.int64)]
-                if width > 2:
-                    subsets.append(
-                        np.sort(rng.choice(width, size=width // 2, replace=False))
+                for _ in range(3):
+                    children = np.sort(
+                        rng.choice(width, size=max(1, width // 2), replace=False)
                     )
-                for children in subsets:
-                    by_cols = _margins_by_columns(weights, children, dense)
-                    by_rows = _margins_by_features(mirror, children, x_rows, x_vals)
-                    assert np.array_equal(by_cols, by_rows)
+                    assert np.array_equal(got[children], want[children])
+
+    def test_beam_allocates_no_dense_vector(self):
+        wide = FeaturizerConfig(dim=2**20)
+        e1, e2 = BrandEntityId("E1"), BrandEntityId("E2")
+        space = aggregate_label_features([e1, e2], {e1: ["nike"], e2: ["sony"]}, {}, wide)
+        data = [("nike shoes", e1), ("nike", e1), ("sony tv", e2), ("sony", e2)]
+        model = train(
+            [(vectorize(t, wide), l) for t, l in data],
+            space,
+            build_tree(space),
+            reg=1e-3,
+            featurizer=wide,
+        )
+        vec = vectorize("nike shoes", wide)
+        tracemalloc.start()
+        try:
+            assert beam_predict(model, vec, BeamParams())[0].entity == e1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (wide.dim + 1) * 8 // 16
+
+    def test_equal_scores_rank_by_label_id(self):
+        # Label indices, tree positions and ids all disagree in order; the
+        # three labels share one weight column, so their scores tie.
+        labels = tuple(BrandEntityId(i) for i in ("B", "C", "A"))
+        tree = LabelTree(3, (3,), (), np.array([1, 2, 0]))
+        vec = vectorize("nike", CFG)
+        weights = np.zeros((CFG.dim + 1, 3))
+        weights[vec.indices] = 1.0
+        model = XmcModel(labels, tree, [sp.csc_matrix(weights)], CFG)
+        got = beam_predict(model, vec, BeamParams(top_k=2))
+        assert [c.entity.id for c in got] == ["A", "B"]
+        assert got[0].score == got[1].score
 
     def test_top_k_caps_output(self, fifty_label_model):
         model, queries = fifty_label_model
@@ -363,4 +391,44 @@ class TestSerialization:
         path = tmp_path / "m.blaf"
         write_artifact(path, "xmc-model", 99, {"anything": True}, {})
         with pytest.raises(ArtifactVersionError):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("layer1/indptr", lambda a: a[:-1]),
+            ("layer1/indptr", lambda a: a + 1),
+            ("layer1/indptr", lambda a: np.concatenate([[0, a[-1]], a[2:]])),
+            ("layer1/indptr", lambda a: np.append(a[:-1], a[-1] - 1)),
+            ("layer1/indices", lambda a: np.append(a[:-1], CFG.dim + 1)),
+            ("layer1/indices", lambda a: np.append(a[:-1], -1)),
+            ("layer1/data", lambda a: a[:-1]),
+            ("tree/label_order", lambda a: np.zeros_like(a)),
+            ("tree/label_order", lambda a: a + 1),
+            ("tree/indptr0", lambda a: np.concatenate([a[:1], a[2:3], a[1:2], a[3:]])),
+        ],
+        ids=[
+            "indptr-short",
+            "indptr-not-from-zero",
+            "indptr-decreasing",
+            "indptr-not-to-nnz",
+            "index-past-bias-row",
+            "index-negative",
+            "data-short",
+            "label-order-repeats",
+            "label-order-out-of-range",
+            "tree-indptr-decreasing",
+        ],
+    )
+    def test_crafted_structure_rejected(self, fifty_label_model, tmp_path, name, edit):
+        # Re-written through write_artifact, so the checksum is valid and
+        # only the structure checks stand between the arrays and scipy.
+        model, _ = fifty_label_model
+        path = tmp_path / "m.blaf"
+        save_model(model, path)
+        meta, blobs = read_artifact(path, MODEL_KIND, MODEL_VERSION)
+        blobs = dict(blobs)
+        blobs[name] = edit(np.array(blobs[name]))
+        write_artifact(path, MODEL_KIND, MODEL_VERSION, meta, blobs)
+        with pytest.raises(ArtifactFormatError):
             load_model(path)
