@@ -64,25 +64,25 @@ def write_artifact(
         blobs: Named arrays stored after the metadata block.
     """
     directory = []
-    chunks = []
+    arrays = []
     offset = 0
     for name in sorted(blobs):
         array = np.ascontiguousarray(blobs[name])
         dtype = array.dtype.newbyteorder("<").str
         if dtype not in _ALLOWED_DTYPES:
             raise ValueError(f"unsupported blob dtype {array.dtype} for {name!r}")
-        raw = array.astype(dtype, copy=False).tobytes()
+        array = array.astype(dtype, copy=False)
         directory.append(
             {
                 "name": name,
                 "dtype": dtype,
                 "shape": list(array.shape),
                 "offset": offset,
-                "nbytes": len(raw),
+                "nbytes": array.nbytes,
             }
         )
-        chunks.append(raw)
-        offset += len(raw)
+        arrays.append(array)
+        offset += array.nbytes
 
     document = {
         "_container": {
@@ -95,12 +95,17 @@ def write_artifact(
     meta_bytes = json.dumps(
         document, sort_keys=True, separators=(",", ":"), ensure_ascii=False
     ).encode("utf-8")
-    payload = struct.pack("<I", len(meta_bytes)) + meta_bytes + b"".join(chunks)
-    digest = hashlib.sha256(payload).digest()
-    header = _HEADER.pack(MAGIC, CONTAINER_VERSION, len(payload), digest)
+    # The payload is hashed and written piece by piece, never assembled.
+    pieces = [struct.pack("<I", len(meta_bytes)), meta_bytes, *arrays]
+    digest = hashlib.sha256()
+    for piece in pieces:
+        digest.update(piece)
+    payload_len = 4 + len(meta_bytes) + offset
+    header = _HEADER.pack(MAGIC, CONTAINER_VERSION, payload_len, digest.digest())
     with open(path, "wb") as handle:
         handle.write(header)
-        handle.write(payload)
+        for piece in pieces:
+            handle.write(piece)
 
 
 def read_artifact(
@@ -198,7 +203,8 @@ def csr_from_csc_blobs(
     """Rebuild a matrix written by :func:`csc_blobs`, row-major.
 
     Raises KeyError for a missing blob and ArtifactFormatError for a
-    structure scipy's unchecked conversion loops must not see.
+    structure scipy's unchecked conversion loops must not see or a
+    non-finite value, which would mis-score every query.
     """
     data = np.asarray(blobs[f"{prefix}/data"], dtype=np.float64)
     indices = np.asarray(blobs[f"{prefix}/indices"], dtype=np.int64)
@@ -213,6 +219,8 @@ def csr_from_csc_blobs(
         or data.shape != indices.shape
     ):
         raise ArtifactFormatError(f"{path}: {prefix} has a malformed indptr")
+    if not np.all(np.isfinite(data)):
+        raise ArtifactFormatError(f"{path}: {prefix} has a non-finite value")
     if len(indices) and (indices.min() < 0 or indices.max() >= n_rows):
         raise ArtifactFormatError(f"{path}: {prefix} has a row index out of range")
     return sp.csc_matrix((data, indices, indptr), shape=shape).tocsr()

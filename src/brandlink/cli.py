@@ -73,7 +73,7 @@ from .ptfilter import (
     save_pt_predictor,
     train_pt_baseline,
 )
-from .text import FeaturizerConfig, fit_idf, normalize, vectorize
+from .text import FeaturizerConfig, featurize, fit_idf, normalize, vectorize
 from .xmc import (
     BeamParams,
     XmcModel,
@@ -276,9 +276,7 @@ def _cmd_train_xmc(config: dict) -> int:
     normalized = [(normalize(text), label) for text, label in pairs]
     if config["idf"]:
         featurizer = fit_idf((nt for nt, _ in normalized), featurizer)
-    featurized = [
-        (vectorize(nt.text, featurizer), label) for nt, label in normalized
-    ]
+    featurized = [(featurize(nt, featurizer), label) for nt, label in normalized]
 
     labels = sorted({label for _, label in pairs}, key=lambda e: e.id)
     dictionary = (

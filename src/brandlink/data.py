@@ -29,10 +29,12 @@ from .core import (
     StoreTag,
     entity_from_id,
     labeled_query_to_record,
+    query_from_record,
     read_jsonl,
     write_jsonl,
 )
 from .gazetteer import BrandDictionary, build_dictionary
+from .ptfilter import ProductType, PtAssociations, write_associations_tsv
 from .text import normalize
 
 LOGGER = logging.getLogger(__name__)
@@ -168,26 +170,6 @@ def gen_weak_labels(
     LOGGER.info("gen_weak_labels: emitted %d of %d log records", emitted, seen)
 
 
-def build_test_set(
-    records: Iterable[LabeledQuery],
-) -> tuple[list[LabeledQuery], int]:
-    """Keep single-entity-labeled records; count the rest.
-
-    Non-branded records carry exactly the NIL label and therefore count
-    as single: they stay available as false-alarm negatives.  The
-    partition is exact: retained plus the returned count equals the
-    input count.
-    """
-    single: list[LabeledQuery] = []
-    multi = 0
-    for record in records:
-        if len(record.entities) == 1:
-            single.append(record)
-        else:
-            multi += 1
-    return single, multi
-
-
 def engagement_to_record(record: EngagementRecord) -> dict:
     out: dict = {
         "text": record.query.text,
@@ -202,11 +184,7 @@ def engagement_to_record(record: EngagementRecord) -> dict:
 
 def engagement_from_record(record: dict) -> EngagementRecord:
     return EngagementRecord(
-        query=Query(
-            text=record["text"],
-            store=StoreTag(record["store"]),
-            language=record.get("language"),
-        ),
+        query=query_from_record(record),
         product_brand_name=record["product_brand_name"],
         association_strength=float(record["strength"]),
     )
@@ -411,11 +389,15 @@ def gen_synthetic_corpus(spec: CorpusSpec, out_dir: str | Path) -> dict:
             for surface in entity.surfaces:
                 handle.write(f"{_STORE.code}\t{surface}\t{entity.entity_id}\n")
 
-    with open(out / "pt_associations.tsv", "w", encoding="utf-8") as handle:
-        handle.write("entity_id\tpt_code\n")
-        for entity in entities:
-            for code in entity.pts:
-                handle.write(f"{entity.entity_id}\t{code}\n")
+    write_associations_tsv(
+        PtAssociations(
+            {
+                entity_from_id(entity.entity_id): frozenset(map(ProductType, entity.pts))
+                for entity in entities
+            }
+        ),
+        out / "pt_associations.tsv",
+    )
 
     def language() -> str:
         return rng.choice(spec.languages)

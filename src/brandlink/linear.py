@@ -15,6 +15,7 @@ query's feature rows of a row-major weight matrix.
 from __future__ import annotations
 
 import logging
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -99,8 +100,6 @@ def fit_sparse_ova(
     reg: float,
     *,
     balanced: bool = True,
-    max_epochs: int = MAX_EPOCHS,
-    tol: float = GRAD_TOL,
     prune: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Train one-vs-all columns over a shared row group, sparsely.
@@ -124,8 +123,6 @@ def fit_sparse_ova(
         balanced: Apply the per-column positive class weight.  Leave off
             for calibrated scores whose absolute value gates a decision;
             keep on when only the relative ranking matters.
-        max_epochs: Iteration cap for the optimizer.
-        tol: Gradient-norm convergence tolerance.
         prune: Drop trained weights with magnitude below this (bias kept).
 
     Returns:
@@ -166,9 +163,7 @@ def fit_sparse_ova(
             pos_weight = np.where(n_neg > 0.0, n_neg / n_pos, 1.0)
         else:
             pos_weight = None
-        w = fit_logistic_columns(
-            x_aug, y, reg, pos_weight=pos_weight, max_epochs=max_epochs, tol=tol
-        )
+        w = fit_logistic_columns(x_aug, y, reg, pos_weight=pos_weight)
         full_rows = np.append(
             active if len(active) < dim else np.arange(dim, dtype=np.int64), dim
         ).astype(np.int64)
@@ -189,6 +184,22 @@ def fit_sparse_ova(
         )
     empty_i = np.empty(0, dtype=np.int64)
     return empty_i, empty_i.copy(), np.empty(0, dtype=np.float64), len(defaults)
+
+
+def stack_rows(vectors: Sequence[SparseVector], dim: int) -> sp.csr_matrix:
+    """The vectors as the rows of a CSR matrix with ``dim`` columns."""
+    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
+    for i, vec in enumerate(vectors):
+        if vec.dim != dim:
+            raise ValueError(f"row {i} has dimension {vec.dim}, expected {dim}")
+        indptr[i + 1] = indptr[i] + vec.nnz
+    if indptr[-1]:
+        indices = np.concatenate([v.indices for v in vectors])
+        data = np.concatenate([v.values for v in vectors])
+    else:
+        indices = np.empty(0, dtype=np.int64)
+        data = np.empty(0, dtype=np.float64)
+    return sp.csr_matrix((data, indices, indptr), shape=(len(vectors), dim))
 
 
 def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -28,10 +28,10 @@ from .core import (
     TraceRecord,
     entity_from_id,
 )
-from .linear import GRAD_TOL, MAX_EPOCHS, fit_sparse_ova, query_rows, score_rows
+from .linear import fit_sparse_ova, query_rows, score_rows, stack_rows
 from .text import FeaturizerConfig, SparseVector, featurize, featurizer_from_meta
 from .text import featurizer_to_meta, normalize
-from .xmc.train import DEFAULT_REG, _stack_rows
+from .xmc.train import DEFAULT_REG
 
 LOGGER = logging.getLogger(__name__)
 
@@ -213,10 +213,6 @@ def train_pt_baseline(
     data: Iterable[tuple[Query, ProductType]],
     featurizer: FeaturizerConfig,
     reg: float = DEFAULT_REG,
-    *,
-    max_epochs: int = MAX_EPOCHS,
-    tol: float = GRAD_TOL,
-    prune: float = 0.0,
 ) -> LinearPtPredictor:
     """Train the flat OVA product-type baseline.
 
@@ -224,9 +220,6 @@ def train_pt_baseline(
         data: (query, gold product type) pairs; must be non-empty.
         featurizer: Featurizer parameters shared with prediction.
         reg: L2 penalty.
-        max_epochs: Optimizer iteration cap.
-        tol: Gradient-norm convergence tolerance.
-        prune: Optional weight magnitude threshold.
 
     Raises:
         ValueError: If no usable training pairs are given.
@@ -243,20 +236,12 @@ def train_pt_baseline(
         raise ValueError("no usable product type training pairs")
     types = tuple(ProductType(code) for code in sorted(set(codes)))
     col_of = {pt.code: j for j, pt in enumerate(types)}
-    x = _stack_rows(vectors, featurizer.dim)
+    x = stack_rows(vectors, featurizer.dim)
     positive = np.array([col_of[code] for code in codes], dtype=np.int64)
     # Unbalanced on purpose: the confidence threshold compares an absolute
     # sigmoid score, so the bias must keep carrying the class prior.
     rows, cols, vals, _ = fit_sparse_ova(
-        x,
-        positive,
-        len(types),
-        featurizer.dim,
-        reg,
-        balanced=False,
-        max_epochs=max_epochs,
-        tol=tol,
-        prune=prune,
+        x, positive, len(types), featurizer.dim, reg, balanced=False
     )
     weights = sp.coo_matrix(
         (vals, (rows, cols)), shape=(featurizer.dim + 1, len(types))

@@ -1,8 +1,8 @@
 """Query normalization and hashed n-gram featurization.
 
 Normalization applies per-character Unicode compatibility folding plus case
-folding, collapses whitespace, and keeps an offset map back into the raw
-string so detected spans can be reported against the original query.
+folding and collapses whitespace.  Token spans, and every mention span
+built on them, are offsets into the normalized text.
 
 Featurization hashes word n-grams and character n-grams into a fixed-size
 TF(-IDF) vector with unit L2 norm.  The hash function is fixed and named in
@@ -11,7 +11,6 @@ the config so serialized models can refuse inputs featurized differently.
 from __future__ import annotations
 
 import dataclasses
-import math
 import unicodedata
 import zlib
 from dataclasses import dataclass
@@ -48,29 +47,18 @@ def _fold_char(ch: str) -> str:
 
 @dataclass(frozen=True)
 class NormalizedText:
-    """Normalized text with token spans and raw-offset recovery.
+    """Normalized text with its token spans.
 
     ``token_spans`` are [start, end) character offsets of whitespace-split
-    tokens inside ``text``.  ``source_offsets[i]`` is the index of the raw
-    character that produced normalized character ``i``.
+    tokens inside ``text``, not inside the raw query.
     """
 
     text: str
     token_spans: tuple[tuple[int, int], ...]
-    source_offsets: tuple[int, ...] = ()
 
     @property
     def tokens(self) -> tuple[str, ...]:
         return tuple(self.text[s:e] for s, e in self.token_spans)
-
-    def to_raw_span(self, span: tuple[int, int]) -> tuple[int, int]:
-        """Map a span in normalized space back to raw-string offsets."""
-        start, end = span
-        if not (0 <= start < end <= len(self.text)):
-            raise ValueError(f"span {span} out of range")
-        if len(self.source_offsets) != len(self.text):
-            raise ValueError("this NormalizedText carries no offset map")
-        return self.source_offsets[start], self.source_offsets[end - 1] + 1
 
 
 def normalize(raw: str) -> NormalizedText:
@@ -84,47 +72,15 @@ def normalize(raw: str) -> NormalizedText:
         raw: Raw query text; may be empty.
 
     Returns:
-        The normalized text with token spans and a raw-offset map.
+        The normalized text with its token spans.
     """
-    chars: list[str] = []
-    origins: list[int] = []
-    for i, ch in enumerate(raw):
-        for folded in _fold_char(ch):
-            chars.append(folded)
-            origins.append(i)
-
-    out_chars: list[str] = []
-    out_origins: list[int] = []
-    pending_space = False
-    for ch, origin in zip(chars, origins):
-        if ch.isspace():
-            pending_space = bool(out_chars)
-            continue
-        if pending_space:
-            out_chars.append(" ")
-            out_origins.append(origin)
-            pending_space = False
-        out_chars.append(ch)
-        out_origins.append(origin)
-
-    text = "".join(out_chars)
+    tokens = "".join(map(_fold_char, raw)).split()
     spans: list[tuple[int, int]] = []
-    start: int | None = None
-    for i, ch in enumerate(text):
-        if ch == " ":
-            if start is not None:
-                spans.append((start, i))
-                start = None
-        elif start is None:
-            start = i
-    if start is not None:
-        spans.append((start, len(text)))
-
-    return NormalizedText(
-        text=text,
-        token_spans=tuple(spans),
-        source_offsets=tuple(out_origins),
-    )
+    start = 0
+    for token in tokens:
+        spans.append((start, start + len(token)))
+        start += len(token) + 1
+    return NormalizedText(text=" ".join(tokens), token_spans=tuple(spans))
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,6 +93,8 @@ class IdfTable:
     def __post_init__(self) -> None:
         if self.n_docs < 1:
             raise ValueError("idf table requires at least one document")
+        if not np.all(np.isfinite(self.weights)):
+            raise ValueError("idf weights must be finite")
         self.weights.setflags(write=False)
 
 
@@ -228,25 +186,6 @@ class SparseVector:
     @property
     def nnz(self) -> int:
         return len(self.indices)
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.dot(self.values, self.values)))
-
-    def dot(self, other: SparseVector) -> float:
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        if self.nnz == 0 or other.nnz == 0:
-            return 0.0
-        pos = np.searchsorted(other.indices, self.indices)
-        pos = np.minimum(pos, other.nnz - 1)
-        hit = other.indices[pos] == self.indices
-        return float(np.dot(self.values[hit], other.values[pos[hit]]))
-
-    def cosine(self, other: SparseVector) -> float:
-        denom = self.norm() * other.norm()
-        if denom == 0.0:
-            return 0.0
-        return self.dot(other) / denom
 
 
 def _is_cjk(ch: str) -> bool:

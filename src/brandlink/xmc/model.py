@@ -25,19 +25,16 @@ SCORE_TRANSFORM = "sigmoid"
 
 @dataclass(frozen=True, slots=True)
 class BeamParams:
-    """Inference knobs: beam width, result count, and score floor."""
+    """Inference knobs: beam width and result count."""
 
     beam_size: int = 10
     top_k: int = 5
-    score_floor: float = 0.0
 
     def __post_init__(self) -> None:
         if self.beam_size < 1:
             raise ValueError("beam_size must be at least 1")
         if self.top_k < 1:
             raise ValueError("top_k must be at least 1")
-        if not (0.0 <= self.score_floor <= 1.0):
-            raise ValueError("score_floor must lie in [0, 1]")
 
 
 @dataclass(eq=False)
@@ -93,11 +90,11 @@ def beam_predict(
     Args:
         model: Trained model.
         x: Featurized input; the zero vector yields no candidates.
-        params: Beam width, result count, and minimum score.
+        params: Beam width and result count.
 
     Returns:
-        At most ``top_k`` candidates with score >= ``score_floor``, sorted
-        by descending score with ties broken by ascending label id.
+        At most ``top_k`` candidates with a positive score, sorted by
+        descending score with ties broken by ascending label id.
     """
     if x.nnz == 0:
         return []
@@ -128,7 +125,7 @@ def beam_predict(
 
     scores = np.exp(path_logs)
     label_indices = tree.label_order[nodes]
-    keep = (scores >= params.score_floor) & (scores > 0.0)
+    keep = scores > 0.0
     scores, label_indices = scores[keep], label_indices[keep]
     top = np.lexsort((model._id_rank[label_indices], -scores))[: params.top_k]
     return [

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..core import BrandEntityId
-from ..linear import GRAD_TOL, MAX_EPOCHS, fit_sparse_ova
+from ..linear import fit_sparse_ova, stack_rows
 from ..text import FeaturizerConfig, SparseVector
 from .model import XmcModel
 from .tree import LabelSpace, LabelTree
@@ -26,19 +26,6 @@ DEFAULT_REG = 1e-3
 DEFAULT_PRUNE = 1e-2
 
 
-def _stack_rows(vectors: Sequence[SparseVector], dim: int) -> sp.csr_matrix:
-    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
-    for i, vec in enumerate(vectors):
-        indptr[i + 1] = indptr[i] + vec.nnz
-    if indptr[-1]:
-        indices = np.concatenate([v.indices for v in vectors])
-        data = np.concatenate([v.values for v in vectors])
-    else:
-        indices = np.empty(0, dtype=np.int64)
-        data = np.empty(0, dtype=np.float64)
-    return sp.csr_matrix((data, indices, indptr), shape=(len(vectors), dim))
-
-
 def train(
     data: Iterable[tuple[SparseVector, BrandEntityId]],
     space: LabelSpace,
@@ -46,9 +33,6 @@ def train(
     reg: float = DEFAULT_REG,
     *,
     featurizer: FeaturizerConfig,
-    max_epochs: int = MAX_EPOCHS,
-    tol: float = GRAD_TOL,
-    prune: float = DEFAULT_PRUNE,
     threads: int = 1,
 ) -> XmcModel:
     """Train one sparse weight matrix per tree layer.
@@ -61,9 +45,6 @@ def train(
         reg: L2 penalty for every node classifier.
         featurizer: The configuration the inputs were featurized with;
             stored on the model for inference-time parity.
-        max_epochs: Per-subproblem optimizer iteration cap.
-        tol: Gradient-norm convergence tolerance.
-        prune: Magnitude threshold below which trained weights are dropped.
         threads: Worker threads across parent subproblems.  Results are
             assembled in parent order, so any value produces the same model.
 
@@ -97,7 +78,7 @@ def train(
         raise ValueError("no usable training examples")
 
     dim = featurizer.dim
-    x = _stack_rows(vectors, dim)
+    x = stack_rows(vectors, dim)
     labels = np.array(label_rows, dtype=np.int64)
 
     # Route every example along its gold label's path, deepest layer first.
@@ -138,14 +119,7 @@ def train(
             x_group = x[rows]
             positive = node_of[layer][rows] - col_start
             r, c, v, n_default = fit_sparse_ova(
-                x_group,
-                positive,
-                n_cols,
-                dim,
-                reg,
-                max_epochs=max_epochs,
-                tol=tol,
-                prune=prune,
+                x_group, positive, n_cols, dim, reg, prune=DEFAULT_PRUNE
             )
             return r, c + col_start, v, n_default
 

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..core import BrandEntityId
+from ..linear import stack_rows
 from ..text import FeaturizerConfig, SparseVector, vectorize
 
 LOGGER = logging.getLogger(__name__)
@@ -47,19 +48,7 @@ class LabelSpace:
         return {label: i for i, label in enumerate(self.labels)}
 
     def feature_matrix(self) -> sp.csr_matrix:
-        dim = self.label_features[0].dim
-        indptr = np.zeros(len(self.labels) + 1, dtype=np.int64)
-        for i, vec in enumerate(self.label_features):
-            if vec.dim != dim:
-                raise ValueError("label feature dimensions differ")
-            indptr[i + 1] = indptr[i] + vec.nnz
-        if indptr[-1]:
-            indices = np.concatenate([v.indices for v in self.label_features])
-            data = np.concatenate([v.values for v in self.label_features])
-        else:
-            indices = np.empty(0, dtype=np.int64)
-            data = np.empty(0, dtype=np.float64)
-        return sp.csr_matrix((data, indices, indptr), shape=(len(self.labels), dim))
+        return stack_rows(self.label_features, self.label_features[0].dim)
 
 
 def aggregate_label_features(
@@ -135,10 +124,6 @@ class LabelTree:
         return len(self.layer_sizes)
 
     @property
-    def widest_layer(self) -> int:
-        return max(self.layer_sizes)
-
-    @property
     def label_positions(self) -> np.ndarray:
         """Inverse of ``label_order``: label index to final-layer position."""
         positions = np.empty(self.n_labels, dtype=np.int64)
@@ -151,16 +136,6 @@ class LabelTree:
             return np.zeros(self.layer_sizes[0], dtype=np.int64)
         indptr = self.children_indptr[layer - 1]
         return np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
-
-    def leaf_groups(self) -> list[np.ndarray]:
-        """Label indices grouped by leaf cluster, in layer order."""
-        if self.n_layers == 1:
-            return [self.label_order.copy()]
-        indptr = self.children_indptr[-1]
-        return [
-            self.label_order[indptr[j] : indptr[j + 1]]
-            for j in range(len(indptr) - 1)
-        ]
 
 
 def _balanced_assign(scores: np.ndarray) -> np.ndarray:

@@ -266,7 +266,7 @@ def test_criterion_1_beam_matches_exhaustive(work):
     )
     assert len(queries) == 500
 
-    wide = BeamParams(beam_size=model.tree.widest_layer, top_k=5)
+    wide = BeamParams(beam_size=max(model.tree.layer_sizes), top_k=5)
     narrow = BeamParams(beam_size=10, top_k=1)
     started = time.perf_counter()
     exact_mismatches = 0

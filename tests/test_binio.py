@@ -2,6 +2,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,42 @@ def test_identical_inputs_identical_bytes(tmp_path):
     write_artifact(a, "pt-model", 1, {"x": 1}, blobs)
     write_artifact(b, "pt-model", 1, {"x": 1}, blobs)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_bytes_follow_the_documented_layout(tmp_path):
+    path = tmp_path / "x.blaf"
+    blobs = {"b": np.arange(3, dtype=np.int32), "a": np.ones((2, 2), dtype=np.float32)}
+    write_artifact(path, "k", 2, {"n": "é"}, blobs)
+    directory = [
+        {"dtype": "<f4", "name": "a", "nbytes": 16, "offset": 0, "shape": [2, 2]},
+        {"dtype": "<i4", "name": "b", "nbytes": 12, "offset": 16, "shape": [3]},
+    ]
+    document = {
+        "_container": {"blobs": directory, "kind": "k", "kind_version": 2},
+        "meta": {"n": "é"},
+    }
+    meta_bytes = json.dumps(document, separators=(",", ":"), ensure_ascii=False).encode()
+    payload = (
+        struct.pack("<I", len(meta_bytes))
+        + meta_bytes
+        + blobs["a"].tobytes()
+        + blobs["b"].tobytes()
+    )
+    header = _HEADER.pack(
+        MAGIC, CONTAINER_VERSION, len(payload), hashlib.sha256(payload).digest()
+    )
+    assert path.read_bytes() == header + payload
+
+
+def test_write_holds_no_copy_of_a_blob(tmp_path):
+    blob = np.arange(2**20, dtype=np.float64)  # 8 MiB
+    tracemalloc.start()
+    try:
+        write_artifact(tmp_path / "x.blaf", "k", 1, {}, {"w": blob})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < blob.nbytes // 8
 
 
 def test_blob_name_order_does_not_matter(tmp_path):

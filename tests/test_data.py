@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from brandlink.core import (
     NIL,
     BrandEntityId,
-    LabeledQuery,
     Outcome,
     Query,
     Source,
@@ -20,7 +19,6 @@ from brandlink.data import (
     CorpusSpec,
     EngagementRecord,
     augment_b2e,
-    build_test_set,
     gen_synthetic_corpus,
     gen_weak_labels,
     map_strong_labels,
@@ -164,36 +162,6 @@ class TestGenWeakLabels:
                 query_tokens[i : i + n] == brand_tokens
                 for i in range(len(query_tokens) - n + 1)
             )
-
-
-class TestBuildTestSet:
-    def labeled(self, entities):
-        return LabeledQuery(
-            query=Query("q", US),
-            brand_names=("b",) if entities != (NIL,) else (),
-            entities=entities,
-            source=Source.SL,
-        )
-
-    def test_partition_is_exact(self):
-        records = [
-            self.labeled((E1,)),
-            self.labeled((E1, E2)),
-            self.labeled((E2,)),
-            self.labeled((NIL,)),
-        ]
-        single, multi = build_test_set(records)
-        assert len(single) == 3
-        assert multi == 1
-        assert len(single) + multi == len(records)
-
-    def test_nil_counts_as_single(self):
-        single, multi = build_test_set([self.labeled((NIL,))])
-        assert len(single) == 1
-        assert multi == 0
-
-    def test_empty_input(self):
-        assert build_test_set([]) == ([], 0)
 
 
 @pytest.fixture(scope="module")

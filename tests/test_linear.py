@@ -8,7 +8,9 @@ from brandlink.linear import (
     DEFAULT_NEGATIVE_BIAS,
     fit_logistic_columns,
     fit_sparse_ova,
+    stack_rows,
 )
+from brandlink.text import SparseVector
 
 
 def with_bias(rows: np.ndarray) -> sp.csr_matrix:
@@ -72,6 +74,28 @@ def test_pos_weight_shape_validated():
     y = np.ones((4, 2))
     with pytest.raises(ValueError):
         fit_logistic_columns(x, y, reg=1e-2, pos_weight=np.ones(3))
+
+
+class TestStackRows:
+    def vec(self, pairs, dim=8):
+        indices, values = zip(*pairs) if pairs else ((), ())
+        return SparseVector(np.array(indices, dtype=np.int64), np.array(values), dim)
+
+    def test_rows_equal_their_vectors(self):
+        vectors = [self.vec([(1, 0.5), (6, 2.0)]), self.vec([]), self.vec([(0, -1.0)])]
+        dense = stack_rows(vectors, 8).toarray()
+        want = np.zeros((3, 8))
+        want[0, [1, 6]] = [0.5, 2.0]
+        want[2, 0] = -1.0
+        assert np.array_equal(dense, want)
+
+    def test_no_rows_or_no_entries(self):
+        assert stack_rows([], 8).shape == (0, 8)
+        assert stack_rows([self.vec([]), self.vec([])], 8).nnz == 0
+
+    def test_wrong_dimension_rejected(self):
+        with pytest.raises(ValueError):
+            stack_rows([self.vec([(1, 1.0)]), self.vec([(1, 1.0)], dim=16)], 8)
 
 
 def test_reg_must_be_positive():

@@ -289,6 +289,23 @@ class TestPtBaseline:
         with pytest.raises(ArtifactFormatError):
             load_pt_predictor(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_weights_and_idf_rejected(self, trained, tmp_path, bad):
+        # A valid checksum over NaN weights would load and then predict the
+        # first product type for every query; an inf idf would raise there.
+        _, model = trained
+        path = tmp_path / "pt.blaf"
+        save_pt_predictor(model, path)
+        meta, blobs = read_artifact(path, "pt-model", 1)
+        weights = dict(blobs)
+        weights["weights/data"] = np.full_like(blobs["weights/data"], bad)
+        idf_meta = dict(meta, featurizer=dict(meta["featurizer"], idf_docs=1))
+        idf = dict(blobs, **{"featurizer/idf": np.full(CFG.dim, bad, np.float32)})
+        for crafted_meta, crafted in ((meta, weights), (idf_meta, idf)):
+            write_artifact(path, "pt-model", 1, crafted_meta, crafted)
+            with pytest.raises(ArtifactFormatError):
+                load_pt_predictor(path)
+
 
 class TestOraclePredictor:
     def test_replays_known_text(self):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from brandlink.text import (
     FeaturizerConfig,
+    IdfTable,
     SparseVector,
     featurize,
     fit_idf,
@@ -34,13 +35,6 @@ class TestNormalize:
     def test_fullwidth_compatibility(self):
         assert normalize("ＮＩＫＥ").text == "nike"
 
-    def test_offsets_recover_raw_span(self):
-        raw = "Red  NIKE Shoes "
-        out = normalize(raw)
-        span = out.token_spans[1]
-        lo, hi = out.to_raw_span(span)
-        assert raw[lo:hi] == "NIKE"
-
     @given(st.text(max_size=40))
     def test_idempotent(self, raw):
         once = normalize(raw)
@@ -53,6 +47,27 @@ class TestNormalize:
         text = normalize(raw).text
         assert "  " not in text
         assert text == text.strip()
+
+    @given(st.text(max_size=40))
+    def test_spans_slice_out_their_tokens(self, raw):
+        out = normalize(raw)
+        tokens = [out.text[s:e] for s, e in out.token_spans]
+        assert out.text == " ".join(tokens)
+        assert all(token and " " not in token for token in tokens)
+
+    @given(st.text(max_size=30), st.text(max_size=30))
+    def test_concatenation_joins_non_empty_parts(self, a, b):
+        parts = [normalize(a).text, normalize(b).text]
+        joined = normalize(a + " " + b).text
+        assert joined == " ".join(part for part in parts if part)
+
+
+def cosine(a: SparseVector, b: SparseVector) -> float:
+    """Reference cosine over dense copies of both vectors."""
+    da, db = np.zeros(a.dim), np.zeros(b.dim)
+    da[a.indices], db[b.indices] = a.values, b.values
+    denom = np.linalg.norm(da) * np.linalg.norm(db)
+    return float(da @ db / denom) if denom else 0.0
 
 
 def char_ngram_set(text: str, lo: int = 2, hi: int = 4) -> set:
@@ -73,12 +88,12 @@ class TestFeaturize:
 
     def test_unit_norm(self):
         vec = vectorize("nike shoes", CFG)
-        assert vec.dot(vec) == pytest.approx(1.0)
+        assert np.dot(vec.values, vec.values) == pytest.approx(1.0)
 
     def test_empty_gives_zero_vector(self):
         vec = vectorize("", CFG)
         assert vec.nnz == 0
-        assert vec.norm() == 0.0
+        assert np.linalg.norm(vec.values) == 0.0
 
     def test_misspelling_beats_unrelated_brand(self):
         # Reference check first: the shared-gram count ordering must hold
@@ -86,24 +101,17 @@ class TestFeaturize:
         base = char_ngram_set("nike")
         assert len(base & char_ngram_set("nikee")) > len(base & char_ngram_set("sony"))
         nike = vectorize("nike", CFG)
-        assert nike.cosine(vectorize("nikee", CFG)) > nike.cosine(vectorize("sony", CFG))
+        assert cosine(nike, vectorize("nikee", CFG)) > cosine(nike, vectorize("sony", CFG))
 
     def test_cjk_text_featurizes_without_word_grams(self):
         vec = vectorize("ナイキ", CFG)
         assert vec.nnz > 0
-        assert vec.norm() == pytest.approx(1.0)
-
-    @given(st.text(max_size=30), st.text(max_size=30))
-    def test_cosine_symmetric_and_bounded(self, a, b):
-        va, vb = vectorize(a, CFG), vectorize(b, CFG)
-        ab, ba = va.cosine(vb), vb.cosine(va)
-        assert ab == pytest.approx(ba)
-        assert -1e-9 <= ab <= 1.0 + 1e-9
+        assert np.linalg.norm(vec.values) == pytest.approx(1.0)
 
     @given(st.text(min_size=1, max_size=30))
     def test_norm_is_one_or_zero(self, raw):
         vec = vectorize(raw, CFG)
-        assert vec.norm() == pytest.approx(1.0) or vec.nnz == 0
+        assert np.linalg.norm(vec.values) == pytest.approx(1.0) or vec.nnz == 0
 
 
 class TestSparseVector:
@@ -118,11 +126,6 @@ class TestSparseVector:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             SparseVector(np.array([1]), np.array([np.inf]), 10)
-
-    def test_dot_disjoint_is_zero(self):
-        a = SparseVector(np.array([1, 3]), np.array([1.0, 1.0]), 10)
-        b = SparseVector(np.array([2, 4]), np.array([1.0, 1.0]), 10)
-        assert a.dot(b) == 0.0
 
     def test_zero(self):
         z = SparseVector.zero(16)
@@ -170,11 +173,18 @@ class TestIdf:
         with pytest.raises(ValueError):
             fit_idf([], CFG)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        weights = np.ones(CFG.dim, dtype=np.float32)
+        weights[7] = bad
+        with pytest.raises(ValueError):
+            IdfTable(weights=weights, n_docs=1)
+
     def test_idf_changes_vector_not_norm(self):
         cfg = fit_idf([normalize("nike shoes"), normalize("red shoes")], CFG)
         plain = vectorize("nike shoes", CFG)
         weighted = vectorize("nike shoes", cfg)
-        assert weighted.norm() == pytest.approx(1.0)
+        assert np.linalg.norm(weighted.values) == pytest.approx(1.0)
         assert not (
             np.array_equal(plain.indices, weighted.indices)
             and np.allclose(plain.values, weighted.values)

@@ -25,6 +25,14 @@ CFG = FeaturizerConfig(dim=2**16)
 US = StoreTag("us")
 
 
+def cosine(a: SparseVector, b: SparseVector) -> float:
+    """Reference cosine over dense copies of both vectors."""
+    da, db = np.zeros(a.dim), np.zeros(b.dim)
+    da[a.indices], db[b.indices] = a.values, b.values
+    denom = np.linalg.norm(da) * np.linalg.norm(db)
+    return float(da @ db / denom) if denom else 0.0
+
+
 def exhaustive_scores(model, vec) -> dict:
     """Score every label by its full root-to-leaf path, no beam, no pruning.
 
@@ -171,7 +179,7 @@ def fifty_label_model():
 class TestBeamAgainstOracle:
     def test_wide_beam_equals_exhaustive(self, fifty_label_model):
         model, queries = fifty_label_model
-        wide = BeamParams(beam_size=model.tree.widest_layer, top_k=5)
+        wide = BeamParams(beam_size=max(model.tree.layer_sizes), top_k=5)
         for text in queries[:50]:
             vec = vectorize(text, CFG)
             got = beam_predict(model, vec, wide)
@@ -262,15 +270,6 @@ class TestBeamAgainstOracle:
         out = beam_predict(model, vectorize(queries[0], CFG), BeamParams(top_k=1))
         assert len(out) <= 1
 
-    def test_score_floor_filters(self, fifty_label_model):
-        model, queries = fifty_label_model
-        vec = vectorize(queries[0], CFG)
-        unfiltered = beam_predict(model, vec, BeamParams(top_k=5))
-        floor = unfiltered[0].score
-        filtered = beam_predict(model, vec, BeamParams(top_k=5, score_floor=floor))
-        assert all(c.score >= floor for c in filtered)
-        assert len(filtered) <= len(unfiltered)
-
     def test_zero_vector_yields_nothing(self, fifty_label_model):
         model, _ = fifty_label_model
         assert beam_predict(model, SparseVector.zero(CFG.dim), BeamParams()) == []
@@ -303,7 +302,7 @@ class TestM2eMatch:
         query_vec = vectorize("nikee", CFG)
         by_cosine = sorted(
             surfaces,
-            key=lambda e: -query_vec.cosine(vectorize(surfaces[e], CFG)),
+            key=lambda e: -cosine(query_vec, vectorize(surfaces[e], CFG)),
         )
         assert by_cosine[0] == BrandEntityId("E1")
         mention = BrandMention.from_text("nikee", 0, 5)
@@ -392,6 +391,25 @@ class TestSerialization:
         write_artifact(path, "xmc-model", 99, {"anything": True}, {})
         with pytest.raises(ArtifactVersionError):
             load_model(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_weights_and_idf_rejected(self, fifty_label_model, tmp_path, bad):
+        model, _ = fifty_label_model
+        path = tmp_path / "m.blaf"
+        save_model(model, path)
+        meta, blobs = read_artifact(path, MODEL_KIND, MODEL_VERSION)
+        weights = dict(blobs)
+        data = np.array(blobs["layer1/data"])
+        data[len(data) // 2] = bad
+        weights["layer1/data"] = data
+        idf_meta = dict(meta, featurizer=dict(meta["featurizer"], idf_docs=1))
+        idf = np.ones(CFG.dim, dtype=np.float32)
+        idf[3] = bad
+        with_idf = dict(blobs, **{"featurizer/idf": idf})
+        for crafted_meta, crafted in ((meta, weights), (idf_meta, with_idf)):
+            write_artifact(path, MODEL_KIND, MODEL_VERSION, crafted_meta, crafted)
+            with pytest.raises(ArtifactFormatError):
+                load_model(path)
 
     @pytest.mark.parametrize(
         "name, edit",
