@@ -10,7 +10,7 @@ not leak into the scores.  Both the averaging and the count ratio are
 invariant to uniform duplication of the training data.
 
 Every trained model scores through :func:`score_rows`, which reads only the
-query's feature rows of a row-major weight matrix.
+query's feature rows of a row-major weight matrix, in compiled code.
 """
 from __future__ import annotations
 
@@ -20,6 +20,8 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import minimize
+# Compiled CSR/CSC kernels behind scipy's own indexing and matvec.
+from scipy.sparse import _sparsetools
 from scipy.special import expit
 
 from .text import SparseVector
@@ -216,16 +218,26 @@ def query_rows(x: SparseVector) -> tuple[np.ndarray, np.ndarray]:
 def score_rows(weights: sp.csr_matrix, rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Margins ``weights.T @ x`` of every column, reading only the rows where x is nonzero.
 
-    Each column sums its terms in the order of ``rows``; for ascending rows
-    that is the order of a dense matvec, so the margins equal it bit for bit.
+    scipy's compiled kernels copy the rows out and add each stored term
+    into its column, walking the rows in the order of ``rows``; for
+    ascending rows that is the order of a dense matvec, so the margins
+    equal it bit for bit.  The kernels do not bounds-check, so a row
+    outside ``weights`` raises ValueError here.
     """
     indptr = weights.indptr
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    picked = concat_ranges(starts, counts)
-    terms = weights.data[picked] * np.repeat(vals, counts)
-    margins = np.bincount(
-        weights.indices[picked], weights=terms, minlength=weights.shape[1]
+    n_rows, n_cols = weights.shape
+    if len(rows) and (rows.min() < 0 or rows.max() >= n_rows):
+        raise ValueError("row index out of range")
+    rows = rows.astype(indptr.dtype, copy=False)
+    picked = np.zeros(len(rows) + 1, dtype=indptr.dtype)
+    np.cumsum(indptr[rows + 1] - indptr[rows], out=picked[1:])
+    cols = np.empty(picked[-1], dtype=weights.indices.dtype)
+    terms = np.empty(picked[-1], dtype=weights.data.dtype)
+    _sparsetools.csr_row_index(
+        len(rows), rows, indptr, weights.indices, weights.data, cols, terms
     )
-    # With no stored weight in any gathered row bincount counts in integers.
-    return margins.astype(np.float64, copy=False)
+    # Read as CSC, each picked row is a column; csc_matvec walks them in
+    # order and adds weight times the row's x value to each margin.
+    margins = np.zeros(n_cols, dtype=np.float64)
+    _sparsetools.csc_matvec(n_cols, len(rows), picked, cols, terms, vals, margins)
+    return margins

@@ -4,6 +4,11 @@ A candidate is dropped when its mined product-type set is known and does
 not contain the query's predicted product type; candidates without mined
 associations always survive.  Filtering never invents candidates, it only
 narrows the given list and maps what remains to a terminal decision.
+
+The PT predictor's artifact (``pt-model`` format version 2) stores its
+weights as one CSR matrix in the dtypes the scorer reads; a loaded
+predictor serves them, and its idf table, as read-only views over the
+artifact's aligned payload buffer.
 """
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ from typing import Iterable, Iterator, Protocol
 import numpy as np
 import scipy.sparse as sp
 
-from .binio import ArtifactFormatError, csc_blobs, csr_from_csc_blobs
+from .binio import ArtifactFormatError, csr_blobs, csr_from_blobs
 from .binio import read_artifact, write_artifact
 from .core import (
     BrandEntityId,
@@ -39,7 +44,7 @@ LOGGER = logging.getLogger(__name__)
 PT_CONFIDENCE_THRESHOLD = 0.5
 
 _PT_MODEL_KIND = "pt-model"
-_PT_MODEL_VERSION = 1
+_PT_MODEL_VERSION = 2
 
 _ASSOC_HEADER = ("entity_id", "pt_code")
 
@@ -176,7 +181,8 @@ class PtPredictor(Protocol):
 class LinearPtPredictor:
     """Flat one-vs-all linear classifier over the featurizer space.
 
-    Weights of any sparse layout are converted to row-major once, here.
+    Weights of any sparse layout are converted to row-major once, here;
+    CSR weights, such as a loaded predictor's, are kept as they are.
     """
 
     product_types: tuple[ProductType, ...]
@@ -261,7 +267,7 @@ def save_pt_predictor(predictor: LinearPtPredictor, path: str | Path) -> None:
         "threshold": predictor.threshold,
         "featurizer": featurizer,
     }
-    blobs.update(csc_blobs(predictor.weights, "weights"))
+    blobs.update(csr_blobs(predictor.weights, "weights"))
     write_artifact(path, _PT_MODEL_KIND, _PT_MODEL_VERSION, meta, blobs)
 
 
@@ -272,7 +278,7 @@ def load_pt_predictor(path: str | Path) -> LinearPtPredictor:
         types = tuple(ProductType(code) for code in meta["product_types"])
         return LinearPtPredictor(
             product_types=types,
-            weights=csr_from_csc_blobs(path, blobs, "weights", (config.dim + 1, len(types))),
+            weights=csr_from_blobs(path, blobs, "weights", (config.dim + 1, len(types))),
             featurizer=config,
             threshold=float(meta["threshold"]),
         )

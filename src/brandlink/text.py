@@ -11,6 +11,7 @@ the config so serialized models can refuse inputs featurized differently.
 from __future__ import annotations
 
 import dataclasses
+import re
 import unicodedata
 import zlib
 from dataclasses import dataclass
@@ -32,6 +33,12 @@ _CJK_RANGES = (
     (0xAC00, 0xD7AF),   # hangul syllables
     (0xF900, 0xFAFF),   # CJK compatibility ideographs
 )
+_CJK = re.compile("[" + "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _CJK_RANGES) + "]")
+
+# CRC-32 state after each n-gram kind's prefix: ``crc32(gram, _WORD_CRC)``
+# equals ``crc32(b"w:" + gram)`` without building the concatenation.
+_WORD_CRC = zlib.crc32(b"w:")
+_CHAR_CRC = zlib.crc32(b"c:")
 
 
 @lru_cache(maxsize=65536)
@@ -141,14 +148,17 @@ def featurizer_to_meta(config: FeaturizerConfig) -> tuple[dict, dict[str, np.nda
 
 
 def featurizer_from_meta(meta: dict, blobs: dict[str, np.ndarray]) -> FeaturizerConfig:
-    """Rebuild the featurizer written by :func:`featurizer_to_meta`."""
+    """Rebuild the featurizer written by :func:`featurizer_to_meta`.
+
+    The idf table is served as the given blob, a view when it was read
+    from an artifact, so it must already be float32.
+    """
     idf = None
     if meta["idf_docs"] is not None:
-        # A copy, so the model keeps no view into the artifact's payload.
-        idf = IdfTable(
-            weights=np.array(blobs["featurizer/idf"], dtype=np.float32),
-            n_docs=int(meta["idf_docs"]),
-        )
+        weights = blobs["featurizer/idf"]
+        if weights.dtype != np.float32:
+            raise ValueError("idf table must be float32")
+        idf = IdfTable(weights=weights, n_docs=int(meta["idf_docs"]))
     return FeaturizerConfig(
         dim=int(meta["dim"]),
         word_ngrams=int(meta["word_ngrams"]),
@@ -188,25 +198,21 @@ class SparseVector:
         return len(self.indices)
 
 
-def _is_cjk(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _CJK_RANGES)
-
-
-def _hash(key: bytes, dim: int) -> int:
-    return zlib.crc32(key) % dim
-
-
 def hashed_counts(text: NormalizedText, config: FeaturizerConfig) -> dict[int, int]:
-    """Raw term-frequency counts per hash bucket for one text."""
+    """Raw term-frequency counts per hash bucket for one text.
+
+    A word n-gram hashes as ``crc32(b"w:" + utf8) % dim`` and a character
+    n-gram as ``crc32(b"c:" + utf8) % dim``.
+    """
     counts: dict[int, int] = {}
+    crc32, dim = zlib.crc32, config.dim
 
     # Word n-grams over runs of non-CJK tokens; CJK tokens fall back to the
     # character n-grams alone.
     run: list[str] = []
     runs: list[list[str]] = []
     for token in text.tokens:
-        if any(_is_cjk(c) for c in token):
+        if _CJK.search(token):
             if run:
                 runs.append(run)
                 run = []
@@ -217,16 +223,14 @@ def hashed_counts(text: NormalizedText, config: FeaturizerConfig) -> dict[int, i
     for tokens in runs:
         for n in range(1, config.word_ngrams + 1):
             for i in range(len(tokens) - n + 1):
-                key = b"w:" + " ".join(tokens[i : i + n]).encode("utf-8")
-                idx = _hash(key, config.dim)
+                idx = crc32(" ".join(tokens[i : i + n]).encode("utf-8"), _WORD_CRC) % dim
                 counts[idx] = counts.get(idx, 0) + 1
 
     lo, hi = config.char_ngrams
     s = text.text
     for n in range(lo, hi + 1):
         for i in range(len(s) - n + 1):
-            key = b"c:" + s[i : i + n].encode("utf-8")
-            idx = _hash(key, config.dim)
+            idx = crc32(s[i : i + n].encode("utf-8"), _CHAR_CRC) % dim
             counts[idx] = counts.get(idx, 0) + 1
 
     return counts
@@ -245,8 +249,9 @@ def featurize(text: NormalizedText, config: FeaturizerConfig) -> SparseVector:
     counts = hashed_counts(text, config)
     if not counts:
         return SparseVector.zero(config.dim)
-    indices = np.array(sorted(counts), dtype=np.int64)
-    values = np.array([counts[int(i)] for i in indices], dtype=np.float64)
+    keys = sorted(counts)
+    indices = np.array(keys, dtype=np.int64)
+    values = np.array([counts[k] for k in keys], dtype=np.float64)
     if config.idf is not None:
         values = values * config.idf.weights[indices].astype(np.float64)
     norm = float(np.sqrt(np.dot(values, values)))

@@ -1,10 +1,12 @@
 """Binary save/load for trained ranker models.
 
 One artifact file holds the featurizer configuration (idf table included),
-the tree topology, and every layer's weights in compressed-sparse-column
-layout.  Loading verifies container magic, version, payload checksum and
-the structure of every array before reconstructing the model, which holds
-its weights row-major; identical models serialize to identical bytes.
+the tree topology, and the model's stacked node weights as one CSR matrix
+in the dtypes the scorer reads (``xmc-model`` format version 2).  Loading
+verifies container magic, version, payload checksum and the structure of
+every array, then serves the weights and the idf table as read-only views
+over the artifact's aligned payload buffer, with no conversion or copy.
+Identical models serialize to identical bytes.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..binio import ArtifactFormatError, csc_blobs, csr_from_csc_blobs
+from ..binio import ArtifactFormatError, csr_blobs, csr_from_blobs
 from ..binio import read_artifact, write_artifact
 from ..core import entity_from_id
 from ..text import featurizer_from_meta, featurizer_to_meta
@@ -20,7 +22,7 @@ from .model import XmcModel
 from .tree import LabelTree
 
 MODEL_KIND = "xmc-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 def save_model(model: XmcModel, path: str | Path) -> None:
@@ -35,8 +37,7 @@ def save_model(model: XmcModel, path: str | Path) -> None:
     blobs["tree/label_order"] = model.tree.label_order.astype(np.int64)
     for i, indptr in enumerate(model.tree.children_indptr):
         blobs[f"tree/indptr{i}"] = indptr.astype(np.int64)
-    for i, weights in enumerate(model.layer_weights):
-        blobs.update(csc_blobs(weights, f"layer{i}"))
+    blobs.update(csr_blobs(model.weights, "weights"))
     write_artifact(path, MODEL_KIND, MODEL_VERSION, meta, blobs)
 
 
@@ -58,18 +59,16 @@ def load_model(path: str | Path) -> XmcModel:
             n_labels=layer_sizes[-1],
             layer_sizes=layer_sizes,
             children_indptr=tuple(
-                blobs[f"tree/indptr{i}"].astype(np.int64) for i in range(len(layer_sizes) - 1)
+                blobs[f"tree/indptr{i}"].astype(np.int64, copy=False)
+                for i in range(len(layer_sizes) - 1)
             ),
-            label_order=blobs["tree/label_order"].astype(np.int64),
+            label_order=blobs["tree/label_order"].astype(np.int64, copy=False),
         )
-        layer_weights = [
-            csr_from_csc_blobs(path, blobs, f"layer{i}", (config.dim + 1, size))
-            for i, size in enumerate(layer_sizes)
-        ]
+        weights = csr_from_blobs(path, blobs, "weights", (config.dim + 1, sum(layer_sizes)))
         return XmcModel(
             labels=tuple(entity_from_id(raw) for raw in meta["labels"]),
             tree=tree,
-            layer_weights=layer_weights,
+            layer_weights=weights,
             featurizer=config,
             score_transform=meta["score_transform"],
         )

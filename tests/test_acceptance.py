@@ -91,7 +91,8 @@ def _exhaustive_scores(model, vec) -> dict:
     tree = model.tree
     logs = None
     for layer in range(tree.n_layers):
-        margins = np.asarray(model.layer_weights[layer].T @ dense).ravel()
+        lo, hi = model.layer_offsets[layer], model.layer_offsets[layer + 1]
+        margins = np.asarray(model.weights[:, lo:hi].T @ dense).ravel()
         layer_logs = -np.logaddexp(0.0, -margins)
         if logs is None:
             logs = layer_logs

@@ -60,11 +60,14 @@ def test_bytes_follow_the_documented_layout(tmp_path):
         "meta": {"n": "é"},
     }
     meta_bytes = json.dumps(document, separators=(",", ":"), ensure_ascii=False).encode()
+    # Spaces start the blobs on an 8-byte boundary; zeros pad each blob.
+    meta_bytes += b" " * (-(4 + len(meta_bytes)) % 8)
     payload = (
         struct.pack("<I", len(meta_bytes))
         + meta_bytes
         + blobs["a"].tobytes()
         + blobs["b"].tobytes()
+        + bytes(4)
     )
     header = _HEADER.pack(
         MAGIC, CONTAINER_VERSION, len(payload), hashlib.sha256(payload).digest()
@@ -140,17 +143,28 @@ def test_trailing_garbage_detected(tmp_path):
         read_artifact(path, "pt-model", 1)
 
 
-def _rewrite_directory(path, edit):
-    """Apply ``edit`` to the stored blob directory and re-seal the checksum."""
+def _seal(path, payload, version=CONTAINER_VERSION, payload_len=None):
+    """Write ``payload`` under a header carrying its valid checksum."""
+    digest = hashlib.sha256(payload).digest()
+    length = len(payload) if payload_len is None else payload_len
+    path.write_bytes(_HEADER.pack(MAGIC, version, length, digest) + payload)
+
+
+def _rewrite_directory(path, edit, align=True):
+    """Apply ``edit`` to the stored blob directory and re-seal the checksum.
+
+    With ``align`` the metadata block is padded as the writer pads it;
+    without it the blob area is left off the 8-byte grid.
+    """
     data = path.read_bytes()
     payload = data[_HEADER.size :]
     (meta_len,) = struct.unpack_from("<I", payload)
     document = json.loads(payload[4 : 4 + meta_len])
     edit(document["_container"]["blobs"][0])
     meta = json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
-    payload = struct.pack("<I", len(meta)) + meta + payload[4 + meta_len :]
-    digest = hashlib.sha256(payload).digest()
-    path.write_bytes(_HEADER.pack(MAGIC, CONTAINER_VERSION, len(payload), digest) + payload)
+    while ((4 + len(meta)) % 8 == 0) != align:
+        meta += b" "
+    _seal(path, struct.pack("<I", len(meta)) + meta + payload[4 + meta_len :])
 
 
 @pytest.mark.parametrize(
@@ -163,9 +177,10 @@ def _rewrite_directory(path, edit):
         lambda entry: entry.update(dtype="<u8"),
         lambda entry: entry.update(nbytes=8),
         lambda entry: entry.pop("shape"),
+        lambda entry: entry.update(offset=4),
     ],
     ids=["shape-short", "shape-long", "shape-negative", "dtype-narrow", "dtype-unknown",
-         "nbytes", "no-shape"],
+         "nbytes", "no-shape", "offset-unaligned"],
 )
 def test_blob_size_must_match_shape_and_dtype(tmp_path, edit):
     path = tmp_path / "x.blaf"
@@ -182,6 +197,76 @@ def test_blobs_are_read_only_views(tmp_path):
     for blob in blobs.values():
         assert not blob.flags.writeable
         assert not blob.flags.owndata
+
+
+def _owner(array):
+    """The object that owns the memory under ``array``."""
+    while True:
+        if isinstance(array, np.ndarray) and array.base is not None:
+            array = array.base
+        elif isinstance(array, memoryview):
+            array = array.obj
+        else:
+            return array
+
+
+def test_blobs_are_aligned_views_of_one_buffer(tmp_path):
+    # Odd-length int32 blobs sort before and between the wider ones, so
+    # only the padding keeps the later blobs on their 8-byte grid.
+    path = tmp_path / "x.blaf"
+    written = {
+        "a": np.arange(3, dtype=np.int32),
+        "b": np.linspace(0.0, 1.0, 5),
+        "c": np.arange(1, dtype=np.int32),
+        "d": np.arange(7, dtype=np.int64),
+        "e": np.ones(3, dtype=np.float32),
+        "f": np.arange(0, dtype=np.float64),
+        "g": np.arange(2, dtype=np.float64),
+    }
+    for meta in ({}, {"pad": "x"}, {"pad": "xx"}, {"pad": "xxxx"}):
+        write_artifact(path, "k", 1, meta, written)
+        _, blobs = read_artifact(path, "k", 1)
+        owners = {id(_owner(blob)) for blob in blobs.values()}
+        assert len(owners) == 1 and owners != {id(None)}
+        for name, blob in blobs.items():
+            assert np.array_equal(blob, written[name])
+            assert blob.ctypes.data % 8 == 0 and blob.flags.aligned
+            assert not blob.flags.writeable
+
+
+def test_unaligned_blob_area_rejected(tmp_path):
+    path = tmp_path / "x.blaf"
+    write_artifact(path, "k", 1, {}, {"w": np.ones(4)})
+    _rewrite_directory(path, lambda entry: None, align=False)
+    with pytest.raises(ArtifactFormatError):
+        read_artifact(path, "k", 1)
+
+
+def test_version_1_container_rejected(tmp_path):
+    # Version 1 stored the same document with no padding at all.
+    directory = [{"dtype": "<f8", "name": "w", "nbytes": 16, "offset": 0, "shape": [2]}]
+    document = {"_container": {"blobs": directory, "kind": "k", "kind_version": 1}, "meta": {}}
+    meta = json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
+    path = tmp_path / "x.blaf"
+    _seal(path, struct.pack("<I", len(meta)) + meta + np.ones(2).tobytes(), version=1)
+    with pytest.raises(ArtifactVersionError):
+        read_artifact(path, "k", 1)
+
+
+def test_declared_length_checked_against_file_size(tmp_path):
+    # A crafted header claiming 1 TiB must fail before anything is allocated.
+    path = tmp_path / "x.blaf"
+    write_artifact(path, "k", 1, {}, {"w": np.ones(4)})
+    payload = path.read_bytes()[_HEADER.size :]
+    _seal(path, payload, payload_len=2**40)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ArtifactTruncatedError):
+            read_artifact(path, "k", 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_unsupported_dtype_rejected(tmp_path):

@@ -8,6 +8,7 @@ from brandlink.linear import (
     DEFAULT_NEGATIVE_BIAS,
     fit_logistic_columns,
     fit_sparse_ova,
+    score_rows,
     stack_rows,
 )
 from brandlink.text import SparseVector
@@ -96,6 +97,33 @@ class TestStackRows:
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError):
             stack_rows([self.vec([(1, 1.0)]), self.vec([(1, 1.0)], dim=16)], 8)
+
+
+class TestScoreRows:
+    def weights(self, index_dtype):
+        rng = np.random.default_rng(3)
+        dense = rng.normal(size=(40, 7)) * (rng.random((40, 7)) < 0.3)
+        matrix = sp.csr_matrix(dense)
+        matrix.indices = matrix.indices.astype(index_dtype)
+        matrix.indptr = matrix.indptr.astype(index_dtype)
+        return matrix, dense
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_equals_dense_matvec_in_ascending_row_order(self, index_dtype):
+        matrix, dense = self.weights(index_dtype)
+        rows = np.array([0, 3, 4, 17, 39], dtype=np.int64)
+        vals = np.array([0.25, -1.5, 2.0, 0.125, 1.0])
+        x = np.zeros(40)
+        x[rows] = vals
+        assert np.array_equal(score_rows(matrix, rows, vals), matrix.T @ x)
+        assert score_rows(matrix, rows[:0], vals[:0]).tolist() == [0.0] * 7
+
+    @pytest.mark.parametrize("row", [-1, 40], ids=["negative", "past-last"])
+    def test_row_outside_weights_rejected(self, row):
+        # The compiled kernels would read out of bounds.
+        matrix, _ = self.weights(np.int32)
+        with pytest.raises(ValueError):
+            score_rows(matrix, np.array([0, row]), np.array([1.0, 1.0]))
 
 
 def test_reg_must_be_positive():

@@ -4,6 +4,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brandlink.core import NIL, BrandEntityId, Outcome, Query, StoreTag
 from brandlink.gazetteer import TrieDetector, build_dictionary
@@ -301,3 +303,61 @@ def test_threads_sharing_loaded_models_match_sequential(dictionary, tmp_path):
     sequential = {i: link_fused(config, q) for i, q in enumerate(queries)}
     for results in threaded:
         assert results == sequential
+
+
+@pytest.fixture(scope="module")
+def loaded_linkers(dictionary, tmp_path_factory):
+    """The four link modes over toy models served from their artifacts."""
+    root = tmp_path_factory.mktemp("fuzz")
+    save_model(toy_q2e(), root / "q2e.blaf")
+    save_model(toy_m2e(), root / "m2e.blaf")
+    pt = train_pt_baseline(
+        [(Query(t, US), ProductType(p)) for t, p in [
+            ("nike shoes", "shoe"), ("red shoes", "shoe"),
+            ("sony tv", "tv"), ("hdmi tv", "tv"),
+        ]],
+        CFG,
+    )
+    save_pt_predictor(pt, root / "pt.blaf")
+    shared = dict(
+        pt_predictor=load_pt_predictor(root / "pt.blaf"),
+        associations=mine_associations([(E1, ProductType("shoe")), (E2, ProductType("tv"))]),
+    )
+    detector = TrieDetector(dictionary)
+    m2e = M2eMatcher(load_model(root / "m2e.blaf"))
+    q2e = load_model(root / "q2e.blaf")
+    return {
+        "lexical": (link_two_stage, lexical_config(dictionary, **shared)),
+        "m2e": (link_two_stage, LinkerConfig(detector=detector, matcher=m2e, **shared)),
+        "q2e": (link_end_to_end, LinkerConfig(q2e=q2e, **shared)),
+        "fused": (
+            link_fused,
+            LinkerConfig(detector=detector, matcher=m2e, q2e=q2e, fusion=True, **shared),
+        ),
+    }
+
+
+# Brand words mixed with CJK, combining marks, controls, format characters
+# and separators, plus any code point at all; or one short unit repeated
+# out to a 10k-character query.
+_HOSTILE_TEXT = st.one_of(
+    st.lists(
+        st.one_of(
+            st.sampled_from(["nike", "sony", "ab", "shoes", "tv", " ", "\t", "\u3000"]),
+            st.characters(min_codepoint=0x4E00, max_codepoint=0x4E20),
+            st.characters(categories=["Mn", "Me", "Cc", "Cf", "Zs", "Zl", "Zp"]),
+            st.characters(),
+        ),
+        max_size=30,
+    ).map("".join),
+    st.builds(lambda unit: (unit * 10_000)[:10_000], st.text(min_size=1, max_size=12)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_HOSTILE_TEXT)
+def test_linkers_never_raise_and_repeat_on_hostile_text(loaded_linkers, text):
+    query = Query(text, US)
+    for link, config in loaded_linkers.values():
+        first = link(config, query)
+        assert link(config, query) == first

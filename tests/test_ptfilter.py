@@ -272,22 +272,34 @@ class TestPtBaseline:
     @pytest.mark.parametrize(
         "name, edit",
         [
-            ("weights/indptr", lambda a: a[1:]),
-            ("weights/indptr", lambda a: a[::-1].copy()),
-            ("weights/indices", lambda a: np.append(a[:-1], CFG.dim + 1)),
+            ("weights/indptr", lambda a, n_cols: a[1:]),
+            ("weights/indptr", lambda a, n_cols: a[::-1].copy()),
+            ("weights/indices", lambda a, n_cols: np.append(a[:-1], n_cols).astype(a.dtype)),
+            ("weights/indices", lambda a, n_cols: a.astype(np.int64)),
         ],
-        ids=["indptr-short", "indptr-decreasing", "index-past-bias-row"],
+        ids=["indptr-short", "indptr-decreasing", "column-past-last-type", "index-dtypes-differ"],
     )
     def test_crafted_structure_rejected(self, trained, tmp_path, name, edit):
         _, model = trained
         path = tmp_path / "pt.blaf"
         save_pt_predictor(model, path)
-        meta, blobs = read_artifact(path, "pt-model", 1)
+        meta, blobs = read_artifact(path, "pt-model", 2)
         blobs = dict(blobs)
-        blobs[name] = edit(np.array(blobs[name]))
-        write_artifact(path, "pt-model", 1, meta, blobs)
+        blobs[name] = edit(np.array(blobs[name]), len(model.product_types))
+        write_artifact(path, "pt-model", 2, meta, blobs)
         with pytest.raises(ArtifactFormatError):
             load_pt_predictor(path)
+
+    def test_load_serves_weights_as_views(self, trained, tmp_path):
+        rows, model = trained
+        path = tmp_path / "pt.blaf"
+        save_pt_predictor(model, path)
+        loaded = load_pt_predictor(path)
+        for array in (loaded.weights.data, loaded.weights.indices, loaded.weights.indptr):
+            assert not array.flags.writeable and not array.flags.owndata
+            assert array.ctypes.data % 8 == 0
+        for q, _ in rows:
+            assert loaded.predict(q) == model.predict(q)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_weights_and_idf_rejected(self, trained, tmp_path, bad):
@@ -296,13 +308,13 @@ class TestPtBaseline:
         _, model = trained
         path = tmp_path / "pt.blaf"
         save_pt_predictor(model, path)
-        meta, blobs = read_artifact(path, "pt-model", 1)
+        meta, blobs = read_artifact(path, "pt-model", 2)
         weights = dict(blobs)
         weights["weights/data"] = np.full_like(blobs["weights/data"], bad)
         idf_meta = dict(meta, featurizer=dict(meta["featurizer"], idf_docs=1))
         idf = dict(blobs, **{"featurizer/idf": np.full(CFG.dim, bad, np.float32)})
         for crafted_meta, crafted in ((meta, weights), (idf_meta, idf)):
-            write_artifact(path, "pt-model", 1, crafted_meta, crafted)
+            write_artifact(path, "pt-model", 2, crafted_meta, crafted)
             with pytest.raises(ArtifactFormatError):
                 load_pt_predictor(path)
 

@@ -1,5 +1,6 @@
 """Normalization and hashed TF-IDF featurization."""
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -112,6 +113,83 @@ class TestFeaturize:
     def test_norm_is_one_or_zero(self, raw):
         vec = vectorize(raw, CFG)
         assert np.linalg.norm(vec.values) == pytest.approx(1.0) or vec.nnz == 0
+
+
+# The per-gram implementation of hashed_counts before it was sped up, kept
+# as the reference the current one must equal bucket for bucket.
+_REFERENCE_CJK_RANGES = (
+    (0x3040, 0x30FF),
+    (0x3400, 0x4DBF),
+    (0x4E00, 0x9FFF),
+    (0xAC00, 0xD7AF),
+    (0xF900, 0xFAFF),
+)
+
+
+def reference_hashed_counts(text, config) -> dict[int, int]:
+    def is_cjk(ch):
+        return any(lo <= ord(ch) <= hi for lo, hi in _REFERENCE_CJK_RANGES)
+
+    counts: dict[int, int] = {}
+    run: list[str] = []
+    runs: list[list[str]] = []
+    for token in text.tokens:
+        if any(is_cjk(c) for c in token):
+            if run:
+                runs.append(run)
+                run = []
+        else:
+            run.append(token)
+    if run:
+        runs.append(run)
+    for tokens in runs:
+        for n in range(1, config.word_ngrams + 1):
+            for i in range(len(tokens) - n + 1):
+                key = b"w:" + " ".join(tokens[i : i + n]).encode("utf-8")
+                idx = zlib.crc32(key) % config.dim
+                counts[idx] = counts.get(idx, 0) + 1
+    lo, hi = config.char_ngrams
+    s = text.text
+    for n in range(lo, hi + 1):
+        for i in range(len(s) - n + 1):
+            key = b"c:" + s[i : i + n].encode("utf-8")
+            idx = zlib.crc32(key) % config.dim
+            counts[idx] = counts.get(idx, 0) + 1
+    return counts
+
+
+# Latin, CJK (every range edge included), hangul, combining marks, controls
+# and whitespace, so word runs break and resume at CJK tokens.
+_MIXED_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from("abcxyz019 -'&\t\n\u3000"),
+        st.sampled_from(
+            [chr(cp) for lo, hi in _REFERENCE_CJK_RANGES for cp in (lo - 1, lo, hi, hi + 1)]
+        ),
+        st.characters(min_codepoint=0x4E00, max_codepoint=0x4E20),
+        st.characters(categories=["Mn", "Cc", "Cf", "Zs"]),
+        st.characters(),
+    ),
+    max_size=60,
+)
+
+
+class TestHashedCounts:
+    @given(
+        raw=_MIXED_TEXT,
+        dim=st.sampled_from([2**16, 2**18, 2**20, 2**16 + 7]),
+        word_ngrams=st.integers(1, 3),
+        char_ngrams=st.sampled_from([(1, 1), (2, 4), (3, 5)]),
+    )
+    def test_equals_reference(self, raw, dim, word_ngrams, char_ngrams):
+        config = FeaturizerConfig(dim=dim, word_ngrams=word_ngrams, char_ngrams=char_ngrams)
+        text = normalize(raw)
+        assert dict(hashed_counts(text, config)) == reference_hashed_counts(text, config)
+
+    def test_prefix_state_matches_concatenation(self):
+        for gram in (b"", b"a", b"nike shoes", "鞋子".encode("utf-8")):
+            assert zlib.crc32(gram, zlib.crc32(b"c:")) == zlib.crc32(b"c:" + gram)
+            assert zlib.crc32(gram, zlib.crc32(b"w:")) == zlib.crc32(b"w:" + gram)
 
 
 class TestSparseVector:

@@ -14,7 +14,7 @@ from brandlink.binio import (
     write_artifact,
 )
 from brandlink.core import NIL, BrandEntityId, BrandMention, Query, StoreTag
-from brandlink.text import FeaturizerConfig, SparseVector, vectorize
+from brandlink.text import FeaturizerConfig, SparseVector, fit_idf, normalize, vectorize
 from brandlink.linear import query_rows, score_rows
 from brandlink.xmc.model import BeamParams, XmcModel, beam_predict, m2e_match, q2e_predict
 from brandlink.xmc.serialize import MODEL_KIND, MODEL_VERSION, load_model, save_model
@@ -33,6 +33,23 @@ def cosine(a: SparseVector, b: SparseVector) -> float:
     return float(da @ db / denom) if denom else 0.0
 
 
+def memory_owner(array):
+    """The object that owns the memory under ``array``."""
+    while True:
+        if isinstance(array, np.ndarray) and array.base is not None:
+            array = array.base
+        elif isinstance(array, memoryview):
+            array = array.obj
+        else:
+            return array
+
+
+def layer_weights(model, layer):
+    """The columns of one tree layer, sliced from the model's stack."""
+    lo, hi = model.layer_offsets[layer], model.layer_offsets[layer + 1]
+    return model.weights[:, lo:hi]
+
+
 def exhaustive_scores(model, vec) -> dict:
     """Score every label by its full root-to-leaf path, no beam, no pruning.
 
@@ -45,7 +62,7 @@ def exhaustive_scores(model, vec) -> dict:
     tree = model.tree
     logs = None
     for layer in range(tree.n_layers):
-        margins = np.asarray(model.layer_weights[layer].T @ dense).ravel()
+        margins = np.asarray(layer_weights(model, layer).T @ dense).ravel()
         layer_logs = -np.logaddexp(0.0, -margins)
         if logs is None:
             logs = layer_logs
@@ -176,6 +193,26 @@ def fifty_label_model():
     return model, queries
 
 
+@pytest.fixture(scope="module")
+def idf_model():
+    """A small ranker whose featurizer carries an idf table."""
+    names = ["nike", "sony", "puma", "bosch", "lego", "dyson"]
+    labels = [BrandEntityId(f"E{i}") for i in range(len(names))]
+    data = [
+        (f"{name} {kind}", label)
+        for name, label in zip(names, labels)
+        for kind in ("shoes", "tv", "drill", "")
+    ]
+    cfg = fit_idf((normalize(text) for text, _ in data), CFG)
+    space = aggregate_label_features(
+        labels, {l: [n] for l, n in zip(labels, names)}, {}, cfg
+    )
+    tree = build_tree(space, branching=2, max_leaf=2)
+    pairs = [(vectorize(text, cfg), label) for text, label in data]
+    model = train(pairs, space, tree, reg=1e-3, featurizer=cfg)
+    return model, [text for text, _ in data] + ["nikee", "usb cable"]
+
+
 class TestBeamAgainstOracle:
     def test_wide_beam_equals_exhaustive(self, fifty_label_model):
         model, queries = fifty_label_model
@@ -210,8 +247,9 @@ class TestBeamAgainstOracle:
             assert len({c.entity for c in out}) == len(out)
 
     def test_score_rows_equals_dense_matvec(self, fifty_label_model):
-        # Gathering the query's rows must sum the same terms in the same
-        # order as a dense matvec, on whole layers and on child subsets.
+        # Gathering the query's rows of the whole stack must sum the same
+        # terms in the same order as a dense matvec of each layer, on whole
+        # layers and on child subsets.
         model, queries = fifty_label_model
         rng = np.random.default_rng(7)
         for text in queries[:10]:
@@ -219,10 +257,12 @@ class TestBeamAgainstOracle:
             dense = np.zeros(vec.dim + 1, dtype=np.float64)
             dense[vec.indices] = vec.values
             dense[vec.dim] = 1.0
-            for weights in model.layer_weights:
+            stacked = score_rows(model.weights, *query_rows(vec))
+            assert stacked.dtype == np.float64
+            for layer in range(model.tree.n_layers):
+                weights = layer_weights(model, layer)
                 want = weights.T @ dense
-                got = score_rows(weights, *query_rows(vec))
-                assert got.dtype == np.float64
+                got = stacked[model.layer_offsets[layer] : model.layer_offsets[layer + 1]]
                 assert np.array_equal(got, want)
                 width = weights.shape[1]
                 for _ in range(3):
@@ -399,9 +439,9 @@ class TestSerialization:
         save_model(model, path)
         meta, blobs = read_artifact(path, MODEL_KIND, MODEL_VERSION)
         weights = dict(blobs)
-        data = np.array(blobs["layer1/data"])
+        data = np.array(blobs["weights/data"])
         data[len(data) // 2] = bad
-        weights["layer1/data"] = data
+        weights["weights/data"] = data
         idf_meta = dict(meta, featurizer=dict(meta["featurizer"], idf_docs=1))
         idf = np.ones(CFG.dim, dtype=np.float32)
         idf[3] = bad
@@ -414,23 +454,26 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "name, edit",
         [
-            ("layer1/indptr", lambda a: a[:-1]),
-            ("layer1/indptr", lambda a: a + 1),
-            ("layer1/indptr", lambda a: np.concatenate([[0, a[-1]], a[2:]])),
-            ("layer1/indptr", lambda a: np.append(a[:-1], a[-1] - 1)),
-            ("layer1/indices", lambda a: np.append(a[:-1], CFG.dim + 1)),
-            ("layer1/indices", lambda a: np.append(a[:-1], -1)),
-            ("layer1/data", lambda a: a[:-1]),
-            ("tree/label_order", lambda a: np.zeros_like(a)),
-            ("tree/label_order", lambda a: a + 1),
-            ("tree/indptr0", lambda a: np.concatenate([a[:1], a[2:3], a[1:2], a[3:]])),
+            ("weights/indptr", lambda a, n_cols: a[:-1]),
+            ("weights/indptr", lambda a, n_cols: a + 1),
+            ("weights/indptr", lambda a, n_cols: np.concatenate([[0, a[-1]], a[2:]])),
+            ("weights/indptr", lambda a, n_cols: np.append(a[:-1], a[-1] - 1)),
+            ("weights/indices", lambda a, n_cols: np.append(a[:-1], n_cols)),
+            ("weights/indices", lambda a, n_cols: np.append(a[:-1], -1)),
+            ("weights/data", lambda a, n_cols: a[:-1]),
+            ("tree/label_order", lambda a, n_cols: np.zeros_like(a)),
+            ("tree/label_order", lambda a, n_cols: a + 1),
+            (
+                "tree/indptr0",
+                lambda a, n_cols: np.concatenate([a[:1], a[2:3], a[1:2], a[3:]]),
+            ),
         ],
         ids=[
             "indptr-short",
             "indptr-not-from-zero",
             "indptr-decreasing",
             "indptr-not-to-nnz",
-            "index-past-bias-row",
+            "column-past-last-node",
             "index-negative",
             "data-short",
             "label-order-repeats",
@@ -441,12 +484,77 @@ class TestSerialization:
     def test_crafted_structure_rejected(self, fifty_label_model, tmp_path, name, edit):
         # Re-written through write_artifact, so the checksum is valid and
         # only the structure checks stand between the arrays and scipy.
+        # Each edited array keeps its stored dtype.
         model, _ = fifty_label_model
         path = tmp_path / "m.blaf"
         save_model(model, path)
         meta, blobs = read_artifact(path, MODEL_KIND, MODEL_VERSION)
         blobs = dict(blobs)
-        blobs[name] = edit(np.array(blobs[name]))
+        n_cols = sum(model.tree.layer_sizes)
+        blobs[name] = edit(np.array(blobs[name]), n_cols).astype(blobs[name].dtype)
         write_artifact(path, MODEL_KIND, MODEL_VERSION, meta, blobs)
         with pytest.raises(ArtifactFormatError):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "name, dtype",
+        [
+            ("weights/data", np.float32),
+            ("weights/indices", np.int64),
+            ("weights/indptr", np.int64),
+            ("weights/indices", np.float64),
+            ("featurizer/idf", np.float64),
+        ],
+        ids=["data-float32", "indices-wider", "indptr-wider", "indices-float", "idf-float64"],
+    )
+    def test_crafted_dtype_rejected(self, idf_model, tmp_path, name, dtype):
+        # The loader builds on the stored arrays as they are, so any dtype
+        # other than the scorer's fails the load instead of being converted.
+        model, _ = idf_model
+        path = tmp_path / "m.blaf"
+        save_model(model, path)
+        meta, blobs = read_artifact(path, MODEL_KIND, MODEL_VERSION)
+        assert blobs["weights/indices"].dtype == blobs["weights/indptr"].dtype == np.int32
+        blobs = dict(blobs, **{name: blobs[name].astype(dtype)})
+        write_artifact(path, MODEL_KIND, MODEL_VERSION, meta, blobs)
+        with pytest.raises(ArtifactFormatError):
+            load_model(path)
+
+    def test_load_serves_weights_and_idf_from_one_aligned_buffer(self, idf_model, tmp_path):
+        model, queries = idf_model
+        path = tmp_path / "m.blaf"
+        save_model(model, path)
+        loaded = load_model(path)
+        arrays = [
+            loaded.weights.data,
+            loaded.weights.indices,
+            loaded.weights.indptr,
+            loaded.featurizer.idf.weights,
+        ]
+        for array in arrays:
+            assert not array.flags.writeable and not array.flags.owndata
+            assert array.ctypes.data % 8 == 0
+        # Every array lies inside the one payload buffer the file was read into.
+        owners = {id(memory_owner(array)) for array in arrays}
+        assert len(owners) == 1 and owners != {id(None)}
+        for text in queries:
+            vec = vectorize(text, model.featurizer)
+            want = beam_predict(model, vec, BeamParams(top_k=5))
+            got = beam_predict(loaded, vec, BeamParams(top_k=5))
+            assert [(c.entity, c.score) for c in got] == [(c.entity, c.score) for c in want]
+
+    def test_load_peaks_under_the_file_size(self, idf_model, tmp_path):
+        # The payload is read once into the buffer the model serves from;
+        # a conversion or copy of the weights would push the peak past it.
+        model, _ = idf_model
+        path = tmp_path / "m.blaf"
+        save_model(model, path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.weights.nnz == model.weights.nnz
+        assert peak < 1.2 * size
