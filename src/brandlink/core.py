@@ -7,7 +7,6 @@ that files written by one tool are readable by every other.
 """
 from __future__ import annotations
 
-import dataclasses
 import enum
 import json
 from dataclasses import dataclass, field
@@ -181,7 +180,8 @@ class LinkResult:
 
     def with_trace_prefix(self, records: Iterable[TraceRecord]) -> LinkResult:
         """Return a copy with ``records`` prepended to the trace."""
-        return dataclasses.replace(self, trace=tuple(records) + self.trace)
+        trace = tuple(records) + self.trace
+        return LinkResult(self.outcome, self.best, self.candidates, trace)
 
 
 class Source(str, enum.Enum):

@@ -9,8 +9,8 @@ with few examples is not drowned out by its siblings and label priors do
 not leak into the scores.  Both the averaging and the count ratio are
 invariant to uniform duplication of the training data.
 
-Every trained model scores through :func:`score_rows`, which reads only the
-query's feature rows of a row-major weight matrix, in compiled code.
+Every trained model scores through :func:`score_vector`, which reads only
+the query's feature rows of a row-major weight matrix, in compiled code.
 """
 from __future__ import annotations
 
@@ -204,40 +204,35 @@ def stack_rows(vectors: Sequence[SparseVector], dim: int) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(len(vectors), dim))
 
 
-def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate ``arange(s, s + c)`` over paired starts and counts."""
-    ends = np.cumsum(counts)
-    return np.repeat(starts - ends + counts, counts) + np.arange(counts.sum())
+def score_vector(weights: sp.csr_matrix, x: SparseVector) -> np.ndarray:
+    """Margins ``weights.T @ [x, 1]`` of every column, read from x's nonzero rows.
 
-
-def query_rows(x: SparseVector) -> tuple[np.ndarray, np.ndarray]:
-    """Feature rows and values of ``x`` with the constant bias row appended."""
-    return np.append(x.indices, x.dim), np.append(x.values, 1.0)
-
-
-def score_rows(weights: sp.csr_matrix, rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Margins ``weights.T @ x`` of every column, reading only the rows where x is nonzero.
-
-    scipy's compiled kernels copy the rows out and add each stored term
-    into its column, walking the rows in the order of ``rows``; for
-    ascending rows that is the order of a dense matvec, so the margins
-    equal it bit for bit.  The kernels do not bounds-check, so a row
-    outside ``weights`` raises ValueError here.
+    ``weights`` has one row per feature of ``x`` plus a final bias row.
+    scipy's compiled kernels copy those rows out and add each stored term
+    into its column, walking the rows in ascending order, the order of a
+    dense matvec, so the margins equal it bit for bit.  The kernels do not
+    bounds-check: a ``weights`` whose row count is not ``x.dim + 1``
+    raises ValueError here, and ``x``'s own invariant keeps its indices
+    inside ``[0, x.dim)``.
     """
     indptr = weights.indptr
     n_rows, n_cols = weights.shape
-    if len(rows) and (rows.min() < 0 or rows.max() >= n_rows):
-        raise ValueError("row index out of range")
-    rows = rows.astype(indptr.dtype, copy=False)
-    picked = np.zeros(len(rows) + 1, dtype=indptr.dtype)
+    if n_rows != x.dim + 1:
+        raise ValueError(f"weights have {n_rows} rows, expected {x.dim + 1}")
+    n = x.nnz + 1
+    rows = np.empty(n, dtype=indptr.dtype)
+    rows[:-1] = x.indices
+    rows[-1] = x.dim
+    vals = np.empty(n, dtype=np.float64)
+    vals[:-1] = x.values
+    vals[-1] = 1.0
+    picked = np.zeros(n + 1, dtype=indptr.dtype)
     np.cumsum(indptr[rows + 1] - indptr[rows], out=picked[1:])
     cols = np.empty(picked[-1], dtype=weights.indices.dtype)
     terms = np.empty(picked[-1], dtype=weights.data.dtype)
-    _sparsetools.csr_row_index(
-        len(rows), rows, indptr, weights.indices, weights.data, cols, terms
-    )
+    _sparsetools.csr_row_index(n, rows, indptr, weights.indices, weights.data, cols, terms)
     # Read as CSC, each picked row is a column; csc_matvec walks them in
     # order and adds weight times the row's x value to each margin.
     margins = np.zeros(n_cols, dtype=np.float64)
-    _sparsetools.csc_matvec(n_cols, len(rows), picked, cols, terms, vals, margins)
+    _sparsetools.csc_matvec(n_cols, n, picked, cols, terms, vals, margins)
     return margins

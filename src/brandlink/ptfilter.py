@@ -33,7 +33,7 @@ from .core import (
     TraceRecord,
     entity_from_id,
 )
-from .linear import fit_sparse_ova, query_rows, score_rows, stack_rows
+from .linear import fit_sparse_ova, score_vector, stack_rows
 from .text import FeaturizerConfig, SparseVector, featurize, featurizer_from_meta
 from .text import featurizer_to_meta, normalize
 from .xmc.train import DEFAULT_REG
@@ -197,9 +197,9 @@ class LinearPtPredictor:
         x = featurize(normalize(query.text), self.featurizer)
         if x.nnz == 0:
             return None
-        margins = score_rows(self.weights, *query_rows(x))
+        margins = score_vector(self.weights, x)
         scores = 1.0 / (1.0 + np.exp(-margins))
-        best = int(np.argmax(scores))  # the lowest index among ties
+        best = int(scores.argmax())  # the lowest index among ties
         if scores[best] < self.threshold:
             return None
         return self.product_types[best]

@@ -11,6 +11,7 @@ the config so serialized models can refuse inputs featurized differently.
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 import unicodedata
 import zlib
@@ -177,17 +178,18 @@ class SparseVector:
     dim: int
 
     def __post_init__(self) -> None:
-        if self.indices.shape != self.values.shape:
+        indices, values = self.indices, self.values
+        if indices.shape != values.shape:
             raise ValueError("indices and values must have equal length")
-        if len(self.indices) > 0:
-            if int(self.indices[0]) < 0 or int(self.indices[-1]) >= self.dim:
+        if len(indices) > 0:
+            if indices[0] < 0 or indices[-1] >= self.dim:
                 raise ValueError("indices out of range")
-            if np.any(np.diff(self.indices) <= 0):
+            if not (indices[1:] > indices[:-1]).all():
                 raise ValueError("indices must be strictly increasing")
-            if not np.all(np.isfinite(self.values)):
+            if not np.isfinite(values).all():
                 raise ValueError("values must be finite")
-        self.indices.setflags(write=False)
-        self.values.setflags(write=False)
+        indices.setflags(write=False)
+        values.setflags(write=False)
 
     @classmethod
     def zero(cls, dim: int) -> SparseVector:
@@ -249,15 +251,19 @@ def featurize(text: NormalizedText, config: FeaturizerConfig) -> SparseVector:
     counts = hashed_counts(text, config)
     if not counts:
         return SparseVector.zero(config.dim)
-    keys = sorted(counts)
-    indices = np.array(keys, dtype=np.int64)
-    values = np.array([counts[k] for k in keys], dtype=np.float64)
+    n = len(counts)
+    keys = np.fromiter(counts, dtype=np.int64, count=n)
+    order = keys.argsort()
+    indices = keys[order]
+    values = np.fromiter(counts.values(), dtype=np.float64, count=n)[order]
     if config.idf is not None:
-        values = values * config.idf.weights[indices].astype(np.float64)
-    norm = float(np.sqrt(np.dot(values, values)))
+        # float32 idf widens to float64 exactly.
+        values *= config.idf.weights[indices]
+    norm = math.sqrt(values @ values)
     if norm == 0.0:
         return SparseVector.zero(config.dim)
-    return SparseVector(indices, values / norm, config.dim)
+    values /= norm
+    return SparseVector(indices, values, config.dim)
 
 
 def vectorize(raw: str, config: FeaturizerConfig) -> SparseVector:

@@ -4,11 +4,12 @@ A model holds one sparse weight matrix with one column per tree node, the
 layers stacked column-wise from the root down, stored row-major so a query
 reads only its own feature rows.  A loaded model serves that matrix as a
 view over its artifact.  Inference scores every node with one
-:func:`brandlink.linear.score_rows` call, which sums each column's terms in
-ascending feature order, then walks the layers keeping the ``beam_size``
-best partial paths; a path's score is the product of sigmoid-transformed
-node margins, so leaf scores stay in (0, 1) and each layer keeps only the
-columns under the surviving beam.
+:func:`brandlink.linear.score_vector` call, which sums each column's terms
+in ascending feature order, then walks the layers keeping the
+``beam_size`` best partial paths; a path's score is the product of
+sigmoid-transformed node margins, so leaf scores stay in (0, 1).  Each
+layer reads only the columns under the surviving beam, through child
+position arrays built once with the model.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..core import BrandEntityId, BrandMention, Query, ScoredEntity
-from ..linear import concat_ranges, query_rows, score_rows
+from ..linear import score_vector
 from ..text import FeaturizerConfig, SparseVector, featurize, normalize
 from .tree import LabelTree
 
@@ -37,6 +38,52 @@ class BeamParams:
             raise ValueError("beam_size must be at least 1")
         if self.top_k < 1:
             raise ValueError("top_k must be at least 1")
+
+
+# Stored entries a CSC layer is transposed in at a time while stacking;
+# bounds the build's temporaries whatever the size of the layer.
+_STACK_SLICE_NNZ = 1 << 16
+
+
+def _stack_layers(blocks: list[sp.spmatrix], n_rows: int) -> sp.csr_matrix:
+    """The layer blocks side by side as one CSR matrix.
+
+    Row counts are summed first, so every entry is written once, straight
+    into its final slot, and each block is transposed a slice of columns at
+    a time: the build holds no stacked copy beside the result.  Each row
+    lists its columns in ascending order, as ``sp.hstack(blocks).tocsr()``
+    does.
+    """
+    counts = np.zeros(n_rows, dtype=np.int64)
+    for block in blocks:
+        counts += block.getnnz(axis=1)
+    nnz = int(counts.sum())
+    n_cols = sum(block.shape[1] for block in blocks)
+    fits = max(nnz, n_rows + 1, n_cols) <= np.iinfo(np.int32).max
+    index_dtype = np.int32 if fits else np.int64
+    indptr = np.zeros(n_rows + 1, dtype=index_dtype)
+    np.cumsum(counts, out=indptr[1:])
+    del counts
+    indices = np.empty(nnz, dtype=index_dtype)
+    data = np.empty(nnz, dtype=np.float64)
+    fill = indptr[:-1].copy()  # next free slot of each row
+    col = 0
+    for block in blocks:
+        block = block.tocsc()
+        bounds = block.indptr
+        targets = np.arange(_STACK_SLICE_NNZ, bounds[-1], _STACK_SLICE_NNZ)
+        cuts = np.searchsorted(bounds, targets)
+        cuts = np.unique(np.concatenate(([0], cuts, [block.shape[1]])))
+        for start, stop in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            piece = block[:, start:stop].tocsr()
+            per_row = np.diff(piece.indptr)
+            dest = np.repeat(fill - piece.indptr[:-1], per_row)
+            dest += np.arange(piece.nnz, dtype=dest.dtype)
+            indices[dest] = piece.indices + (col + start)
+            data[dest] = piece.data
+            fill += per_row
+        col += block.shape[1]
+    return sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
 
 
 @dataclass(eq=False)
@@ -60,7 +107,11 @@ class XmcModel:
     stats: dict = field(default_factory=dict, repr=False)
     weights: sp.csr_matrix = field(init=False, repr=False)
     layer_offsets: np.ndarray = field(init=False, repr=False)
-    # Rank of each label index by label id, for tie-breaking; derived.
+    # Derived for beam search: per node of every non-final layer, in stack
+    # column order, its children's stack columns (read-only views) and
+    # their count; the rank of each label index by label id, for ties.
+    _children: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _fanout: np.ndarray = field(init=False, repr=False)
     _id_rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, layer_weights) -> None:
@@ -76,15 +127,23 @@ class XmcModel:
             for layer, weights in enumerate(layer_weights):
                 if weights.shape != (expected_rows, sizes[layer]):
                     raise ValueError(f"layer {layer} weight shape mismatch")
-            # Stacked in the blocks' own layout, then converted: a direct
-            # CSR stack of CSC blocks goes through the coordinate format
-            # and peaks about a third higher.
-            self.weights = sp.hstack(layer_weights).tocsr()
+            self.weights = _stack_layers(layer_weights, expected_rows)
         if self.weights.shape != (expected_rows, sum(sizes)):
             raise ValueError("stacked weight shape mismatch")
         if len(self.labels) != self.tree.n_labels:
             raise ValueError("label count must match the tree")
         self.layer_offsets = np.cumsum((0, *sizes))
+        columns = np.arange(self.layer_offsets[-1], dtype=np.int64)
+        columns.setflags(write=False)
+        self._children = tuple(
+            child
+            for layer, indptr in enumerate(self.tree.children_indptr)
+            for child in np.split(
+                columns[self.layer_offsets[layer + 1] : self.layer_offsets[layer + 2]],
+                indptr[1:-1],
+            )
+        )
+        self._fanout = np.array([len(child) for child in self._children], dtype=np.int64)
         by_id = sorted(range(len(self.labels)), key=lambda i: self.labels[i].id)
         self._id_rank = np.empty(len(by_id), dtype=np.int64)
         self._id_rank[by_id] = np.arange(len(by_id))
@@ -92,10 +151,6 @@ class XmcModel:
     @property
     def n_labels(self) -> int:
         return len(self.labels)
-
-
-def _log_sigmoid(margins: np.ndarray) -> np.ndarray:
-    return -np.logaddexp(0.0, -margins)
 
 
 def beam_predict(
@@ -118,39 +173,35 @@ def beam_predict(
         return []
     if x.dim != model.featurizer.dim:
         raise ValueError("input dimension does not match the model featurizer")
-    x_rows, x_vals = query_rows(x)
-    tree = model.tree
+    margins = score_vector(model.weights, x)
+    offsets = model.layer_offsets
 
-    margins = score_rows(model.weights, x_rows, x_vals)
+    # A path's cost is minus its log-score, the sum of its nodes'
+    # -log(sigmoid(margin)) = log(1 + exp(-margin)).  Beam nodes are stack
+    # columns; within a layer they order as tree positions.
+    nodes = np.arange(offsets[1], dtype=np.int64)
+    costs = np.logaddexp(0.0, -margins[: offsets[1]])
+    children_of, fanout = model._children, model._fanout
+    for _ in range(1, model.tree.n_layers):
+        if len(nodes) > params.beam_size:
+            order = np.lexsort((nodes, costs))[: params.beam_size]
+            nodes, costs = nodes[order], costs[order]
+        children = np.concatenate([children_of[n] for n in nodes.tolist()])
+        if not len(children):
+            return []
+        costs = np.repeat(costs, fanout[nodes]) + np.logaddexp(0.0, -margins[children])
+        nodes = children
 
-    nodes = np.arange(tree.layer_sizes[0], dtype=np.int64)
-    path_logs = np.zeros(len(nodes), dtype=np.float64)
-    for layer in range(tree.n_layers):
-        if layer > 0:
-            indptr = tree.children_indptr[layer - 1]
-            counts = indptr[nodes + 1] - indptr[nodes]
-            children = concat_ranges(indptr[nodes], counts)
-            layer_margins = margins[children + model.layer_offsets[layer]]
-            logs = np.repeat(path_logs, counts) + _log_sigmoid(layer_margins)
-        else:
-            children = nodes
-            logs = path_logs + _log_sigmoid(margins[: len(nodes)])
-        if layer < tree.n_layers - 1 and len(children) > params.beam_size:
-            order = np.lexsort((children, -logs))[: params.beam_size]
-            nodes = children[order]
-            path_logs = logs[order]
-        else:
-            nodes = children
-            path_logs = logs
-
-    scores = np.exp(path_logs)
-    label_indices = tree.label_order[nodes]
-    keep = scores > 0.0
-    scores, label_indices = scores[keep], label_indices[keep]
+    scores = np.exp(-costs)
+    label_indices = model.tree.label_order[nodes - offsets[-2]]
     top = np.lexsort((model._id_rank[label_indices], -scores))[: params.top_k]
+    labels = model.labels
+    # A score that underflowed to 0 sorts last; dropping it after the cut
+    # keeps the same positive-score candidates.
     return [
-        ScoredEntity(model.labels[int(label_indices[i])], float(scores[i]))
-        for i in top
+        ScoredEntity(labels[i], score)
+        for i, score in zip(label_indices[top].tolist(), scores[top].tolist())
+        if score > 0.0
     ]
 
 

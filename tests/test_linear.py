@@ -8,7 +8,7 @@ from brandlink.linear import (
     DEFAULT_NEGATIVE_BIAS,
     fit_logistic_columns,
     fit_sparse_ova,
-    score_rows,
+    score_vector,
     stack_rows,
 )
 from brandlink.text import SparseVector
@@ -99,8 +99,9 @@ class TestStackRows:
             stack_rows([self.vec([(1, 1.0)]), self.vec([(1, 1.0)], dim=16)], 8)
 
 
-class TestScoreRows:
+class TestScoreVector:
     def weights(self, index_dtype):
+        # 39 feature rows plus the bias row.
         rng = np.random.default_rng(3)
         dense = rng.normal(size=(40, 7)) * (rng.random((40, 7)) < 0.3)
         matrix = sp.csr_matrix(dense)
@@ -110,20 +111,25 @@ class TestScoreRows:
 
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
     def test_equals_dense_matvec_in_ascending_row_order(self, index_dtype):
-        matrix, dense = self.weights(index_dtype)
-        rows = np.array([0, 3, 4, 17, 39], dtype=np.int64)
-        vals = np.array([0.25, -1.5, 2.0, 0.125, 1.0])
-        x = np.zeros(40)
-        x[rows] = vals
-        assert np.array_equal(score_rows(matrix, rows, vals), matrix.T @ x)
-        assert score_rows(matrix, rows[:0], vals[:0]).tolist() == [0.0] * 7
+        matrix, _ = self.weights(index_dtype)
+        x = SparseVector(
+            np.array([0, 3, 4, 17, 38]), np.array([0.25, -1.5, 2.0, 0.125, 1.0]), 39
+        )
+        dense = np.zeros(40)
+        dense[x.indices] = x.values
+        dense[39] = 1.0
+        assert np.array_equal(score_vector(matrix, x), matrix.T @ dense)
 
-    @pytest.mark.parametrize("row", [-1, 40], ids=["negative", "past-last"])
-    def test_row_outside_weights_rejected(self, row):
+    def test_zero_vector_scores_the_bias_row(self):
+        matrix, dense = self.weights(np.int32)
+        assert np.array_equal(score_vector(matrix, SparseVector.zero(39)), dense[39])
+
+    @pytest.mark.parametrize("dim", [38, 40], ids=["rows-past-dim", "bias-row-missing"])
+    def test_dimension_mismatch_rejected(self, dim):
         # The compiled kernels would read out of bounds.
         matrix, _ = self.weights(np.int32)
         with pytest.raises(ValueError):
-            score_rows(matrix, np.array([0, row]), np.array([1.0, 1.0]))
+            score_vector(matrix, SparseVector(np.array([0, dim - 1]), np.ones(2), dim))
 
 
 def test_reg_must_be_positive():

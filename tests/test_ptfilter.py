@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from brandlink.binio import ArtifactFormatError, read_artifact, write_artifact
 from brandlink.core import NIL, BrandEntityId, Outcome, Query, ScoredEntity, StoreTag
-from brandlink.linear import query_rows, score_rows
+from brandlink.linear import score_vector
 from brandlink.ptfilter import (
     PT_CONFIDENCE_THRESHOLD,
     FilterMode,
@@ -242,7 +242,7 @@ class TestPtBaseline:
             dense = np.zeros(vec.dim + 1, dtype=np.float64)
             dense[vec.indices] = vec.values
             dense[vec.dim] = 1.0
-            got = score_rows(model.weights, *query_rows(vec))
+            got = score_vector(model.weights, vec)
             assert np.array_equal(got, model.weights.T @ dense)
 
     def test_tied_types_resolve_to_lowest_index(self):

@@ -5,6 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import _sparsetools
 
 from brandlink.binio import (
     ArtifactChecksumError,
@@ -15,7 +18,8 @@ from brandlink.binio import (
 )
 from brandlink.core import NIL, BrandEntityId, BrandMention, Query, StoreTag
 from brandlink.text import FeaturizerConfig, SparseVector, fit_idf, normalize, vectorize
-from brandlink.linear import query_rows, score_rows
+from brandlink.linear import score_vector
+from brandlink.xmc import model as xmc_model
 from brandlink.xmc.model import BeamParams, XmcModel, beam_predict, m2e_match, q2e_predict
 from brandlink.xmc.serialize import MODEL_KIND, MODEL_VERSION, load_model, save_model
 from brandlink.xmc.train import train
@@ -80,6 +84,90 @@ def exhaustive_top(model, vec, k: int):
         exhaustive_scores(model, vec).items(), key=lambda kv: (-kv[1], kv[0].id)
     )
     return ranked[:k]
+
+
+# beam_predict and its row gather before the per-call costs were cut, kept
+# as the reference the current ones must equal bit for bit.
+def reference_margins(weights, x) -> np.ndarray:
+    rows, vals = np.append(x.indices, x.dim), np.append(x.values, 1.0)
+    indptr = weights.indptr
+    rows = rows.astype(indptr.dtype, copy=False)
+    picked = np.zeros(len(rows) + 1, dtype=indptr.dtype)
+    np.cumsum(indptr[rows + 1] - indptr[rows], out=picked[1:])
+    cols = np.empty(picked[-1], dtype=weights.indices.dtype)
+    terms = np.empty(picked[-1], dtype=weights.data.dtype)
+    _sparsetools.csr_row_index(
+        len(rows), rows, indptr, weights.indices, weights.data, cols, terms
+    )
+    margins = np.zeros(weights.shape[1], dtype=np.float64)
+    _sparsetools.csc_matvec(weights.shape[1], len(rows), picked, cols, terms, vals, margins)
+    return margins
+
+
+def reference_beam_predict(model, x, params):
+    if x.nnz == 0:
+        return []
+    tree = model.tree
+    margins = reference_margins(model.weights, x)
+    nodes = np.arange(tree.layer_sizes[0], dtype=np.int64)
+    path_logs = np.zeros(len(nodes), dtype=np.float64)
+    for layer in range(tree.n_layers):
+        if layer > 0:
+            indptr = tree.children_indptr[layer - 1]
+            counts = indptr[nodes + 1] - indptr[nodes]
+            ends = np.cumsum(counts)
+            children = np.repeat(indptr[nodes] - ends + counts, counts) + np.arange(
+                counts.sum()
+            )
+            layer_margins = margins[children + model.layer_offsets[layer]]
+            logs = np.repeat(path_logs, counts) - np.logaddexp(0.0, -layer_margins)
+        else:
+            children = nodes
+            logs = path_logs - np.logaddexp(0.0, -margins[: len(nodes)])
+        if layer < tree.n_layers - 1 and len(children) > params.beam_size:
+            order = np.lexsort((children, -logs))[: params.beam_size]
+            nodes = children[order]
+            path_logs = logs[order]
+        else:
+            nodes = children
+            path_logs = logs
+    scores = np.exp(path_logs)
+    label_indices = tree.label_order[nodes]
+    keep = scores > 0.0
+    scores, label_indices = scores[keep], label_indices[keep]
+    top = np.lexsort((model._id_rank[label_indices], -scores))[: params.top_k]
+    return [(model.labels[int(label_indices[i])], float(scores[i])) for i in top]
+
+
+def random_model(seed: int):
+    """A random tree (childless internal nodes included) with tie-prone weights.
+
+    Weights are small integers on a few feature rows, so many paths tie
+    and the tie-breaks are exercised; returns the model and query vectors.
+    """
+    rng = np.random.default_rng(seed)
+    sizes = [int(rng.integers(1, 7))]
+    indptrs = []
+    for _ in range(int(rng.integers(0, 4))):
+        fanout = rng.integers(0, 5, size=sizes[-1])
+        if fanout.sum() == 0:
+            fanout[-1] = 1
+        indptrs.append(np.concatenate(([0], np.cumsum(fanout))).astype(np.int64))
+        sizes.append(int(fanout.sum()))
+    n_labels = sizes[-1]
+    tree = LabelTree(n_labels, tuple(sizes), tuple(indptrs), rng.permutation(n_labels))
+    labels = tuple(BrandEntityId(f"L{i:02d}") for i in rng.permutation(n_labels))
+    features = np.append(rng.choice(CFG.dim, size=6, replace=False), CFG.dim)
+    block = rng.integers(-2, 3, size=(len(features), sum(sizes))).astype(np.float64)
+    block *= rng.random(block.shape) < 0.6
+    weights = np.zeros((CFG.dim + 1, sum(sizes)))
+    weights[features] = block
+    model = XmcModel(labels, tree, sp.csr_matrix(weights), CFG)
+    vectors = []
+    for _ in range(4):
+        rows = np.sort(rng.choice(features[:-1], size=int(rng.integers(1, 7)), replace=False))
+        vectors.append(SparseVector(rows, rng.integers(1, 3, size=len(rows)) / 2.0, CFG.dim))
+    return model, vectors
 
 
 def toy_model(surface_by_label: dict, data: list, **tree_kw):
@@ -246,7 +334,7 @@ class TestBeamAgainstOracle:
             assert keys == sorted(keys)
             assert len({c.entity for c in out}) == len(out)
 
-    def test_score_rows_equals_dense_matvec(self, fifty_label_model):
+    def test_score_vector_equals_dense_matvec(self, fifty_label_model):
         # Gathering the query's rows of the whole stack must sum the same
         # terms in the same order as a dense matvec of each layer, on whole
         # layers and on child subsets.
@@ -257,8 +345,9 @@ class TestBeamAgainstOracle:
             dense = np.zeros(vec.dim + 1, dtype=np.float64)
             dense[vec.indices] = vec.values
             dense[vec.dim] = 1.0
-            stacked = score_rows(model.weights, *query_rows(vec))
+            stacked = score_vector(model.weights, vec)
             assert stacked.dtype == np.float64
+            assert np.array_equal(stacked, reference_margins(model.weights, vec))
             for layer in range(model.tree.n_layers):
                 weights = layer_weights(model, layer)
                 want = weights.T @ dense
@@ -270,6 +359,61 @@ class TestBeamAgainstOracle:
                         rng.choice(width, size=max(1, width // 2), replace=False)
                     )
                     assert np.array_equal(got[children], want[children])
+
+    def test_equals_reference_on_trained_model(self, fifty_label_model):
+        model, queries = fifty_label_model
+        for beam_size in (1, 3, 12):
+            params = BeamParams(beam_size=beam_size, top_k=5)
+            for text in queries[:40]:
+                vec = vectorize(text, CFG)
+                got = [(c.entity, c.score) for c in beam_predict(model, vec, params)]
+                assert got == reference_beam_predict(model, vec, params)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        beam_size=st.integers(1, 12),
+        top_k=st.integers(1, 6),
+    )
+    def test_equals_reference_on_random_trees(self, seed, beam_size, top_k):
+        # Narrow beams over ragged trees, where no exhaustive oracle applies.
+        model, vectors = random_model(seed)
+        params = BeamParams(beam_size=beam_size, top_k=top_k)
+        for vec in vectors:
+            got = [(c.entity, c.score) for c in beam_predict(model, vec, params)]
+            assert got == reference_beam_predict(model, vec, params)
+
+    def test_childless_internal_nodes(self):
+        # Nodes 1 and 3 of layer 0 and node 2 of layer 1 have no children.
+        indptrs = (np.array([0, 2, 2, 4, 4]), np.array([0, 1, 3, 3, 5]))
+        tree = LabelTree(5, (4, 4, 5), indptrs, np.array([4, 0, 3, 1, 2]))
+        labels = tuple(BrandEntityId(f"E{i}") for i in range(5))
+        rng = np.random.default_rng(5)
+        vec = vectorize("nike air", CFG)
+        weights = np.zeros((CFG.dim + 1, 13))
+        weights[vec.indices] = rng.normal(size=(vec.nnz, 13))
+        weights[CFG.dim] = rng.normal(size=13)
+        blocks = [sp.csc_matrix(weights[:, a:b]) for a, b in ((0, 4), (4, 8), (8, 13))]
+        model = XmcModel(labels, tree, blocks, CFG)
+        wide = BeamParams(beam_size=13, top_k=5)
+        got = beam_predict(model, vec, wide)
+        assert [(s.entity, pytest.approx(s.score)) for s in got] == [
+            (e, pytest.approx(v)) for e, v in exhaustive_top(model, vec, 5)
+        ]
+        for beam_size in range(1, 5):
+            beam_predict(model, vec, BeamParams(beam_size=beam_size))
+
+    def test_only_childless_survivors_yield_nothing(self):
+        # Node 0 wins layer 0 but has no children; a beam of one keeps it alone.
+        tree = LabelTree(2, (2, 2), (np.array([0, 0, 2]),), np.array([0, 1]))
+        labels = (BrandEntityId("A"), BrandEntityId("B"))
+        vec = vectorize("nike", CFG)
+        weights = np.zeros((CFG.dim + 1, 4))
+        weights[CFG.dim] = [5.0, -5.0, 1.0, 1.0]
+        model = XmcModel(labels, tree, sp.csr_matrix(weights), CFG)
+        assert beam_predict(model, vec, BeamParams(beam_size=1)) == []
+        both = beam_predict(model, vec, BeamParams(beam_size=2))
+        assert [c.entity.id for c in both] == ["A", "B"]
 
     def test_beam_allocates_no_dense_vector(self):
         wide = FeaturizerConfig(dim=2**20)
@@ -319,6 +463,52 @@ class TestBeamAgainstOracle:
         other = vectorize("x", FeaturizerConfig(dim=2**17))
         with pytest.raises(ValueError):
             beam_predict(model, other, BeamParams())
+
+
+class TestStackLayers:
+    def blocks(self, rng, dim=2**16, widths=(3, 0, 40, 500), density=0.01):
+        n_rows = dim + 1
+        return [
+            sp.random(n_rows, w, density=density, format="csc", random_state=rng)
+            for w in widths
+        ]
+
+    @pytest.mark.parametrize("layout", ["csc", "csr", "coo"])
+    def test_equals_hstack_then_tocsr(self, layout):
+        rng = np.random.default_rng(11)
+        blocks = [b.asformat(layout) for b in self.blocks(rng)]
+        want = sp.hstack(blocks).tocsr()
+        want.sort_indices()
+        got = xmc_model._stack_layers(blocks, 2**16 + 1)
+        assert got.shape == want.shape
+        assert got.indices.dtype == np.int32
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_slices_within_a_layer_keep_the_column_order(self, monkeypatch):
+        monkeypatch.setattr(xmc_model, "_STACK_SLICE_NNZ", 7)
+        rng = np.random.default_rng(12)
+        blocks = self.blocks(rng, widths=(30, 1, 90), density=0.001)
+        want = sp.hstack(blocks).tocsr()
+        got = xmc_model._stack_layers(blocks, 2**16 + 1)
+        assert got.has_sorted_indices or got.nnz == 0
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_build_from_csc_layers_holds_no_stacked_copy(self):
+        # A stacked CSC copy beside the CSR result would double the peak.
+        rng = np.random.default_rng(13)
+        blocks = self.blocks(rng, widths=(16, 256, 4096), density=0.004)
+        nnz = sum(b.nnz for b in blocks)
+        result_bytes = 12 * nnz + 4 * (2**16 + 2)
+        tracemalloc.start()
+        try:
+            stacked = xmc_model._stack_layers(blocks, 2**16 + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stacked.nnz == nnz > 1_000_000
+        assert peak < 1.5 * result_bytes
 
 
 @pytest.fixture(scope="module")
