@@ -99,7 +99,9 @@ class TestStackRows:
             stack_rows([self.vec([(1, 1.0)]), self.vec([(1, 1.0)], dim=16)], 8)
 
 
-class TestScoreVector:
+class TestScoreRows:
+    """score_vector, which scores a vector by gathering its rows of the weights."""
+
     def weights(self, index_dtype):
         # 39 feature rows plus the bias row.
         rng = np.random.default_rng(3)
@@ -123,6 +125,14 @@ class TestScoreVector:
     def test_zero_vector_scores_the_bias_row(self):
         matrix, dense = self.weights(np.int32)
         assert np.array_equal(score_vector(matrix, SparseVector.zero(39)), dense[39])
+
+    @pytest.mark.parametrize("row", [-1, 39], ids=["negative", "past-last"])
+    def test_row_outside_weights_rejected(self, row):
+        # The kernels do not bounds-check; the vector's invariant keeps its
+        # rows inside [0, dim), so such a row never reaches them.
+        matrix, _ = self.weights(np.int32)
+        with pytest.raises(ValueError):
+            score_vector(matrix, SparseVector(np.array([0, row]), np.ones(2), 39))
 
     @pytest.mark.parametrize("dim", [38, 40], ids=["rows-past-dim", "bias-row-missing"])
     def test_dimension_mismatch_rejected(self, dim):

@@ -234,26 +234,23 @@ class TestHashedCounts:
 
 
 class TestSparseVector:
-    @pytest.mark.parametrize(
-        "indices, values",
-        [
-            ([3, 1], [1.0, 1.0]),
-            ([1, 1], [1.0, 1.0]),
-            ([-1, 2], [1.0, 1.0]),
-            ([10], [1.0]),
-            ([1, 2], [1.0]),
-            ([1], [np.nan]),
-            ([1], [np.inf]),
-            ([1, 2], [1.0, -np.inf]),
-        ],
-        ids=[
-            "unsorted", "duplicate", "negative", "index-equals-dim",
-            "shape-mismatch", "nan", "inf", "negative-inf",
-        ],
-    )
-    def test_rejects_broken_invariant(self, indices, values):
-        with pytest.raises(ValueError):
-            SparseVector(np.array(indices, dtype=np.int64), np.array(values), 10)
+    @staticmethod
+    def assert_rejected(cases):
+        for indices, values in cases:
+            with pytest.raises(ValueError):
+                SparseVector(np.array(indices, dtype=np.int64), np.array(values), 10)
+
+    def test_rejects_unsorted_indices(self):
+        self.assert_rejected([([3, 1], [1.0, 1.0]), ([1, 1], [1.0, 1.0])])
+
+    def test_rejects_out_of_range(self):
+        self.assert_rejected([([-1, 2], [1.0, 1.0]), ([10], [1.0])])
+
+    def test_rejects_non_finite(self):
+        self.assert_rejected([([1], [np.nan]), ([1], [np.inf]), ([1, 2], [1.0, -np.inf])])
+
+    def test_rejects_shape_mismatch(self):
+        self.assert_rejected([([1, 2], [1.0])])
 
     def test_accepts_the_range_edges(self):
         vec = SparseVector(np.array([0, 9]), np.array([-1.0, 1.0]), 10)

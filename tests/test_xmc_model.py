@@ -334,7 +334,7 @@ class TestBeamAgainstOracle:
             assert keys == sorted(keys)
             assert len({c.entity for c in out}) == len(out)
 
-    def test_score_vector_equals_dense_matvec(self, fifty_label_model):
+    def test_score_rows_equals_dense_matvec(self, fifty_label_model):
         # Gathering the query's rows of the whole stack must sum the same
         # terms in the same order as a dense matvec of each layer, on whole
         # layers and on child subsets.
