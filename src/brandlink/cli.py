@@ -119,10 +119,8 @@ _DEFAULTS: dict[str, dict] = {
         "reg": 1e-3,
         "branching": 16,
         "max_leaf": 100,
-        "multi": "expand",
         "idf": True,
         "seed": 0,
-        "threads": 1,
     },
     "train-pt": {"train": None, "out": None, "dim": 2**20, "reg": 1e-3, "idf": True},
     "link": {
@@ -247,12 +245,10 @@ def _surfaces_by_entity(
 
 
 def _training_pairs(
-    examples: Iterable[LabeledQuery], target: str, multi: str
+    examples: Iterable[LabeledQuery], target: str
 ) -> list[tuple[str, BrandEntityId]]:
     pairs: list[tuple[str, BrandEntityId]] = []
     for example in examples:
-        if multi == "drop" and len(example.entities) > 1:
-            continue
         if target == "m2e":
             if not example.is_branded:
                 continue
@@ -268,7 +264,7 @@ def _cmd_train_xmc(config: dict) -> int:
     if config["target"] not in ("m2e", "q2e"):
         raise UsageError("--target must be m2e or q2e")
     examples = _read_labeled_files(_as_str_tuple(config["train"]))
-    pairs = _training_pairs(examples, config["target"], config["multi"])
+    pairs = _training_pairs(examples, config["target"])
     if not pairs:
         raise ValueError("no usable training examples")
 
@@ -293,14 +289,7 @@ def _cmd_train_xmc(config: dict) -> int:
         max_leaf=int(config["max_leaf"]),
         seed=int(config["seed"]),
     )
-    model = train(
-        featurized,
-        space,
-        tree,
-        float(config["reg"]),
-        featurizer=featurizer,
-        threads=int(config["threads"]),
-    )
+    model = train(featurized, space, tree, float(config["reg"]), featurizer=featurizer)
     save_model(model, config["out"])
     print(
         f"{config['target']} model: {len(labels)} labels,"

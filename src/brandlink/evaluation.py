@@ -162,22 +162,22 @@ def report(
 ) -> MetricReport:
     """Score per slice and macro-average across slices.
 
-    Slices are ordered by descending share of the evaluated queries,
-    ties broken by key.  The macro row averages each metric over the
-    slices where it is defined; a metric defined nowhere is flagged.
+    Each pair is scored once, in its slice; the overall counts are the
+    sum of the slice counts.  Slices are ordered by descending share of
+    the evaluated queries, ties broken by key.  The macro row averages
+    each metric over the slices where it is defined; a metric defined
+    nowhere is flagged.
     """
     by_slice: dict[str, list[tuple[LabeledQuery, LinkResult]]] = {}
-    everything: list[tuple[LabeledQuery, LinkResult]] = []
     for example, result in pairs:
         by_slice.setdefault(slice_fn(example), []).append((example, result))
-        everything.append((example, result))
 
     slices = []
     for key in sorted(by_slice, key=lambda k: (-len(by_slice[k]), k)):
         counts = score(by_slice[key])
         slices.append(SliceReport(key=key, counts=counts, metrics=metrics(counts)))
 
-    overall_counts = score(everything)
+    overall_counts = sum((s.counts for s in slices), EvalCounts())
     overall = SliceReport(
         key="overall", counts=overall_counts, metrics=metrics(overall_counts)
     )

@@ -85,13 +85,6 @@ class BrandDictionary:
     def lookup(self, store: StoreTag, surface: str) -> frozenset[BrandEntityId]:
         return self._entries.get(SurfaceFormKey(store, surface), frozenset())
 
-    def entities(self) -> frozenset[BrandEntityId]:
-        """All entities referenced by any entry."""
-        out: set[BrandEntityId] = set()
-        for ids in self._entries.values():
-            out |= ids
-        return frozenset(out)
-
     def store_trie(self, store: StoreTag) -> dict | None:
         return self._tries.get(store.code)
 

@@ -131,61 +131,32 @@ def fit_sparse_ova(
         COO triplets (rows, cols, values) in the (dim + 1)-row space and
         the count of untrained all-negative default columns.
     """
-    n = x.shape[0]
-    rows_out: list[np.ndarray] = []
-    cols_out: list[np.ndarray] = []
-    vals_out: list[np.ndarray] = []
-
-    counts = np.bincount(positive_col, minlength=n_cols) if n else np.zeros(
-        n_cols, dtype=np.int64
-    )
-    trained = np.flatnonzero(counts > 0)
+    counts = np.bincount(positive_col, minlength=n_cols)
+    trained = np.flatnonzero(counts)
     defaults = np.flatnonzero(counts == 0)
-    for col in defaults:
-        rows_out.append(np.array([dim], dtype=np.int64))
-        cols_out.append(np.array([col], dtype=np.int64))
-        vals_out.append(np.array([DEFAULT_NEGATIVE_BIAS], dtype=np.float64))
-
-    if len(trained) > 0:
-        active = np.unique(x.indices) if x.nnz else np.empty(0, dtype=x.indices.dtype)
-        x_local = x[:, active] if len(active) < dim else x
+    active = np.unique(x.indices)
+    w = np.empty((len(active) + 1, 0), dtype=np.float64)  # one column per trained column
+    if len(trained):
+        n = x.shape[0]
         x_aug = sp.hstack(
-            [x_local, sp.csr_matrix(np.ones((n, 1), dtype=np.float64))],
+            [x[:, active], sp.csr_matrix(np.ones((n, 1), dtype=np.float64))],
             format="csr",
         )
-        y = np.full((n, len(trained)), -1.0, dtype=np.float64)
-        local_of = {int(c): j for j, c in enumerate(trained)}
-        for i, col in enumerate(positive_col):
-            j = local_of.get(int(col))
-            if j is not None:
-                y[i, j] = 1.0
+        y = np.where(positive_col[:, None] == trained, 1.0, -1.0)
+        pos_weight = None
         if balanced:
             n_pos = counts[trained].astype(np.float64)
             n_neg = n - n_pos
             pos_weight = np.where(n_neg > 0.0, n_neg / n_pos, 1.0)
-        else:
-            pos_weight = None
         w = fit_logistic_columns(x_aug, y, reg, pos_weight=pos_weight)
-        full_rows = np.append(
-            active if len(active) < dim else np.arange(dim, dtype=np.int64), dim
-        ).astype(np.int64)
-        for j, col in enumerate(trained):
-            column = w[:, j]
-            keep = np.abs(column) >= prune if prune > 0.0 else column != 0.0
-            keep[-1] = True  # bias survives pruning
-            rows_out.append(full_rows[keep])
-            cols_out.append(np.full(int(keep.sum()), col, dtype=np.int64))
-            vals_out.append(column[keep])
-
-    if rows_out:
-        return (
-            np.concatenate(rows_out),
-            np.concatenate(cols_out),
-            np.concatenate(vals_out),
-            len(defaults),
-        )
-    empty_i = np.empty(0, dtype=np.int64)
-    return empty_i, empty_i.copy(), np.empty(0, dtype=np.float64), len(defaults)
+    keep = np.abs(w) >= prune if prune > 0.0 else w != 0.0
+    keep[-1] = True  # bias survives pruning
+    # Column by column, rows ascending, after the default columns' biases.
+    col, row = np.nonzero(keep.T)
+    rows = np.concatenate((np.full(len(defaults), dim), np.append(active, dim)[row]))
+    cols = np.concatenate((defaults, trained[col]))
+    vals = np.concatenate((np.full(len(defaults), DEFAULT_NEGATIVE_BIAS), w[row, col]))
+    return rows, cols, vals, len(defaults)
 
 
 def stack_rows(vectors: Sequence[SparseVector], dim: int) -> sp.csr_matrix:

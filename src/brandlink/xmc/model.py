@@ -92,8 +92,8 @@ class XmcModel:
 
     ``layer_weights`` is either one matrix per tree layer, in any sparse
     layout, or one sparse matrix that already stacks them column-wise; a
-    CSR stack, such as a loaded model's, is kept as it is.  ``weights`` is
-    that stack, of shape
+    CSR stack, such as a loaded or a trained model's, is kept as it is.
+    ``weights`` is that stack, of shape
     ``(featurizer.dim + 1, sum(tree.layer_sizes))``; the extra final row is
     the constant bias feature appended at train and inference time.  Layer
     ``l`` owns columns ``layer_offsets[l]:layer_offsets[l + 1]``.

@@ -3,12 +3,14 @@
 Every tree node is a binary classifier.  An input is a positive for the
 node on its gold label's root-to-label path and a negative for that node's
 siblings under the same parent, so each parent group forms one small
-one-vs-all subproblem over exactly the inputs routed to it.
+one-vs-all subproblem over exactly the inputs routed to it.  Groups are
+solved in parent order, layer by layer; each group's weight triplets are
+shifted to its columns of the stacked matrix, and all of them become the
+model's CSR stack in one conversion.
 """
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable
 
 import numpy as np
@@ -33,9 +35,8 @@ def train(
     reg: float = DEFAULT_REG,
     *,
     featurizer: FeaturizerConfig,
-    threads: int = 1,
 ) -> XmcModel:
-    """Train one sparse weight matrix per tree layer.
+    """Train the node weights of every tree layer as one stacked matrix.
 
     Args:
         data: Featurized inputs with their gold labels; every label must
@@ -45,8 +46,6 @@ def train(
         reg: L2 penalty for every node classifier.
         featurizer: The configuration the inputs were featurized with;
             stored on the model for inference-time parity.
-        threads: Worker threads across parent subproblems.  Results are
-            assembled in parent order, so any value produces the same model.
 
     Returns:
         The trained model.  ``stats`` reports example counts and the number
@@ -93,67 +92,59 @@ def train(
         "skipped_zero_vectors": skipped_zero,
         "default_columns": [],
     }
-    layer_weights: list[sp.csr_matrix] = []
+    offsets = np.cumsum((0, *tree.layer_sizes))
+    rows_out: list[np.ndarray] = []
+    cols_out: list[np.ndarray] = []
+    vals_out: list[np.ndarray] = []
     for layer in range(tree.n_layers):
-        if layer == 0:
-            group_slices = [(np.arange(len(vectors), dtype=np.int64), 0, tree.layer_sizes[0])]
-        else:
-            indptr = tree.children_indptr[layer - 1]
-            order = np.argsort(node_of[layer - 1], kind="stable")
-            sorted_parents = node_of[layer - 1][order]
-            boundaries = np.searchsorted(
-                sorted_parents, np.arange(tree.layer_sizes[layer - 1] + 1)
-            )
-            group_slices = [
-                (
-                    order[boundaries[p] : boundaries[p + 1]],
-                    int(indptr[p]),
-                    int(indptr[p + 1]),
-                )
-                for p in range(tree.layer_sizes[layer - 1])
-            ]
-
-        def solve(entry: tuple[np.ndarray, int, int]):
-            rows, col_start, col_end = entry
-            n_cols = col_end - col_start
-            x_group = x[rows]
-            positive = node_of[layer][rows] - col_start
+        if layer:
+            parents, indptr = node_of[layer - 1], tree.children_indptr[layer - 1]
+        else:  # layer 0 is one group under the implicit root
+            parents = np.zeros(len(vectors), dtype=np.int64)
+            indptr = np.array([0, tree.layer_sizes[0]])
+        order = np.argsort(parents, kind="stable")
+        bounds = np.searchsorted(parents[order], np.arange(len(indptr)))
+        n_defaults = nnz = 0
+        for p in range(len(indptr) - 1):
+            rows = order[bounds[p] : bounds[p + 1]]
+            col_start, col_end = int(indptr[p]), int(indptr[p + 1])
             r, c, v, n_default = fit_sparse_ova(
-                x_group, positive, n_cols, dim, reg, prune=DEFAULT_PRUNE
+                x[rows],
+                node_of[layer][rows] - col_start,
+                col_end - col_start,
+                dim,
+                reg,
+                prune=DEFAULT_PRUNE,
             )
-            return r, c + col_start, v, n_default
-
-        if threads > 1 and len(group_slices) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(solve, group_slices))
-        else:
-            results = [solve(entry) for entry in group_slices]
-
-        rows = np.concatenate([r for r, _, _, _ in results])
-        cols = np.concatenate([c for _, c, _, _ in results])
-        vals = np.concatenate([v for _, _, v, _ in results])
-        n_defaults = sum(d for _, _, _, d in results)
-        stats["default_columns"].append(int(n_defaults))
-        matrix = sp.coo_matrix(
-            (vals, (rows, cols)), shape=(dim + 1, tree.layer_sizes[layer])
-        ).tocsr()
-        layer_weights.append(matrix)
+            rows_out.append(r)
+            cols_out.append(c + (offsets[layer] + col_start))
+            vals_out.append(v)
+            n_defaults += n_default
+            nnz += len(v)
+        stats["default_columns"].append(n_defaults)
         LOGGER.info(
             "trained layer %d: %d columns, %d default, nnz %d",
             layer,
             tree.layer_sizes[layer],
             n_defaults,
-            matrix.nnz,
+            nnz,
         )
     if any(stats["default_columns"]):
         LOGGER.info(
             "all-negative default columns per layer: %s", stats["default_columns"]
         )
 
+    weights = sp.coo_matrix(
+        (
+            np.concatenate(vals_out),
+            (np.concatenate(rows_out), np.concatenate(cols_out)),
+        ),
+        shape=(dim + 1, offsets[-1]),
+    ).tocsr()
     return XmcModel(
         labels=space.labels,
         tree=tree,
-        layer_weights=layer_weights,
+        layer_weights=weights,
         featurizer=featurizer,
         stats=stats,
     )

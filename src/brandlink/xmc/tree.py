@@ -1,15 +1,19 @@
 """Hierarchical label tree built by recursive balanced spherical k-means.
 
-Labels are clustered on their aggregated feature vectors.  A level is split
-while any of its nodes still holds more labels than ``max_leaf``, which
-keeps the tree rectangular: every layer spans the whole label set and
-sibling group sizes differ by at most one within a split.  The final layer
-is the labels themselves, grouped under their leaf cluster.
+Labels are clustered on their aggregated feature vectors: one CSR matrix,
+a row per label, built as a sparse indicator product over the stacked
+surface and input vectors, as Parabel and PECOS aggregate label features.
+A level is split while any of its nodes still holds more labels than
+``max_leaf``, which keeps the tree rectangular: every layer spans the
+whole label set and sibling group sizes differ by at most one within a
+split.  The final layer is the labels themselves, grouped under their
+leaf cluster.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -24,18 +28,18 @@ LOGGER = logging.getLogger(__name__)
 _KMEANS_ITERS = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelSpace:
-    """Ordered label set with one clustering feature vector per label."""
+    """Ordered label set with one clustering feature row per label."""
 
     labels: tuple[BrandEntityId, ...]
-    label_features: tuple[SparseVector, ...]
+    features: sp.csr_matrix = field(repr=False)
 
     def __post_init__(self) -> None:
         if len(self.labels) < 2:
             raise ValueError("a label space needs at least two labels")
-        if len(self.labels) != len(self.label_features):
-            raise ValueError("labels and label_features must align")
+        if len(self.labels) != self.features.shape[0]:
+            raise ValueError("labels and feature rows must align")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("label ids must be unique")
         if sum(1 for label in self.labels if label.is_nil) > 1:
@@ -48,7 +52,7 @@ class LabelSpace:
         return {label: i for i, label in enumerate(self.labels)}
 
     def feature_matrix(self) -> sp.csr_matrix:
-        return stack_rows(self.label_features, self.label_features[0].dim)
+        return self.features
 
 
 def aggregate_label_features(
@@ -59,33 +63,36 @@ def aggregate_label_features(
 ) -> LabelSpace:
     """Build clustering features: unit-normalized sums per label.
 
-    Each label's vector is the sum of its featurized surface forms plus the
+    Each label's row is the sum of its featurized surface forms plus the
     feature vectors of its training inputs, renormalized to unit length.
-    Labels with no data at all keep a zero vector and cluster arbitrarily
-    but deterministically.
+    The sums are one product of a label-by-vector indicator matrix with
+    the vectors stacked label by label, surfaces first, so every entry
+    adds its terms in that order.  Labels with no data at all keep a zero
+    row and cluster arbitrarily but deterministically.
     """
-    features: list[SparseVector] = []
-    for label in labels:
-        acc: dict[int, float] = {}
-        for surface in surfaces.get(label, ()):
-            vec = vectorize(surface, config)
-            for idx, val in zip(vec.indices, vec.values):
-                acc[int(idx)] = acc.get(int(idx), 0.0) + float(val)
-        for vec in inputs.get(label, ()):
-            for idx, val in zip(vec.indices, vec.values):
-                acc[int(idx)] = acc.get(int(idx), 0.0) + float(val)
-        if not acc:
-            features.append(SparseVector.zero(config.dim))
-            continue
-        indices = np.array(sorted(acc), dtype=np.int64)
-        values = np.array([acc[int(i)] for i in indices], dtype=np.float64)
-        norm = float(np.sqrt(np.dot(values, values)))
-        features.append(
-            SparseVector(indices, values / norm, config.dim)
-            if norm > 0.0
-            else SparseVector.zero(config.dim)
-        )
-    return LabelSpace(labels=tuple(labels), label_features=tuple(features))
+    vectors: list[SparseVector] = []
+    per_label = np.zeros(len(labels) + 1, dtype=np.int64)
+    for i, label in enumerate(labels):
+        vectors.extend(vectorize(surface, config) for surface in surfaces.get(label, ()))
+        vectors.extend(inputs.get(label, ()))
+        per_label[i + 1] = len(vectors)
+    indicator = sp.csr_matrix(
+        (np.ones(len(vectors)), np.arange(len(vectors)), per_label),
+        shape=(len(labels), len(vectors)),
+    )
+    sums = indicator @ stack_rows(vectors, config.dim)
+    sums.sort_indices()
+    bounds = sums.indptr.tolist()
+    norms = np.array(
+        [np.sqrt(np.dot(sums.data[a:b], sums.data[a:b])) for a, b in pairwise(bounds)],
+        dtype=np.float64,
+    )
+    # An infinite norm zeroes a row whose norm underflowed to zero, and the
+    # row then drops out, as the row of a label without data.
+    norms[norms == 0.0] = np.inf
+    sums.data /= np.repeat(norms, np.diff(bounds))
+    sums.eliminate_zeros()
+    return LabelSpace(labels=tuple(labels), features=sums)
 
 
 @dataclass(frozen=True)

@@ -406,33 +406,6 @@ class TestWorkflow:
         assert rows
         assert {r["outcome"] for r in rows} <= {"single", "nil", "no_prediction"}
 
-    def test_train_xmc_threads_do_not_change_bytes(self, workspace, capsys):
-        root, corpus = workspace
-        outputs = []
-        for threads in ("1", "2"):
-            path = root / f"m2e_t{threads}.blaf"
-            code = run(
-                [
-                    "train-xmc",
-                    "--train",
-                    str(corpus / "strong_labels.jsonl"),
-                    "--dict",
-                    str(root / "dict.blaf"),
-                    "--target",
-                    "m2e",
-                    "--dim",
-                    "65536",
-                    "--threads",
-                    threads,
-                    "--out",
-                    str(path),
-                ]
-            )
-            assert code == 0
-            outputs.append(path.read_bytes())
-        capsys.readouterr()
-        assert outputs[0] == outputs[1]
-
 
 def test_bench_reports_scaling_rows(tmp_path, capsys):
     out = tmp_path / "bench.json"

@@ -67,10 +67,6 @@ class TestBuildDictionary:
         assert dictionary.rejected == 3
         assert len(dictionary) == 1
 
-    def test_entities_property(self):
-        dictionary = d(("us", "a", "E1"), ("us", "b", "E2"), ("de", "c", "E1"))
-        assert dictionary.entities() == {BrandEntityId("E1"), BrandEntityId("E2")}
-
 
 class TestLexicalMatch:
     def test_hit(self):

@@ -12,6 +12,7 @@ from brandlink.linear import (
     stack_rows,
 )
 from brandlink.text import SparseVector
+from brandlink.xmc.train import DEFAULT_PRUNE
 
 
 def with_bias(rows: np.ndarray) -> sp.csr_matrix:
@@ -221,3 +222,102 @@ class TestFitSparseOva:
         w = sp.coo_matrix((vals, (rows, cols)), shape=(9, 1)).toarray()
         margin = float(w[0, 0] + w[8, 0])
         assert expit(margin) > 0.9
+
+
+# fit_sparse_ova before its targets, default columns and kept weights
+# became array operations, kept as the reference the current one must
+# equal entry for entry once both are converted to CSR.
+def reference_fit_sparse_ova(x, positive_col, n_cols, dim, reg, *, balanced=True, prune=0.0):
+    n = x.shape[0]
+    rows_out, cols_out, vals_out = [], [], []
+    counts = np.bincount(positive_col, minlength=n_cols) if n else np.zeros(
+        n_cols, dtype=np.int64
+    )
+    trained = np.flatnonzero(counts > 0)
+    defaults = np.flatnonzero(counts == 0)
+    for col in defaults:
+        rows_out.append(np.array([dim], dtype=np.int64))
+        cols_out.append(np.array([col], dtype=np.int64))
+        vals_out.append(np.array([DEFAULT_NEGATIVE_BIAS], dtype=np.float64))
+    if len(trained) > 0:
+        active = np.unique(x.indices) if x.nnz else np.empty(0, dtype=x.indices.dtype)
+        x_local = x[:, active] if len(active) < dim else x
+        x_aug = sp.hstack(
+            [x_local, sp.csr_matrix(np.ones((n, 1), dtype=np.float64))], format="csr"
+        )
+        y = np.full((n, len(trained)), -1.0, dtype=np.float64)
+        local_of = {int(c): j for j, c in enumerate(trained)}
+        for i, col in enumerate(positive_col):
+            j = local_of.get(int(col))
+            if j is not None:
+                y[i, j] = 1.0
+        if balanced:
+            n_pos = counts[trained].astype(np.float64)
+            n_neg = n - n_pos
+            pos_weight = np.where(n_neg > 0.0, n_neg / n_pos, 1.0)
+        else:
+            pos_weight = None
+        w = fit_logistic_columns(x_aug, y, reg, pos_weight=pos_weight)
+        full_rows = np.append(
+            active if len(active) < dim else np.arange(dim, dtype=np.int64), dim
+        ).astype(np.int64)
+        for j, col in enumerate(trained):
+            column = w[:, j]
+            keep = np.abs(column) >= prune if prune > 0.0 else column != 0.0
+            keep[-1] = True
+            rows_out.append(full_rows[keep])
+            cols_out.append(np.full(int(keep.sum()), col, dtype=np.int64))
+            vals_out.append(column[keep])
+    if rows_out:
+        return (
+            np.concatenate(rows_out),
+            np.concatenate(cols_out),
+            np.concatenate(vals_out),
+            len(defaults),
+        )
+    empty_i = np.empty(0, dtype=np.int64)
+    return empty_i, empty_i.copy(), np.empty(0, dtype=np.float64), len(defaults)
+
+
+def random_group(seed: int, dim: int):
+    """Rows over ``dim`` features and a positive column per row.
+
+    With 8 features every row holds them all; wider rows hold a few, and
+    some none.  No row is positive for the last column, so every group
+    has a default column.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 30))
+    n_cols = int(rng.integers(2, 6))
+    density = 1.0 if dim <= 8 else 0.05
+    dense = rng.random((n, dim)) * (rng.random((n, dim)) < density)
+    positive = rng.integers(0, n_cols - 1, size=n)
+    return sp.csr_matrix(dense), positive, n_cols
+
+
+class TestFitSparseOvaReference:
+    @pytest.mark.parametrize("balanced", [True, False])
+    @pytest.mark.parametrize("prune", [0.0, DEFAULT_PRUNE])
+    @pytest.mark.parametrize("dim", [8, 64])  # 8: every feature active
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_reference(self, seed, dim, prune, balanced):
+        x, positive, n_cols = random_group(seed, dim)
+        got = fit_sparse_ova(x, positive, n_cols, dim, 1e-2, balanced=balanced, prune=prune)
+        want = reference_fit_sparse_ova(
+            x, positive, n_cols, dim, 1e-2, balanced=balanced, prune=prune
+        )
+        assert got[3] == want[3] >= 1
+        shape = (dim + 1, n_cols)
+        got_csr = sp.coo_matrix((got[2], (got[0], got[1])), shape=shape).tocsr()
+        want_csr = sp.coo_matrix((want[2], (want[0], want[1])), shape=shape).tocsr()
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got_csr, name), getattr(want_csr, name))
+
+    def test_empty_group_equals_reference(self):
+        x, positive = sp.csr_matrix((0, 16)), np.empty(0, dtype=np.int64)
+        got = fit_sparse_ova(x, positive, 3, 16, reg=1e-2)
+        want = reference_fit_sparse_ova(x, positive, 3, 16, reg=1e-2)
+        for a, b in zip(got[:3], want[:3]):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        assert got[3] == want[3] == 3

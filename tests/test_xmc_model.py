@@ -199,6 +199,18 @@ def two_brand_model():
 
 
 class TestTrain:
+    @pytest.mark.parametrize("fixture", ["two_brand_model", "fifty_label_model", "idf_model"])
+    def test_stack_equals_one_built_from_layer_slices(self, fixture, request):
+        model = request.getfixturevalue(fixture)
+        model = model[0] if isinstance(model, tuple) else model
+        offsets = model.layer_offsets.tolist()
+        blocks = [model.weights[:, a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+        rebuilt = XmcModel(model.labels, model.tree, blocks, model.featurizer)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(model.weights, name), getattr(rebuilt.weights, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
     def test_separable_toy_memorized(self, two_brand_model):
         model, data = two_brand_model
         for text, label in data:

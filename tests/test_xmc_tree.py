@@ -1,9 +1,11 @@
 """Label feature aggregation and balanced tree construction."""
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from brandlink.core import BrandEntityId
-from brandlink.text import FeaturizerConfig, vectorize
+from brandlink.text import FeaturizerConfig, SparseVector, fit_idf, normalize, vectorize
 from brandlink.xmc.tree import LabelSpace, aggregate_label_features, build_tree
 
 CFG = FeaturizerConfig(dim=2**16)
@@ -26,13 +28,13 @@ def space_from_surfaces(surfaces: list[str]) -> LabelSpace:
 class TestAggregateLabelFeatures:
     def test_unit_norm_with_data(self):
         space = space_from_surfaces(["nike", "sony"])
-        for vec in space.label_features:
-            assert np.linalg.norm(vec.values) == pytest.approx(1.0)
+        for row in space.feature_matrix():
+            assert np.linalg.norm(row.data) == pytest.approx(1.0)
 
     def test_label_without_data_gets_zero_vector(self):
         labels = [BrandEntityId("E0"), BrandEntityId("E1")]
         space = aggregate_label_features(labels, {labels[0]: ["nike"]}, {}, CFG)
-        assert space.label_features[1].nnz == 0
+        assert space.feature_matrix()[1].nnz == 0
 
     def test_surfaces_and_inputs_both_contribute(self):
         labels = [BrandEntityId("E0"), BrandEntityId("E1")]
@@ -43,7 +45,7 @@ class TestAggregateLabelFeatures:
             {labels[1]: [query_vec]},
             CFG,
         )
-        surface_only, mixed = space.label_features
+        surface_only, mixed = space.feature_matrix()
         assert mixed.nnz > surface_only.nnz
 
     def test_duplicate_labels_rejected(self):
@@ -54,6 +56,82 @@ class TestAggregateLabelFeatures:
     def test_at_least_two_labels(self):
         with pytest.raises(ValueError):
             aggregate_label_features([BrandEntityId("E0")], {}, {}, CFG)
+
+
+# aggregate_label_features before it became one indicator product, kept as
+# the reference the current one must equal row for row, bit for bit.
+def reference_aggregate(labels, surfaces, inputs, config) -> list[SparseVector]:
+    features = []
+    for label in labels:
+        acc: dict[int, float] = {}
+        for surface in surfaces.get(label, ()):
+            vec = vectorize(surface, config)
+            for idx, val in zip(vec.indices, vec.values):
+                acc[int(idx)] = acc.get(int(idx), 0.0) + float(val)
+        for vec in inputs.get(label, ()):
+            for idx, val in zip(vec.indices, vec.values):
+                acc[int(idx)] = acc.get(int(idx), 0.0) + float(val)
+        if not acc:
+            features.append(SparseVector.zero(config.dim))
+            continue
+        indices = np.array(sorted(acc), dtype=np.int64)
+        values = np.array([acc[int(i)] for i in indices], dtype=np.float64)
+        norm = float(np.sqrt(np.dot(values, values)))
+        features.append(
+            SparseVector(indices, values / norm, config.dim)
+            if norm > 0.0
+            else SparseVector.zero(config.dim)
+        )
+    return features
+
+
+_IDF_CFG = fit_idf(
+    (normalize(t) for t in ("nike air", "sony tv", "鞋子 nike", "耐克 跑鞋", "usb")), CFG
+)
+# Latin and CJK texts from a small pool of overlapping phrases, so surfaces
+# repeat within a label and many entries sum three or more terms.
+_PHRASES = [
+    "nike",
+    "nike air max running shoes",
+    "nike running socks",
+    "sony tv 4k hdr",
+    "耐克",
+    "耐克 跑鞋 男款 夏季",
+    "鞋子 nike air",
+    " ",
+]
+_TEXT = st.one_of(
+    st.sampled_from(_PHRASES),
+    st.text(alphabet=st.sampled_from("nikesoy 耐克鞋子ー"), max_size=12),
+)
+# Per label: its surfaces and the texts of its training inputs.
+_LABEL_DATA = st.lists(
+    st.tuples(st.lists(_TEXT, max_size=5), st.lists(_TEXT, max_size=5)),
+    min_size=2,
+    max_size=5,
+)
+
+
+class TestAggregateReference:
+    @given(data=_LABEL_DATA, idf=st.booleans())
+    @example(data=[([], []), (["nike"], [])], idf=False)  # a label without data
+    @example(data=[(["nike", "nike"], ["nike air"]), (["sony tv"], [])], idf=True)
+    @example(data=[([], ["nike air", "nike"]), ([], ["鞋子 nike"])], idf=False)
+    @example(data=[(["耐克", "鞋子 nike"], ["耐克"]), (["ー"], ["鞋子"])], idf=True)
+    def test_rows_equal_reference(self, data, idf):
+        config = _IDF_CFG if idf else CFG
+        labels = [BrandEntityId(f"E{i}") for i in range(len(data))]
+        surfaces = {label: texts for label, (texts, _) in zip(labels, data)}
+        inputs = {
+            label: [vectorize(text, config) for text in texts]
+            for label, (_, texts) in zip(labels, data)
+        }
+        got = aggregate_label_features(labels, surfaces, inputs, config).feature_matrix()
+        want = reference_aggregate(labels, surfaces, inputs, config)
+        assert got.shape == (len(labels), config.dim)
+        for row, vec in zip(got, want):
+            assert np.array_equal(row.indices, vec.indices)
+            assert np.array_equal(row.data, vec.values)
 
 
 class TestBuildTree:
@@ -115,9 +193,8 @@ class TestBuildTree:
             "zone",
         ]
         space = space_from_surfaces(surfaces)
-        assert np.array_equal(
-            space.label_features[0].indices, space.label_features[1].indices
-        )
+        features = space.feature_matrix()
+        assert np.array_equal(features[0].indices, features[1].indices)
         tree = build_tree(space, branching=2, max_leaf=4, seed=0)
         for group in leaf_groups(tree):
             members = set(group.tolist())
