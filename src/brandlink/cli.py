@@ -75,6 +75,7 @@ from .ptfilter import (
 )
 from .text import FeaturizerConfig, featurize, fit_idf, normalize, vectorize
 from .xmc import (
+    DEFAULT_REG,
     BeamParams,
     XmcModel,
     aggregate_label_features,
@@ -84,6 +85,7 @@ from .xmc import (
     save_model,
     train,
 )
+from .xmc.tree import unit_rows
 
 LOGGER = logging.getLogger(__name__)
 
@@ -91,6 +93,8 @@ LOGGER = logging.getLogger(__name__)
 class UsageError(Exception):
     """Bad or missing options; maps to exit code 2."""
 
+
+_DIM = FeaturizerConfig().dim
 
 _DEFAULTS: dict[str, dict] = {
     "build-dict": {"b2e": None, "out": None},
@@ -115,14 +119,14 @@ _DEFAULTS: dict[str, dict] = {
         "dict": None,
         "target": "q2e",
         "out": None,
-        "dim": 2**20,
-        "reg": 1e-3,
+        "dim": _DIM,
+        "reg": DEFAULT_REG,
         "branching": 16,
         "max_leaf": 100,
         "idf": True,
         "seed": 0,
     },
-    "train-pt": {"train": None, "out": None, "dim": 2**20, "reg": 1e-3, "idf": True},
+    "train-pt": {"train": None, "out": None, "dim": _DIM, "reg": DEFAULT_REG, "idf": True},
     "link": {
         "queries": None,
         "out": None,
@@ -133,8 +137,8 @@ _DEFAULTS: dict[str, dict] = {
         "pt_model": None,
         "associations": None,
         "fused_matcher": "lexical",
-        "beam_size": 10,
-        "top_k": 5,
+        "beam_size": BeamParams().beam_size,
+        "top_k": BeamParams().top_k,
     },
     "eval": {
         "gold": None,
@@ -146,8 +150,8 @@ _DEFAULTS: dict[str, dict] = {
     "bench": {
         "sizes": "5000,50000",
         "queries": 500,
-        "beam_size": 10,
-        "dim": 2**20,
+        "beam_size": BeamParams().beam_size,
+        "dim": _DIM,
         "seed": 0,
         "out": None,
     },
@@ -164,10 +168,6 @@ def _as_str_tuple(value) -> tuple[str, ...]:
     if isinstance(value, str):
         return tuple(v for v in value.split(",") if v)
     return tuple(value)
-
-
-def _as_int_tuple(value) -> tuple[int, ...]:
-    return tuple(int(v) for v in _as_str_tuple(value))
 
 
 # ---------------------------------------------------------------------------
@@ -225,22 +225,11 @@ def _read_labeled_files(paths: Iterable[str]) -> list[LabeledQuery]:
     return out
 
 
-def _surfaces_by_entity(
-    dictionary: BrandDictionary | None,
-    examples: Iterable[LabeledQuery],
-) -> dict[BrandEntityId, list[str]]:
+def _surfaces_by_entity(dictionary: BrandDictionary) -> dict[BrandEntityId, list[str]]:
     table: dict[BrandEntityId, set[str]] = {}
-    if dictionary is not None:
-        for key, entities in dictionary.entries.items():
-            for entity in entities:
-                table.setdefault(entity, set()).add(key.surface)
-    else:
-        for example in examples:
-            for entity in example.entities:
-                if entity.is_nil:
-                    continue
-                for name in example.brand_names:
-                    table.setdefault(entity, set()).add(normalize(name).text)
+    for key, entities in dictionary.entries.items():
+        for entity in entities:
+            table.setdefault(entity, set()).add(key.surface)
     return {entity: sorted(surfaces) for entity, surfaces in table.items()}
 
 
@@ -260,7 +249,7 @@ def _training_pairs(
 
 
 def _cmd_train_xmc(config: dict) -> int:
-    _require(config, "train-xmc", "train", "out")
+    _require(config, "train-xmc", "train", "dict", "out")
     if config["target"] not in ("m2e", "q2e"):
         raise UsageError("--target must be m2e or q2e")
     examples = _read_labeled_files(_as_str_tuple(config["train"]))
@@ -275,10 +264,7 @@ def _cmd_train_xmc(config: dict) -> int:
     featurized = [(featurize(nt, featurizer), label) for nt, label in normalized]
 
     labels = sorted({label for _, label in pairs}, key=lambda e: e.id)
-    dictionary = (
-        load_dictionary(config["dict"]) if config["dict"] is not None else None
-    )
-    surfaces = _surfaces_by_entity(dictionary, examples)
+    surfaces = _surfaces_by_entity(load_dictionary(config["dict"]))
     inputs: dict[BrandEntityId, list] = {}
     for vec, label in featurized:
         inputs.setdefault(label, []).append(vec)
@@ -443,13 +429,6 @@ def _bench_names(rng: random.Random, count: int) -> list[str]:
     return sorted(names)
 
 
-def _normalize_rows(matrix: sp.csr_matrix) -> sp.csr_matrix:
-    norms = np.sqrt(matrix.multiply(matrix).sum(axis=1)).A.ravel()
-    norms[norms == 0.0] = 1.0
-    inv = sp.diags(1.0 / norms)
-    return (inv @ matrix).tocsr()
-
-
 def _centroid_model(
     n_labels: int, featurizer: FeaturizerConfig, seed: int
 ) -> XmcModel:
@@ -468,28 +447,25 @@ def _centroid_model(
     }
     space = aggregate_label_features(labels, surfaces, {}, featurizer)
     tree = build_tree(space, seed=seed)
-    features = space.feature_matrix()[tree.label_order]
-    layer_features = [features]
-    for indptr in reversed(tree.children_indptr):
-        child = layer_features[0]
-        sizes = np.diff(indptr)
-        rows = np.repeat(np.arange(len(sizes)), sizes)
-        agg = sp.csr_matrix(
-            (np.ones(child.shape[0]), (rows, np.arange(child.shape[0]))),
-            shape=(len(sizes), child.shape[0]),
+    layer_features = [space.feature_matrix()[tree.label_order]]
+    for layer in range(tree.n_layers - 1, 0, -1):
+        n_nodes = tree.layer_sizes[layer]
+        members = sp.csr_matrix(
+            (np.ones(n_nodes), (tree.parents_of_layer(layer), np.arange(n_nodes))),
+            shape=(tree.layer_sizes[layer - 1], n_nodes),
         )
-        layer_features.insert(0, _normalize_rows(agg @ child))
-    weights = [
-        sp.vstack([feats.T, sp.csr_matrix((1, feats.shape[0]))], format="csr", dtype=np.float64)
-        for feats in layer_features
-    ]
+        layer_features.insert(0, unit_rows(members @ layer_features[0]))
+    # One row per node, layers in order from the root; the added last
+    # column, the bias feature's, stays zero.  Transposed, one column per node.
+    stack = sp.vstack(layer_features, format="csr")
+    stack.resize(stack.shape[0], featurizer.dim + 1)
     return XmcModel(
-        labels=labels, tree=tree, layer_weights=weights, featurizer=featurizer
+        labels=labels, tree=tree, layer_weights=stack.T, featurizer=featurizer
     )
 
 
 def _cmd_bench(config: dict) -> int:
-    sizes = _as_int_tuple(config["sizes"])
+    sizes = tuple(int(v) for v in _as_str_tuple(config["sizes"]))
     if not sizes:
         raise UsageError("--sizes must name at least one label count")
     n_queries = int(config["queries"])

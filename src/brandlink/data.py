@@ -1,9 +1,10 @@
 """Dataset construction: label sourcing and the synthetic corpus generator.
 
 Three label sources feed training.  Catalog surface forms become pseudo
-queries verbatim.  Annotated queries become strong labels through exact
-dictionary matching.  Engagement logs become weak labels when the product
-brand name occurs token-aligned inside the query; nobody reviews those.
+queries verbatim.  Annotated queries are strong labels; the generator
+resolves each annotated surface to every entity that owns it.  Engagement
+logs become weak labels when the product brand name occurs token-aligned
+inside the query; nobody reviews those.
 
 The synthetic corpus generator builds a small closed universe with the
 same shape as production data: brand names with surface variants, product
@@ -14,6 +15,7 @@ brand surface.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import random
@@ -23,6 +25,7 @@ from typing import Iterable, Iterator
 
 from .core import (
     NIL,
+    BrandEntityId,
     LabeledQuery,
     Query,
     Source,
@@ -92,37 +95,6 @@ def augment_b2e(
         )
     if skipped:
         LOGGER.info("augment_b2e: skipped %d rows without a usable entity", skipped)
-
-
-def map_strong_labels(
-    records: Iterable[tuple[Query, str]],
-    dictionary: BrandDictionary,
-) -> tuple[list[LabeledQuery], int]:
-    """Resolve annotated brand names to entities by exact matching.
-
-    Returns the resolved examples and the count of records dropped
-    because their brand name matched nothing.  Multi-entity matches are
-    kept with every entity; the consumer decides what to do with them.
-    """
-    out: list[LabeledQuery] = []
-    dropped = 0
-    for query, brand_name in records:
-        surface = normalize(brand_name).text
-        entities = dictionary.lookup(query.store, surface)
-        if not entities:
-            dropped += 1
-            continue
-        out.append(
-            LabeledQuery(
-                query=query,
-                brand_names=(brand_name,),
-                entities=tuple(sorted(entities, key=lambda e: e.id)),
-                source=Source.SL,
-            )
-        )
-    if dropped:
-        LOGGER.info("map_strong_labels: dropped %d unmatched records", dropped)
-    return out, dropped
 
 
 def _contains_token_run(haystack: tuple[str, ...], needle: tuple[str, ...]) -> bool:
@@ -367,13 +339,8 @@ def gen_synthetic_corpus(spec: CorpusSpec, out_dir: str | Path) -> dict:
             b_pts = tuple(
                 sorted(rng.sample(remaining, min(len(remaining), rng.randint(1, 3))))
             )
-            surfaces = b.surfaces[:-1] + (a.full,)
-            entities[2 * p + 1] = _Entity(
-                index=b.index,
-                entity_id=b.entity_id,
-                syllables=b.syllables,
-                surfaces=surfaces,
-                pts=b_pts,
+            entities[2 * p + 1] = dataclasses.replace(
+                b, surfaces=b.surfaces[:-1] + (a.full,), pts=b_pts
             )
             shared_pairs.append((a.index, b.index, a.full))
 
@@ -402,6 +369,22 @@ def gen_synthetic_corpus(spec: CorpusSpec, out_dir: str | Path) -> dict:
     def language() -> str:
         return rng.choice(spec.languages)
 
+    def labeled(
+        text: str,
+        brand_names: tuple[str, ...],
+        entities: tuple[BrandEntityId, ...],
+        pt: str | None = None,
+    ) -> dict:
+        # Every row draws its language last, after its text and product type.
+        example = LabeledQuery(
+            query=Query(text=text, store=_STORE, language=language()),
+            brand_names=brand_names,
+            entities=entities,
+            source=Source.SL,
+        )
+        record = labeled_query_to_record(example)
+        return record if pt is None else record | {"pt": pt}
+
     def branded_text(entity: _Entity) -> tuple[str, str, str]:
         surface = rng.choice(entity.surfaces)
         pt = rng.choice(entity.pts)
@@ -425,23 +408,11 @@ def gen_synthetic_corpus(spec: CorpusSpec, out_dir: str | Path) -> dict:
         gold = tuple(
             entity_from_id(e) for e in sorted(surface_owners[surface])
         )
-        example = LabeledQuery(
-            query=Query(text=text, store=_STORE, language=language()),
-            brand_names=(surface,),
-            entities=gold,
-            source=Source.SL,
-        )
-        sl_records.append(labeled_query_to_record(example))
+        sl_records.append(labeled(text, (surface,), gold))
         pt_rows.append({"text": text, "store": _STORE.code, "pt": pt})
     for _ in range(n_sl_nil):
         text, pt = nonbranded_text()
-        example = LabeledQuery(
-            query=Query(text=text, store=_STORE, language=language()),
-            brand_names=(),
-            entities=(NIL,),
-            source=Source.SL,
-        )
-        sl_records.append(labeled_query_to_record(example))
+        sl_records.append(labeled(text, (), (NIL,)))
         pt_rows.append({"text": text, "store": _STORE.code, "pt": pt})
     write_jsonl(out / "strong_labels.jsonl", sl_records)
 
@@ -494,13 +465,9 @@ def gen_synthetic_corpus(spec: CorpusSpec, out_dir: str | Path) -> dict:
             text, surface, pt = branded_text(entity)
             if surface in unambiguous:
                 break
-        example = LabeledQuery(
-            query=Query(text=text, store=_STORE, language=language()),
-            brand_names=(surface,),
-            entities=(entity_from_id(entity.entity_id),),
-            source=Source.SL,
+        test_records.append(
+            labeled(text, (surface,), (entity_from_id(entity.entity_id),), pt)
         )
-        test_records.append(labeled_query_to_record(example) | {"pt": pt})
     write_jsonl(out / "test.jsonl", test_records)
 
     # Shared-surface slice: the same surface under each owner's product
@@ -511,13 +478,9 @@ def gen_synthetic_corpus(spec: CorpusSpec, out_dir: str | Path) -> dict:
         for entity in (entities[a_idx], entities[b_idx]):
             pt = rng.choice(entity.pts)
             text = f"{surface} {_pt_phrase(rng, pt_table[pt])}"
-            example = LabeledQuery(
-                query=Query(text=text, store=_STORE, language=language()),
-                brand_names=(surface,),
-                entities=(entity_from_id(entity.entity_id),),
-                source=Source.SL,
+            shared_records.append(
+                labeled(text, (surface,), (entity_from_id(entity.entity_id),), pt)
             )
-            shared_records.append(labeled_query_to_record(example) | {"pt": pt})
     write_jsonl(out / "test_shared.jsonl", shared_records)
 
     # Misspelled variants never present in the registry: lexical matching
@@ -530,37 +493,19 @@ def gen_synthetic_corpus(spec: CorpusSpec, out_dir: str | Path) -> dict:
             continue
         pt = rng.choice(entity.pts)
         text = f"{cand} {_pt_phrase(rng, pt_table[pt])}"
-        example = LabeledQuery(
-            query=Query(text=text, store=_STORE, language=language()),
-            brand_names=(cand,),
-            entities=(entity_from_id(entity.entity_id),),
-            source=Source.SL,
+        variant_records.append(
+            labeled(text, (cand,), (entity_from_id(entity.entity_id),), pt)
         )
-        variant_records.append(labeled_query_to_record(example) | {"pt": pt})
     write_jsonl(out / "test_variants.jsonl", variant_records)
 
     nonbranded_records: list[dict] = []
     for _ in range(spec.n_nonbranded_queries):
         text, pt = nonbranded_text()
-        example = LabeledQuery(
-            query=Query(text=text, store=_STORE, language=language()),
-            brand_names=(),
-            entities=(NIL,),
-            source=Source.SL,
-        )
-        nonbranded_records.append(labeled_query_to_record(example) | {"pt": pt})
+        nonbranded_records.append(labeled(text, (), (NIL,), pt))
     write_jsonl(out / "nonbranded.jsonl", nonbranded_records)
 
     manifest = {
-        "spec": {
-            "n_entities": spec.n_entities,
-            "surface_variants_per_entity": spec.surface_variants_per_entity,
-            "languages": list(spec.languages),
-            "n_branded_queries": spec.n_branded_queries,
-            "n_nonbranded_queries": spec.n_nonbranded_queries,
-            "pt_space_size": spec.pt_space_size,
-            "seed": spec.seed,
-        },
+        "spec": dataclasses.asdict(spec) | {"languages": list(spec.languages)},
         "store": _STORE.code,
         "strength_threshold": DEFAULT_STRENGTH_THRESHOLD,
         "counts": {

@@ -17,7 +17,6 @@ from .core import (
     KEY_SEPARATOR,
     BrandEntityId,
     BrandMention,
-    LabeledQuery,
     Query,
     StoreTag,
     entity_from_id,
@@ -183,44 +182,6 @@ class TrieDetector:
 
     def detect(self, query: Query) -> BrandMention | None:
         return trie_detect(self._dictionary, query)
-
-
-class OracleDetector:
-    """Replays gold mention annotations keyed by normalized query text.
-
-    Used to isolate matcher/filter behavior from detector quality.  Queries
-    absent from the annotation map, and annotated non-branded queries, yield
-    no mention.
-    """
-
-    def __init__(self, annotations: dict[tuple[str, str], str | None]) -> None:
-        self._annotations = dict(annotations)
-
-    @classmethod
-    def from_labeled(cls, examples: Iterable[LabeledQuery]) -> OracleDetector:
-        annotations: dict[tuple[str, str], str | None] = {}
-        for example in examples:
-            key = (example.query.store.code, normalize(example.query.text).text)
-            surface = (
-                normalize(example.brand_names[0]).text if example.brand_names else None
-            )
-            annotations[key] = surface
-        return cls(annotations)
-
-    def detect(self, query: Query) -> BrandMention | None:
-        nt = normalize(query.text)
-        surface = self._annotations.get((query.store.code, nt.text))
-        if not surface:
-            return None
-        needle = surface.split(" ")
-        tokens = nt.tokens
-        spans = nt.token_spans
-        for i in range(len(tokens) - len(needle) + 1):
-            if list(tokens[i : i + len(needle)]) == needle:
-                return BrandMention.from_text(
-                    nt.text, spans[i][0], spans[i + len(needle) - 1][1]
-                )
-        return None
 
 
 def read_b2e_tsv(path: str | Path) -> Iterator[tuple[StoreTag, str, str]]:

@@ -13,7 +13,6 @@ artifact's aligned payload buffer.
 from __future__ import annotations
 
 import enum
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,6 +31,7 @@ from .core import (
     StoreTag,
     TraceRecord,
     entity_from_id,
+    read_jsonl,
 )
 from .linear import fit_sparse_ova, score_vector, stack_rows
 from .text import FeaturizerConfig, SparseVector, featurize, featurizer_from_meta
@@ -318,13 +318,8 @@ def read_pt_training_jsonl(
     path: str | Path,
 ) -> Iterator[tuple[Query, ProductType]]:
     """Read {text, store, pt} records into (query, product type) pairs."""
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            yield (
-                Query(text=record["text"], store=StoreTag(record["store"])),
-                ProductType(record["pt"]),
-            )
+    for record in read_jsonl(path):
+        yield (
+            Query(text=record["text"], store=StoreTag(record["store"])),
+            ProductType(record["pt"]),
+        )

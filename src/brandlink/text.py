@@ -45,6 +45,8 @@ _CHAR_CRC = zlib.crc32(b"c:")
 @lru_cache(maxsize=65536)
 def _fold_char(ch: str) -> str:
     """Compatibility-fold one character to a form stable under refolding."""
+    if "\ud800" <= ch <= "\udfff":  # a lone surrogate has no UTF-8 to hash
+        return "\ufffd"
     out = unicodedata.normalize("NFKC", ch).casefold()
     while True:
         again = "".join(unicodedata.normalize("NFKC", c).casefold() for c in out)

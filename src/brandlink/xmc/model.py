@@ -103,7 +103,6 @@ class XmcModel:
     tree: LabelTree
     layer_weights: InitVar[sp.spmatrix | list[sp.spmatrix]]
     featurizer: FeaturizerConfig
-    score_transform: str = SCORE_TRANSFORM
     stats: dict = field(default_factory=dict, repr=False)
     weights: sp.csr_matrix = field(init=False, repr=False)
     layer_offsets: np.ndarray = field(init=False, repr=False)
@@ -115,8 +114,6 @@ class XmcModel:
     _id_rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, layer_weights) -> None:
-        if self.score_transform != SCORE_TRANSFORM:
-            raise ValueError(f"unsupported score transform {self.score_transform!r}")
         sizes = self.tree.layer_sizes
         expected_rows = self.featurizer.dim + 1
         if sp.issparse(layer_weights):

@@ -18,7 +18,7 @@ from ..binio import ArtifactFormatError, csr_blobs, csr_from_blobs
 from ..binio import read_artifact, write_artifact
 from ..core import entity_from_id
 from ..text import featurizer_from_meta, featurizer_to_meta
-from .model import XmcModel
+from .model import SCORE_TRANSFORM, XmcModel
 from .tree import LabelTree
 
 MODEL_KIND = "xmc-model"
@@ -31,7 +31,7 @@ def save_model(model: XmcModel, path: str | Path) -> None:
     meta = {
         "labels": [label.id for label in model.labels],
         "featurizer": featurizer,
-        "score_transform": model.score_transform,
+        "score_transform": SCORE_TRANSFORM,
         "layer_sizes": list(model.tree.layer_sizes),
     }
     blobs["tree/label_order"] = model.tree.label_order.astype(np.int64)
@@ -53,6 +53,8 @@ def load_model(path: str | Path) -> XmcModel:
     """
     meta, blobs = read_artifact(path, kind=MODEL_KIND, kind_version=MODEL_VERSION)
     try:
+        if meta["score_transform"] != SCORE_TRANSFORM:
+            raise ValueError(f"unsupported score transform {meta['score_transform']!r}")
         config = featurizer_from_meta(meta["featurizer"], blobs)
         layer_sizes = tuple(int(s) for s in meta["layer_sizes"])
         tree = LabelTree(
@@ -70,7 +72,6 @@ def load_model(path: str | Path) -> XmcModel:
             tree=tree,
             layer_weights=weights,
             featurizer=config,
-            score_transform=meta["score_transform"],
         )
     except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise ArtifactFormatError(f"{path}: inconsistent model: {exc}") from exc

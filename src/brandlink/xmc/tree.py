@@ -183,6 +183,13 @@ def _balanced_assign(scores: np.ndarray) -> np.ndarray:
     return assignment
 
 
+def unit_rows(matrix: sp.spmatrix) -> sp.csr_matrix:
+    """Each row scaled to unit length; an all-zero row stays zero."""
+    norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel())
+    norms[norms == 0.0] = 1.0
+    return (sp.diags(1.0 / norms) @ matrix).tocsr()
+
+
 def _split_group(
     members: np.ndarray,
     features: sp.csr_matrix,
@@ -207,12 +214,7 @@ def _split_group(
             ),
             shape=(k, len(members)),
         )
-        centroids = indicator @ sub
-        norms = np.asarray(
-            np.sqrt(centroids.multiply(centroids).sum(axis=1))
-        ).ravel()
-        norms[norms == 0.0] = 1.0
-        centroids = (sp.diags(1.0 / norms) @ centroids).tocsr()
+        centroids = unit_rows(indicator @ sub)
     return [members[assignment == j] for j in range(k)]
 
 

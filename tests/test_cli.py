@@ -91,6 +91,23 @@ class TestExitCodes:
         assert err.startswith("usage error:")
         assert "\n" not in err.strip()
 
+    def test_train_xmc_without_dict_exits_2(self, tmp_path, capsys):
+        # Label surfaces come only from the dictionary.
+        code = run(
+            [
+                "train-xmc",
+                "--train",
+                str(tmp_path / "train.jsonl"),
+                "--out",
+                str(tmp_path / "q2e.blaf"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert "--dict" in err
+        assert not (tmp_path / "q2e.blaf").exists()
+
     def test_missing_input_file_exits_1(self, tmp_path, capsys):
         code = run(
             [

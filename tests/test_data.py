@@ -1,4 +1,5 @@
 """Label sourcing and the synthetic corpus generator."""
+import hashlib
 import json
 
 import pytest
@@ -21,7 +22,6 @@ from brandlink.data import (
     augment_b2e,
     gen_synthetic_corpus,
     gen_weak_labels,
-    map_strong_labels,
 )
 from brandlink.gazetteer import TrieDetector, build_dictionary, read_b2e_tsv
 from brandlink.pipeline import LexicalMatcher, LinkerConfig, link_two_stage
@@ -34,7 +34,7 @@ from brandlink.ptfilter import (
 from brandlink.text import normalize
 
 US = StoreTag("us")
-E1, E2 = BrandEntityId("E1"), BrandEntityId("E2")
+E1 = BrandEntityId("E1")
 
 
 class TestAugmentB2e:
@@ -59,42 +59,6 @@ class TestAugmentB2e:
         rows = [(US, "a", "E1"), (US, "b", NIL.id), (US, "c", "")]
         out = list(augment_b2e(rows))
         assert [l.query.text for l in out] == ["a"]
-
-
-class TestMapStrongLabels:
-    def setup_method(self):
-        self.dictionary = build_dictionary(
-            [(US, "nike", "E1"), (US, "ab", "E1"), (US, "ab", "E2")]
-        )
-
-    def test_exact_match_resolves(self):
-        out, dropped = map_strong_labels(
-            [(Query("nike shoes", US), "nike")], self.dictionary
-        )
-        assert dropped == 0
-        assert out[0].entities == (E1,)
-        assert out[0].source is Source.SL
-
-    def test_unmatched_brand_dropped_with_count(self):
-        out, dropped = map_strong_labels(
-            [(Query("adidas shoes", US), "adidas")], self.dictionary
-        )
-        assert out == []
-        assert dropped == 1
-
-    def test_multi_match_keeps_every_entity(self):
-        out, dropped = map_strong_labels(
-            [(Query("ab charger", US), "ab")], self.dictionary
-        )
-        assert dropped == 0
-        assert out[0].entities == (E1, E2)
-
-    def test_brand_name_normalized_before_lookup(self):
-        out, dropped = map_strong_labels(
-            [(Query("nike shoes", US), "  NIKE ")], self.dictionary
-        )
-        assert dropped == 0
-        assert out[0].entities == (E1,)
 
 
 def log(text, brand, strength=5.0):
@@ -179,6 +143,34 @@ def corpus(tmp_path_factory):
     return out, spec, manifest
 
 
+# sha256 of every file for one small two-language spec.  Changing any of
+# them (moving a random draw, reordering a record's keys) changes the
+# corpus every trained artifact and results file is built from, so it must
+# be deliberate.
+PINNED_SPEC = CorpusSpec(
+    n_entities=30,
+    surface_variants_per_entity=3,
+    languages=("en", "de"),
+    n_branded_queries=60,
+    n_nonbranded_queries=20,
+    pt_space_size=5,
+    seed=11,
+)
+PINNED_SHA256 = {
+    "b2e.tsv": "d29147acac11e02ac6abd961d4ae6b59f9be5b0bb492570d3554be5358900181",
+    "engagement.jsonl": "da31342b058f83fa952b81a9269d2b813bb9ce75a170e191091ea417d273dcd1",
+    "manifest.json": "776884948d0118740fcd205232ac0c93e220b23c184eede7a9151a59721d7fda",
+    "nonbranded.jsonl": "85c54a88405687dc8d7e1eddcae7a7931e698e5c3fd8d7fee3e258a1e347b95d",
+    "pt_associations.tsv": "238f2a111e63f7a0c2632fad792713b8f3aa0ba6a37702a6f84631e6b1b2d20b",
+    "pt_train.jsonl": "1d56d4c721c0a549cf2c77ada3228b04bec477a5ba1c081ab7938a8f2a107b55",
+    "strong_labels.jsonl": "b29a6da3c8f715910835d0a612413e73ee30d35a1f96719cc422ee3b4d2f1183",
+    "test.jsonl": "6f748cf76ff7c75af5d248f687941755b69764a76140551844774129080ae66b",
+    "test_shared.jsonl": "3aee77a588004b58d6a2cd5abebe642947ba0c0e113c313c86dd7be19e8f6b15",
+    "test_variants.jsonl": "f90b134b54c2404fca58e08f512de6a4ae4be904d037fa47c22364896d164439",
+    "weak_labels.jsonl": "98630bcf08e901168bfa4d2232b15a2bff25bf87b4286c1d3ee417e8bee63700",
+}
+
+
 class TestSyntheticCorpus:
     def test_b2e_row_count_matches_spec(self, corpus):
         out, spec, manifest = corpus
@@ -191,6 +183,14 @@ class TestSyntheticCorpus:
         gen_synthetic_corpus(spec, tmp_path)
         for name in sorted(p.name for p in out.iterdir()):
             assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
+
+    def test_pinned_spec_bytes(self, tmp_path):
+        gen_synthetic_corpus(PINNED_SPEC, tmp_path)
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.iterdir()
+        }
+        assert digests == PINNED_SHA256
 
     def test_different_seed_differs(self, corpus, tmp_path):
         out, spec, _ = corpus

@@ -4,17 +4,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from brandlink.core import (
-    NIL,
     NIL_ID,
     BrandEntityId,
     BrandMention,
-    LabeledQuery,
     Query,
-    Source,
     StoreTag,
 )
 from brandlink.gazetteer import (
-    OracleDetector,
     SurfaceFormKey,
     TrieDetector,
     build_dictionary,
@@ -140,19 +136,6 @@ class TestDetectors:
     def test_trie_detector_wraps_trie_detect(self):
         dictionary = d(("us", "nike", "E1"))
         assert TrieDetector(dictionary).detect(Query("nike shoes", US)).surface == "nike"
-
-    def test_oracle_detector_replays_annotations(self):
-        examples = [
-            LabeledQuery(
-                Query("nike shoes", US), ("nike",), (BrandEntityId("E1"),), Source.SL
-            ),
-            LabeledQuery(Query("red shoes", US), (), (NIL,), Source.SL),
-        ]
-        oracle = OracleDetector.from_labeled(examples)
-        hit = oracle.detect(Query("nike shoes", US))
-        assert hit is not None and hit.surface == "nike"
-        assert oracle.detect(Query("red shoes", US)) is None
-        assert oracle.detect(Query("unseen text", US)) is None
 
 
 class TestSerialization:

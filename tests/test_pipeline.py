@@ -361,3 +361,10 @@ def test_linkers_never_raise_and_repeat_on_hostile_text(loaded_linkers, text):
     for link, config in loaded_linkers.values():
         first = link(config, query)
         assert link(config, query) == first
+
+
+def test_linkers_accept_lone_surrogates(loaded_linkers):
+    # A lone surrogate has no UTF-8 encoding; featurizing it once raised.
+    query = Query("\ud800 nike \udfff", US)
+    for link, config in loaded_linkers.values():
+        assert link(config, query) == link(config, query)

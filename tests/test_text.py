@@ -36,6 +36,13 @@ class TestNormalize:
     def test_fullwidth_compatibility(self):
         assert normalize("ＮＩＫＥ").text == "nike"
 
+    def test_lone_surrogate_becomes_replacement_character(self):
+        # A lone surrogate has no UTF-8 encoding, so hashing it would raise.
+        out = normalize("ni\ud800ke \udfff")
+        assert out.text == "ni\ufffdke \ufffd"
+        assert normalize(out.text) == out
+        assert vectorize(out.text, CFG).nnz > 0
+
     @given(st.text(max_size=40))
     def test_idempotent(self, raw):
         once = normalize(raw)

@@ -698,6 +698,20 @@ class TestSerialization:
         with pytest.raises(ArtifactFormatError):
             load_model(path)
 
+    def test_other_score_transform_rejected(self, fifty_label_model, tmp_path):
+        # Beam search only computes sigmoid path scores; a model that
+        # declares another transform must not load and be mis-scored.
+        model, _ = fifty_label_model
+        path = tmp_path / "m.blaf"
+        save_model(model, path)
+        meta, blobs = read_artifact(path, MODEL_KIND, MODEL_VERSION)
+        assert meta["score_transform"] == "sigmoid"
+        write_artifact(
+            path, MODEL_KIND, MODEL_VERSION, dict(meta, score_transform="softmax"), blobs
+        )
+        with pytest.raises(ArtifactFormatError, match="softmax"):
+            load_model(path)
+
     @pytest.mark.parametrize(
         "name, dtype",
         [
