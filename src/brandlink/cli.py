@@ -123,10 +123,9 @@ _DEFAULTS: dict[str, dict] = {
         "reg": DEFAULT_REG,
         "branching": 16,
         "max_leaf": 100,
-        "idf": True,
         "seed": 0,
     },
-    "train-pt": {"train": None, "out": None, "dim": _DIM, "reg": DEFAULT_REG, "idf": True},
+    "train-pt": {"train": None, "out": None, "dim": _DIM, "reg": DEFAULT_REG},
     "link": {
         "queries": None,
         "out": None,
@@ -257,10 +256,10 @@ def _cmd_train_xmc(config: dict) -> int:
     if not pairs:
         raise ValueError("no usable training examples")
 
-    featurizer = FeaturizerConfig(dim=int(config["dim"]))
     normalized = [(normalize(text), label) for text, label in pairs]
-    if config["idf"]:
-        featurizer = fit_idf((nt for nt, _ in normalized), featurizer)
+    featurizer = fit_idf(
+        (nt for nt, _ in normalized), FeaturizerConfig(dim=int(config["dim"]))
+    )
     featurized = [(featurize(nt, featurizer), label) for nt, label in normalized]
 
     labels = sorted({label for _, label in pairs}, key=lambda e: e.id)
@@ -288,11 +287,9 @@ def _cmd_train_xmc(config: dict) -> int:
 def _cmd_train_pt(config: dict) -> int:
     _require(config, "train-pt", "train", "out")
     rows = list(read_pt_training_jsonl(config["train"]))
-    featurizer = FeaturizerConfig(dim=int(config["dim"]))
-    if config["idf"]:
-        featurizer = fit_idf(
-            (normalize(query.text) for query, _ in rows), featurizer
-        )
+    featurizer = fit_idf(
+        (normalize(query.text) for query, _ in rows), FeaturizerConfig(dim=int(config["dim"]))
+    )
     predictor = train_pt_baseline(rows, featurizer, float(config["reg"]))
     save_pt_predictor(predictor, config["out"])
     print(

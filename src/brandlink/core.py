@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -110,7 +110,6 @@ class Outcome(str, enum.Enum):
     """What a linker asserted about one query."""
 
     SINGLE = "single"
-    AMBIGUOUS = "ambiguous"
     NIL = "nil"
     NO_PREDICTION = "no_prediction"
 
@@ -127,21 +126,18 @@ class TraceRecord:
 class LinkResult:
     """Terminal decision for one query.
 
-    ``best`` is set exactly for Single outcomes; ``candidates`` carries the
-    unresolved set exactly for Ambiguous outcomes.  Nil asserts the query is
-    non-branded, NoPrediction abstains without asserting anything.
+    Single names one brand in ``best``, which is set exactly for it.  Nil
+    asserts the query is non-branded, NoPrediction abstains without
+    asserting anything; a linker left with several candidates abstains.
     """
 
     outcome: Outcome
     best: ScoredEntity | None = None
-    candidates: tuple[ScoredEntity, ...] = ()
     trace: tuple[TraceRecord, ...] = ()
 
     def __post_init__(self) -> None:
         if (self.best is not None) != (self.outcome is Outcome.SINGLE):
             raise ValueError("best is set exactly for Single outcomes")
-        if bool(self.candidates) != (self.outcome is Outcome.AMBIGUOUS):
-            raise ValueError("candidates are set exactly for Ambiguous outcomes")
 
     @classmethod
     def single(
@@ -160,17 +156,6 @@ class LinkResult:
         )
 
     @classmethod
-    def ambiguous(
-        cls,
-        candidates: Iterable[ScoredEntity],
-        trace: Iterable[TraceRecord] = (),
-    ) -> LinkResult:
-        cands = tuple(candidates)
-        if len(cands) < 2:
-            raise ValueError("an Ambiguous result needs at least two candidates")
-        return cls(outcome=Outcome.AMBIGUOUS, candidates=cands, trace=tuple(trace))
-
-    @classmethod
     def nil(cls, trace: Iterable[TraceRecord] = ()) -> LinkResult:
         return cls(outcome=Outcome.NIL, trace=tuple(trace))
 
@@ -181,7 +166,7 @@ class LinkResult:
     def with_trace_prefix(self, records: Iterable[TraceRecord]) -> LinkResult:
         """Return a copy with ``records`` prepended to the trace."""
         trace = tuple(records) + self.trace
-        return LinkResult(self.outcome, self.best, self.candidates, trace)
+        return LinkResult(self.outcome, self.best, trace)
 
 
 class Source(str, enum.Enum):
@@ -269,20 +254,22 @@ def _scored_from_record(record: dict) -> ScoredEntity:
 
 
 def link_result_to_record(result: LinkResult) -> dict:
+    # "candidates" is always empty; the results schema keeps the key.
     return {
         "outcome": result.outcome.value,
         "best": None if result.best is None else _scored_to_record(result.best),
-        "candidates": [_scored_to_record(c) for c in result.candidates],
+        "candidates": [],
         "trace": [{"stage": t.stage, "detail": t.detail} for t in result.trace],
     }
 
 
 def link_result_from_record(record: dict) -> LinkResult:
+    if record["candidates"] != []:
+        raise ValueError("a result record's candidates must be empty")
     best = record.get("best")
     return LinkResult(
         outcome=Outcome(record["outcome"]),
         best=None if best is None else _scored_from_record(best),
-        candidates=tuple(_scored_from_record(c) for c in record["candidates"]),
         trace=tuple(
             TraceRecord(t["stage"], t["detail"]) for t in record["trace"]
         ),
@@ -296,6 +283,27 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
             line = line.strip()
             if line:
                 yield json.loads(line)
+
+
+def read_tsv(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, fields) per non-empty line after the header.
+
+    Raises:
+        ValueError: On a header other than ``header``, or a row with a
+            different field count.
+    """
+    with open(path, encoding="utf-8") as handle:
+        found = handle.readline().rstrip("\n").split("\t")
+        if tuple(found) != header:
+            raise ValueError(f"{path}: expected header {header}, found {found}")
+        for line_no, line in enumerate(handle, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != len(header):
+                raise ValueError(f"{path}:{line_no}: expected {len(header)} fields")
+            yield line_no, fields
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> int:

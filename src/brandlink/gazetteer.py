@@ -20,6 +20,7 @@ from .core import (
     Query,
     StoreTag,
     entity_from_id,
+    read_tsv,
 )
 from .text import normalize
 
@@ -194,21 +195,10 @@ def read_b2e_tsv(path: str | Path) -> Iterator[tuple[StoreTag, str, str]]:
         ValueError: On a missing or wrong header, rows without 3 fields,
             or an empty store code.
     """
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n").split("\t")
-        if tuple(header) != _B2E_HEADER:
-            raise ValueError(f"{path}: expected header {_B2E_HEADER}, found {header}")
-        for line_no, line in enumerate(handle, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(f"{path}:{line_no}: expected 3 fields")
-            store, surface, entity_id = fields
-            if not store:
-                raise ValueError(f"{path}:{line_no}: empty store code")
-            yield StoreTag(store), surface, entity_id
+    for line_no, (store, surface, entity_id) in read_tsv(path, _B2E_HEADER):
+        if not store:
+            raise ValueError(f"{path}:{line_no}: empty store code")
+        yield StoreTag(store), surface, entity_id
 
 
 def save_dictionary(dictionary: BrandDictionary, path: str | Path) -> None:

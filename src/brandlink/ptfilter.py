@@ -5,10 +5,12 @@ not contain the query's predicted product type; candidates without mined
 associations always survive.  Filtering never invents candidates, it only
 narrows the given list and maps what remains to a terminal decision.
 
-The PT predictor's artifact (``pt-model`` format version 2) stores its
-weights as one CSR matrix in the dtypes the scorer reads; a loaded
-predictor serves them, and its idf table, as read-only views over the
-artifact's aligned payload buffer.
+The PT predictor answers only when its best sigmoid score reaches the
+fixed ``PT_CONFIDENCE_THRESHOLD``.  Its artifact (``pt-model`` format
+version 2) records that threshold, and a loader refuses any other; it
+stores the weights as one CSR matrix in the dtypes the scorer reads, and a
+loaded predictor serves them, and its idf table, as read-only views over
+the artifact's aligned payload buffer.
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ from .core import (
     TraceRecord,
     entity_from_id,
     read_jsonl,
+    read_tsv,
 )
 from .linear import fit_sparse_ova, score_vector, stack_rows
 from .text import FeaturizerConfig, SparseVector, featurize, featurizer_from_meta
@@ -181,6 +184,7 @@ class PtPredictor(Protocol):
 class LinearPtPredictor:
     """Flat one-vs-all linear classifier over the featurizer space.
 
+    Abstains when its best score is below ``PT_CONFIDENCE_THRESHOLD``.
     Weights of any sparse layout are converted to row-major once, here;
     CSR weights, such as a loaded predictor's, are kept as they are.
     """
@@ -188,7 +192,6 @@ class LinearPtPredictor:
     product_types: tuple[ProductType, ...]
     weights: sp.csr_matrix  # (dim + 1, n_types)
     featurizer: FeaturizerConfig
-    threshold: float = PT_CONFIDENCE_THRESHOLD
 
     def __post_init__(self) -> None:
         self.weights = self.weights.tocsr()
@@ -200,7 +203,7 @@ class LinearPtPredictor:
         margins = score_vector(self.weights, x)
         scores = 1.0 / (1.0 + np.exp(-margins))
         best = int(scores.argmax())  # the lowest index among ties
-        if scores[best] < self.threshold:
+        if scores[best] < PT_CONFIDENCE_THRESHOLD:
             return None
         return self.product_types[best]
 
@@ -264,7 +267,7 @@ def save_pt_predictor(predictor: LinearPtPredictor, path: str | Path) -> None:
     featurizer, blobs = featurizer_to_meta(predictor.featurizer)
     meta = {
         "product_types": [pt.code for pt in predictor.product_types],
-        "threshold": predictor.threshold,
+        "threshold": PT_CONFIDENCE_THRESHOLD,
         "featurizer": featurizer,
     }
     blobs.update(csr_blobs(predictor.weights, "weights"))
@@ -274,13 +277,14 @@ def save_pt_predictor(predictor: LinearPtPredictor, path: str | Path) -> None:
 def load_pt_predictor(path: str | Path) -> LinearPtPredictor:
     meta, blobs = read_artifact(path, _PT_MODEL_KIND, _PT_MODEL_VERSION)
     try:
+        if meta["threshold"] != PT_CONFIDENCE_THRESHOLD:
+            raise ValueError(f"unsupported threshold {meta['threshold']!r}")
         config = featurizer_from_meta(meta["featurizer"], blobs)
         types = tuple(ProductType(code) for code in meta["product_types"])
         return LinearPtPredictor(
             product_types=types,
             weights=csr_from_blobs(path, blobs, "weights", (config.dim + 1, len(types))),
             featurizer=config,
-            threshold=float(meta["threshold"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactFormatError(f"{path}: inconsistent pt model: {exc}") from exc
@@ -288,18 +292,8 @@ def load_pt_predictor(path: str | Path) -> LinearPtPredictor:
 
 def read_associations_tsv(path: str | Path) -> Iterator[tuple[BrandEntityId, ProductType]]:
     """Read (entity, product type) pairs from a headered TSV file."""
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n").split("\t")
-        if tuple(header) != _ASSOC_HEADER:
-            raise ValueError(f"{path}: expected header {_ASSOC_HEADER}, found {header}")
-        for line_no, line in enumerate(handle, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ValueError(f"{path}:{line_no}: expected 2 fields")
-            yield entity_from_id(fields[0]), ProductType(fields[1])
+    for _, (entity_id, code) in read_tsv(path, _ASSOC_HEADER):
+        yield entity_from_id(entity_id), ProductType(code)
 
 
 def write_associations_tsv(associations: PtAssociations, path: str | Path) -> None:

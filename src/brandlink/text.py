@@ -4,9 +4,10 @@ Normalization applies per-character Unicode compatibility folding plus case
 folding and collapses whitespace.  Token spans, and every mention span
 built on them, are offsets into the normalized text.
 
-Featurization hashes word n-grams and character n-grams into a fixed-size
-TF(-IDF) vector with unit L2 norm.  The hash function is fixed and named in
-the config so serialized models can refuse inputs featurized differently.
+Featurization hashes word 1- and 2-grams and character 2- to 4-grams with
+CRC-32 (scheme ``crc32/v1``) into a TF(-IDF) vector of ``dim`` buckets
+with unit L2 norm.  The n-gram orders and the hash are fixed; artifacts
+record them, so a loader refuses a model featurized any other way.
 """
 from __future__ import annotations
 
@@ -21,8 +22,17 @@ from typing import Iterable
 
 import numpy as np
 
-# Feature hashing scheme identifier, persisted inside model artifacts.
+# The fixed featurizer: word n-gram orders 1..WORD_NGRAMS, the inclusive
+# char n-gram order range, and the hashing scheme's name.  Artifacts
+# record all three.
+WORD_NGRAMS = 2
+CHAR_NGRAMS = (2, 4)
 HASH_NAME = "crc32/v1"
+_FIXED_META = {
+    "word_ngrams": WORD_NGRAMS,
+    "char_ngrams": list(CHAR_NGRAMS),
+    "hash_name": HASH_NAME,
+}
 
 _MIN_DIM = 2**16
 
@@ -113,26 +123,16 @@ class FeaturizerConfig:
     """Hashed n-gram featurizer parameters.
 
     ``dim`` must be at least 2**16 to keep hash collisions rare for catalog
-    scale surface forms.  ``char_ngrams`` is the inclusive (min, max) order
-    range.  When ``idf`` is present, term frequencies are scaled by it.
+    scale surface forms.  When ``idf`` is present, term frequencies are
+    scaled by it.
     """
 
     dim: int = 2**20
-    word_ngrams: int = 2
-    char_ngrams: tuple[int, int] = (2, 4)
     idf: IdfTable | None = None
-    hash_name: str = HASH_NAME
 
     def __post_init__(self) -> None:
         if self.dim < _MIN_DIM:
             raise ValueError(f"dim must be at least {_MIN_DIM}")
-        if self.word_ngrams < 1:
-            raise ValueError("word_ngrams must be at least 1")
-        lo, hi = self.char_ngrams
-        if not (1 <= lo <= hi):
-            raise ValueError(f"invalid char n-gram range {self.char_ngrams}")
-        if self.hash_name != HASH_NAME:
-            raise ValueError(f"unsupported hash scheme {self.hash_name!r}")
         if self.idf is not None and self.idf.weights.shape != (self.dim,):
             raise ValueError("idf table shape does not match dim")
 
@@ -141,9 +141,7 @@ def featurizer_to_meta(config: FeaturizerConfig) -> tuple[dict, dict[str, np.nda
     """Artifact metadata and blobs that :func:`featurizer_from_meta` reads back."""
     meta = {
         "dim": config.dim,
-        "word_ngrams": config.word_ngrams,
-        "char_ngrams": list(config.char_ngrams),
-        "hash_name": config.hash_name,
+        **_FIXED_META,
         "idf_docs": None if config.idf is None else config.idf.n_docs,
     }
     blobs = {} if config.idf is None else {"featurizer/idf": config.idf.weights}
@@ -154,21 +152,19 @@ def featurizer_from_meta(meta: dict, blobs: dict[str, np.ndarray]) -> Featurizer
     """Rebuild the featurizer written by :func:`featurizer_to_meta`.
 
     The idf table is served as the given blob, a view when it was read
-    from an artifact, so it must already be float32.
+    from an artifact, so it must already be float32.  Raises
+    ``ValueError`` on n-gram orders or a hash other than the fixed ones.
     """
+    for key, value in _FIXED_META.items():
+        if meta[key] != value:
+            raise ValueError(f"unsupported {key} {meta[key]!r}")
     idf = None
     if meta["idf_docs"] is not None:
         weights = blobs["featurizer/idf"]
         if weights.dtype != np.float32:
             raise ValueError("idf table must be float32")
         idf = IdfTable(weights=weights, n_docs=int(meta["idf_docs"]))
-    return FeaturizerConfig(
-        dim=int(meta["dim"]),
-        word_ngrams=int(meta["word_ngrams"]),
-        char_ngrams=tuple(meta["char_ngrams"]),
-        idf=idf,
-        hash_name=meta["hash_name"],
-    )
+    return FeaturizerConfig(dim=int(meta["dim"]), idf=idf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,12 +221,12 @@ def hashed_counts(text: NormalizedText, config: FeaturizerConfig) -> dict[int, i
     if run:
         runs.append(run)
     for tokens in runs:
-        for n in range(1, config.word_ngrams + 1):
+        for n in range(1, WORD_NGRAMS + 1):
             for i in range(len(tokens) - n + 1):
                 idx = crc32(" ".join(tokens[i : i + n]).encode("utf-8"), _WORD_CRC) % dim
                 counts[idx] = counts.get(idx, 0) + 1
 
-    lo, hi = config.char_ngrams
+    lo, hi = CHAR_NGRAMS
     s = text.text
     for n in range(lo, hi + 1):
         for i in range(len(s) - n + 1):

@@ -149,6 +149,11 @@ class XmcModel:
     def n_labels(self) -> int:
         return len(self.labels)
 
+    def _repr_pretty_(self, printer, cycle) -> None:
+        # Pretty-printers that walk the dataclass fields would read the
+        # init-only ``layer_weights``, which is never stored.
+        printer.text(repr(self))
+
 
 def beam_predict(
     model: XmcModel,

@@ -20,7 +20,18 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
 
 def test_help_exits_cleanly(capsys):
     assert run(["--help"]) == 0
-    assert "subcommand" in capsys.readouterr().out or True
+    out = capsys.readouterr().out
+    for command in (
+        "build-dict",
+        "gen-corpus",
+        "gen-weak-labels",
+        "train-xmc",
+        "train-pt",
+        "link",
+        "eval",
+        "bench",
+    ):
+        assert command in out
 
 
 def test_subcommand_help_lists_options(capsys):
@@ -72,10 +83,10 @@ class TestConfigResolution:
         assert "entites" in capsys.readouterr().err
 
     def test_boolean_flag_pair(self, capsys):
-        assert run(["train-pt", "--no-idf", "--dry-run"]) == 0
-        assert json.loads(capsys.readouterr().out)["idf"] is False
-        assert run(["train-pt", "--idf", "--dry-run"]) == 0
-        assert json.loads(capsys.readouterr().out)["idf"] is True
+        assert run(["eval", "--false-alarm", "--dry-run"]) == 0
+        assert json.loads(capsys.readouterr().out)["false_alarm"] is True
+        assert run(["eval", "--no-false-alarm", "--dry-run"]) == 0
+        assert json.loads(capsys.readouterr().out)["false_alarm"] is False
 
     def test_dry_run_has_no_side_effects(self, tmp_path, capsys):
         out = tmp_path / "corpus"
@@ -107,6 +118,49 @@ class TestExitCodes:
         assert err.startswith("usage error:")
         assert "--dict" in err
         assert not (tmp_path / "q2e.blaf").exists()
+
+    @pytest.mark.parametrize("argv", [["train-pt", "--no-idf"], ["train-xmc", "--idf"]])
+    def test_idf_switch_is_gone(self, argv, capsys):
+        # Training always fits idf.
+        assert run([*argv, "--dry-run"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "record, code",
+        [
+            ({"outcome": "single", "best": {"entity": "E1", "score": 0.5}}, 0),
+            ({"outcome": "ambiguous", "best": None}, 1),
+            (
+                {
+                    "outcome": "no_prediction",
+                    "best": None,
+                    "candidates": [{"entity": "E1", "score": 0.5}, {"entity": "E2", "score": 0.5}],
+                },
+                1,
+            ),
+        ],
+        ids=["single", "ambiguous", "candidates"],
+    )
+    def test_eval_rejects_results_outside_the_three_outcomes(
+        self, tmp_path, capsys, record, code
+    ):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(
+            json.dumps(
+                {
+                    "query": {"text": "nike shoes", "store": "us"},
+                    "brand_names": ["nike"],
+                    "entities": ["E1"],
+                    "source": "sl",
+                }
+            )
+            + "\n"
+        )
+        results = tmp_path / "results.jsonl"
+        results.write_text(json.dumps({"candidates": [], "trace": []} | record) + "\n")
+        assert run(["eval", "--gold", str(gold), "--results", str(results)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error:") if code else err == ""
 
     def test_missing_input_file_exits_1(self, tmp_path, capsys):
         code = run(

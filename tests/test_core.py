@@ -83,25 +83,15 @@ class TestLinkResult:
         result = LinkResult.single(BrandEntityId("E1"), 0.7)
         assert result.outcome is Outcome.SINGLE
         assert result.best is not None and result.best.entity.id == "E1"
-        assert result.candidates == ()
         with pytest.raises(ValueError):
             LinkResult.single(NIL, 0.7)
 
-    def test_ambiguous_needs_two_candidates(self):
-        candidates = [
-            ScoredEntity(BrandEntityId("E1"), 0.5),
-            ScoredEntity(BrandEntityId("E2"), 0.5),
-        ]
-        result = LinkResult.ambiguous(candidates)
-        assert result.outcome is Outcome.AMBIGUOUS
-        assert len(result.candidates) == 2
-        with pytest.raises(ValueError):
-            LinkResult.ambiguous(candidates[:1])
+    def test_three_outcomes(self):
+        assert [o.value for o in Outcome] == ["single", "nil", "no_prediction"]
 
     def test_nil_and_no_prediction_carry_nothing(self):
         for result in (LinkResult.nil(), LinkResult.no_prediction()):
             assert result.best is None
-            assert result.candidates == ()
         assert LinkResult.nil().outcome is not LinkResult.no_prediction().outcome
 
     def test_field_outcome_consistency_enforced(self):
@@ -173,15 +163,10 @@ def labeled_queries(draw):
 
 @st.composite
 def link_results(draw):
-    kind = draw(st.sampled_from(["single", "ambiguous", "nil", "none"]))
+    kind = draw(st.sampled_from(["single", "nil", "none"]))
     trace = [TraceRecord("stage", draw(_texts))]
     if kind == "single":
         return LinkResult.single(BrandEntityId("E1"), draw(st.floats(0.01, 1.0)), trace)
-    if kind == "ambiguous":
-        cands = [
-            ScoredEntity(BrandEntityId(f"E{i}"), 0.25) for i in range(draw(st.integers(2, 4)))
-        ]
-        return LinkResult.ambiguous(cands, trace)
     if kind == "nil":
         return LinkResult.nil(trace)
     return LinkResult.no_prediction(trace)

@@ -252,9 +252,9 @@ class TestPtBaseline:
         weights[vec.indices, 1] = weights[vec.indices, 2] = 1.0
         weights[CFG.dim] = [-1.0, 0.5, 0.5]
         weights = sp.csc_matrix(weights)
-        model = LinearPtPredictor((SOCK, SHOE, TOY), weights, CFG, threshold=0.0)
+        model = LinearPtPredictor((SOCK, SHOE, TOY), weights, CFG)
         assert model.predict(Query("red shoes", US)) == SHOE
-        swapped = LinearPtPredictor((SOCK, TOY, SHOE), weights, CFG, threshold=0.0)
+        swapped = LinearPtPredictor((SOCK, TOY, SHOE), weights, CFG)
         assert swapped.predict(Query("red shoes", US)) == TOY
 
     def test_predict_allocates_no_dense_vector(self, trained):
@@ -300,6 +300,32 @@ class TestPtBaseline:
             assert array.ctypes.data % 8 == 0
         for q, _ in rows:
             assert loaded.predict(q) == model.predict(q)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"threshold": 0.7},
+            {"word_ngrams": 3},
+            {"char_ngrams": [1, 3]},
+            {"hash_name": "md5/v1"},
+        ],
+        ids=["threshold", "word-ngrams", "char-ngrams", "hash-name"],
+    )
+    def test_other_fixed_setting_rejected(self, trained, tmp_path, edit):
+        # The threshold and the featurizer are constants; an artifact that
+        # records another value would be mis-scored, so it must not load.
+        _, model = trained
+        path = tmp_path / "pt.blaf"
+        save_pt_predictor(model, path)
+        meta, blobs = read_artifact(path, "pt-model", 2)
+        assert meta["threshold"] == 0.5
+        if "threshold" in edit:
+            crafted = dict(meta, **edit)
+        else:
+            crafted = dict(meta, featurizer=dict(meta["featurizer"], **edit))
+        write_artifact(path, "pt-model", 2, crafted, blobs)
+        with pytest.raises(ArtifactFormatError, match="unsupported"):
+            load_pt_predictor(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_weights_and_idf_rejected(self, trained, tmp_path, bad):

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.vendor.pretty import pretty
 from scipy.sparse import _sparsetools
 
 from brandlink.binio import (
@@ -523,6 +524,13 @@ class TestStackLayers:
         assert peak < 1.5 * result_bytes
 
 
+def test_hypothesis_prints_a_model():
+    # Hypothesis prints every argument of a falsifying example; a model
+    # that failed to print would hide the real failure behind its error.
+    model, _ = random_model(0)
+    assert pretty(model) == repr(model)
+
+
 @pytest.fixture(scope="module")
 def m2e_model():
     e1, e2, e3 = (BrandEntityId(f"E{i}") for i in (1, 2, 3))
@@ -710,6 +718,24 @@ class TestSerialization:
             path, MODEL_KIND, MODEL_VERSION, dict(meta, score_transform="softmax"), blobs
         )
         with pytest.raises(ArtifactFormatError, match="softmax"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [{"word_ngrams": 3}, {"char_ngrams": [1, 3]}, {"hash_name": "md5/v1"}],
+        ids=["word-ngrams", "char-ngrams", "hash-name"],
+    )
+    def test_other_featurizer_rejected(self, fifty_label_model, tmp_path, edit):
+        # Featurization is fixed; a model that records other n-gram orders
+        # or another hash would be fed vectors it was not trained on.
+        model, _ = fifty_label_model
+        path = tmp_path / "m.blaf"
+        save_model(model, path)
+        meta, blobs = read_artifact(path, MODEL_KIND, MODEL_VERSION)
+        assert meta["featurizer"]["word_ngrams"] == 2
+        crafted = dict(meta, featurizer=dict(meta["featurizer"], **edit))
+        write_artifact(path, MODEL_KIND, MODEL_VERSION, crafted, blobs)
+        with pytest.raises(ArtifactFormatError, match="unsupported"):
             load_model(path)
 
     @pytest.mark.parametrize(
