@@ -286,10 +286,10 @@ def _cmd_train_xmc(config: dict) -> int:
 
 def _cmd_train_pt(config: dict) -> int:
     _require(config, "train-pt", "train", "out")
-    rows = list(read_pt_training_jsonl(config["train"]))
-    featurizer = fit_idf(
-        (normalize(query.text) for query, _ in rows), FeaturizerConfig(dim=int(config["dim"]))
-    )
+    rows = [
+        (normalize(query.text), pt) for query, pt in read_pt_training_jsonl(config["train"])
+    ]
+    featurizer = fit_idf((text for text, _ in rows), FeaturizerConfig(dim=int(config["dim"])))
     predictor = train_pt_baseline(rows, featurizer, float(config["reg"]))
     save_pt_predictor(predictor, config["out"])
     print(

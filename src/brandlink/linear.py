@@ -9,20 +9,28 @@ with few examples is not drowned out by its siblings and label priors do
 not leak into the scores.  Both the averaging and the count ratio are
 invariant to uniform duplication of the training data.
 
+The solver is LIBLINEAR's trust-region Newton method for L2 logistic
+regression (TRON; Lin, Weng and Keerthi, JMLR 2008), run on all sibling
+columns at once with a trust radius per column.  Each Newton step is
+conjugate-gradient iterations on Hessian-vector products, held inside the
+radius.  The only products are ``scipy.sparse`` kernels with the training
+rows and their transpose, and every reduction is a numpy column sum, so
+no step goes through BLAS: the weights come out as the same bytes on any
+BLAS thread count.  Only ``scipy.sparse`` is imported, so loading a model
+to link with never loads an optimizer.
+
 Every trained model scores through :func:`score_vector`, which reads only
 the query's feature rows of a row-major weight matrix, in compiled code.
 """
 from __future__ import annotations
 
 import logging
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import minimize
 # Compiled CSR/CSC kernels behind scipy's own indexing and matvec.
 from scipy.sparse import _sparsetools
-from scipy.special import expit
 
 from .text import SparseVector
 
@@ -31,8 +39,84 @@ LOGGER = logging.getLogger(__name__)
 # Bias assigned to columns that saw no positive example: always-low score.
 DEFAULT_NEGATIVE_BIAS = -10.0
 
-GRAD_TOL = 1e-4
-MAX_EPOCHS = 100
+# A column is solved once no entry of its gradient exceeds this.
+GRAD_TOL = 1e-6
+
+# tron.cpp's step acceptance and radius update: a step is taken when the
+# actual reduction is above ETA0 of the predicted one, and the ratio's band
+# picks how the radius shrinks (SIGMA1, SIGMA2) or grows (SIGMA3).
+_ETA0, _ETA1, _ETA2 = 1e-4, 0.25, 0.75
+_SIGMA1, _SIGMA2, _SIGMA3 = 0.25, 0.5, 4.0
+# CG stops once its residual norm is this fraction of the gradient norm.
+_CG_TOL = 0.1
+
+
+def _sigmoid(t: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-t)) without overflow."""
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0.0, 1.0, e) / (1.0 + e)
+
+
+def _trust_region_cg(
+    hess_vec: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    g: np.ndarray,
+    delta: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Steihaug CG on ``g.s + s.H.s / 2`` inside ``|s| <= delta``, per column.
+
+    ``hess_vec(v, cols)`` returns H times ``v`` for the columns ``cols`` of
+    ``g``.  A column's CG ends when its residual falls to ``_CG_TOL`` of
+    its gradient norm or its step reaches the radius; it then leaves the
+    products.
+
+    Returns:
+        The steps, their residuals ``-g - H s``, and which columns ended
+        on the radius.
+    """
+    d, m = g.shape
+    s_out = np.zeros_like(g)
+    r_out = -g
+    boundary = np.zeros(m, dtype=bool)
+    cols = np.arange(m)
+    s, r, p = s_out.copy(), r_out.copy(), r_out.copy()
+    rr = (r * r).sum(axis=0)
+    rr_stop = _CG_TOL**2 * rr
+    delta_sq = delta * delta
+    going = rr > rr_stop
+    for _ in range(max(d, 5)):
+        if not going.all():
+            done = ~going
+            s_out[:, cols[done]] = s[:, done]
+            r_out[:, cols[done]] = r[:, done]
+            cols = cols[going]
+            s, r, p = s[:, going], r[:, going], p[:, going]
+            rr, rr_stop, delta_sq = rr[going], rr_stop[going], delta_sq[going]
+        if not cols.size:
+            break
+        hp = hess_vec(p, cols)
+        alpha = rr / (p * hp).sum(axis=0)
+        s_next = s + alpha * p
+        r_next = r - alpha * hp
+        out = (s_next * s_next).sum(axis=0) > delta_sq
+        if out.any():
+            # Stop where the segment from s along p crosses the radius.
+            sp_, ss, pp = (s * p).sum(axis=0), (s * s).sum(axis=0), (p * p).sum(axis=0)
+            rad = np.sqrt(sp_ * sp_ + pp * (delta_sq - ss))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tau = np.where(
+                    sp_ >= 0.0, (delta_sq - ss) / (sp_ + rad), (rad - sp_) / pp
+                )
+            s_next = np.where(out, s + tau * p, s_next)
+            r_next = np.where(out, r - tau * hp, r_next)
+            boundary[cols[out]] = True
+        rr_next = (r_next * r_next).sum(axis=0)
+        p = r_next + (rr_next / rr) * p
+        s, r, rr = s_next, r_next, rr_next
+        going = ~out & (rr > rr_stop)
+    else:  # out of iterations: keep where each column got to
+        s_out[:, cols] = s
+        r_out[:, cols] = r
+    return s_out, r_out, boundary
 
 
 def fit_logistic_columns(
@@ -41,10 +125,11 @@ def fit_logistic_columns(
     reg: float,
     *,
     pos_weight: np.ndarray | None = None,
-    max_epochs: int = MAX_EPOCHS,
-    tol: float = GRAD_TOL,
 ) -> np.ndarray:
     """Fit k binary logistic columns over shared rows.
+
+    Each column runs TRON until no gradient entry exceeds
+    :data:`GRAD_TOL`, or until its steps stall at rounding level.
 
     Args:
         x: Training rows, CSR of shape (n, d); the last feature column is
@@ -53,8 +138,6 @@ def fit_logistic_columns(
         reg: L2 penalty weight; must be positive.
         pos_weight: Optional per-column loss weight for positive rows,
             shape (k,); negatives always weigh 1.
-        max_epochs: Iteration cap for the optimizer.
-        tol: Gradient-norm convergence tolerance.
 
     Returns:
         Dense weights of shape (d, k).
@@ -66,32 +149,95 @@ def fit_logistic_columns(
     if y.shape[0] != n:
         raise ValueError("row count mismatch between x and y")
     if pos_weight is None:
-        row_weight = np.ones_like(y)
+        cost = np.full(y.shape, 1.0 / n)
     else:
         if pos_weight.shape != (k,):
             raise ValueError("pos_weight must have one entry per column")
-        row_weight = np.where(y > 0.0, pos_weight[None, :], 1.0)
+        cost = np.where(y > 0.0, pos_weight[None, :], 1.0) / n
     xt = x.T.tocsr()
+    # Per live column: weights, y times margins, objective, gradient,
+    # Hessian row weights and trust radius.  Solved columns move to out.
+    out = np.zeros((d, k))
+    cols = np.arange(k)
+    w = np.zeros((d, k))
+    z = np.zeros((n, k))
 
-    def objective(flat: np.ndarray) -> tuple[float, np.ndarray]:
-        w = flat.reshape(d, k)
-        margins = x @ w
-        z = y * margins
-        loss = float(
-            (row_weight * np.logaddexp(0.0, -z)).sum()
-        ) / n + 0.5 * reg * float(np.vdot(w, w))
-        residual = (row_weight * -y * expit(-z)) / n
-        grad = xt @ residual + reg * w
-        return loss, grad.ravel()
+    def objective(w, z, cost):
+        loss = (cost * np.logaddexp(0.0, -z)).sum(axis=0)
+        return loss + 0.5 * reg * (w * w).sum(axis=0)
 
-    result = minimize(
-        objective,
-        np.zeros(d * k, dtype=np.float64),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_epochs, "gtol": tol, "maxfun": 50 * max_epochs},
-    )
-    return result.x.reshape(d, k)
+    def derivatives(w, z, y, cost):
+        p = _sigmoid(-z)
+        grad = xt @ (-cost * y * p) + reg * w
+        return grad, cost * p * _sigmoid(z)
+
+    f = objective(w, z, cost)
+    g, hess = derivatives(w, z, y, cost)
+    delta = np.sqrt((g * g).sum(axis=0))
+    first = True  # every column takes its first step in the same pass
+    going = np.abs(g).max(axis=0) > GRAD_TOL
+    while True:
+        if not going.all():
+            out[:, cols[~going]] = w[:, ~going]
+            cols = cols[going]
+            w, z, y, cost = w[:, going], z[:, going], y[:, going], cost[:, going]
+            f, g, hess = f[going], g[:, going], hess[:, going]
+            delta = delta[going]
+        if not cols.size:
+            break
+
+        def hess_vec(v, sub):
+            weights = hess if len(sub) == hess.shape[1] else hess[:, sub]
+            return xt @ (weights * (x @ v)) + reg * v
+
+        s, r, boundary = _trust_region_cg(hess_vec, g, delta)
+        w_new = w + s
+        z_new = y * (x @ w_new)
+        f_new = objective(w_new, z_new, cost)
+        gs = (g * s).sum(axis=0)
+        predicted = -0.5 * (gs - (s * r).sum(axis=0))
+        actual = f - f_new
+        s_norm = np.sqrt((s * s).sum(axis=0))
+        if first:
+            delta = np.minimum(delta, s_norm)
+            first = False
+        # Step length, relative to s, that minimizes the loss's quadratic
+        # fit along s; tron.cpp's alpha.
+        curve = f_new - f - gs
+        alpha = np.where(
+            curve > 0.0,
+            np.maximum(_SIGMA1, -0.5 * gs / np.where(curve > 0.0, curve, 1.0)),
+            _SIGMA3,
+        )
+        step = alpha * s_norm
+        delta = np.select(
+            [
+                actual < _ETA0 * predicted,
+                actual < _ETA1 * predicted,
+                actual < _ETA2 * predicted,
+                boundary,
+            ],
+            [
+                np.minimum(step, _SIGMA2 * delta),
+                np.maximum(_SIGMA1 * delta, np.minimum(step, _SIGMA2 * delta)),
+                np.maximum(_SIGMA1 * delta, np.minimum(step, _SIGMA3 * delta)),
+                _SIGMA3 * delta,
+            ],
+            np.maximum(delta, np.minimum(step, _SIGMA3 * delta)),
+        )
+        taken = actual > _ETA0 * predicted
+        if taken.any():
+            w = np.where(taken, w_new, w)
+            z = np.where(taken, z_new, z)
+            f = np.where(taken, f_new, f)
+            g, hess = derivatives(w, z, y, cost)
+        # tron.cpp also ends a column whose model predicts no decrease or
+        # whose reductions are down to rounding.
+        stalled = (np.abs(actual) <= 1e-12 * np.abs(f)) & (
+            np.abs(predicted) <= 1e-12 * np.abs(f)
+        )
+        going = (np.abs(g).max(axis=0) > GRAD_TOL) & (predicted > 0.0) & ~stalled
+    return out
 
 
 def fit_sparse_ova(

@@ -37,8 +37,8 @@ from .core import (
     read_tsv,
 )
 from .linear import fit_sparse_ova, score_vector, stack_rows
-from .text import FeaturizerConfig, SparseVector, featurize, featurizer_from_meta
-from .text import featurizer_to_meta, normalize
+from .text import FeaturizerConfig, NormalizedText, SparseVector, featurize
+from .text import featurizer_from_meta, featurizer_to_meta, normalize
 from .xmc.train import DEFAULT_REG
 
 LOGGER = logging.getLogger(__name__)
@@ -219,14 +219,15 @@ class OraclePtPredictor:
 
 
 def train_pt_baseline(
-    data: Iterable[tuple[Query, ProductType]],
+    data: Iterable[tuple[NormalizedText, ProductType]],
     featurizer: FeaturizerConfig,
     reg: float = DEFAULT_REG,
 ) -> LinearPtPredictor:
     """Train the flat OVA product-type baseline.
 
     Args:
-        data: (query, gold product type) pairs; must be non-empty.
+        data: (normalized query text, gold product type) pairs; must be
+            non-empty.
         featurizer: Featurizer parameters shared with prediction.
         reg: L2 penalty.
 
@@ -235,8 +236,8 @@ def train_pt_baseline(
     """
     vectors: list[SparseVector] = []
     codes: list[str] = []
-    for query, pt in data:
-        vec = featurize(normalize(query.text), featurizer)
+    for text, pt in data:
+        vec = featurize(text, featurizer)
         if vec.nnz == 0:
             continue
         vectors.append(vec)

@@ -6,6 +6,7 @@ from scipy.special import expit
 
 from brandlink.linear import (
     DEFAULT_NEGATIVE_BIAS,
+    GRAD_TOL,
     fit_logistic_columns,
     fit_sparse_ova,
     score_vector,
@@ -30,9 +31,11 @@ def test_separable_problem_is_separated():
     assert (margins[2:] < 0).all()
 
 
-def column_objective(x, y_col, w_col, reg):
+def column_objective(x, y_col, w_col, reg, pos_weight=1.0):
+    """One column's objective as fit_logistic_columns defines it."""
     margins = np.asarray(x @ w_col).ravel()
-    loss = np.logaddexp(0.0, -y_col * margins).mean()
+    weight = np.where(y_col > 0.0, pos_weight, 1.0)
+    loss = (weight * np.logaddexp(0.0, -y_col * margins)).mean()
     return loss + 0.5 * reg * float(w_col @ w_col)
 
 
@@ -42,15 +45,64 @@ def test_joint_fit_matches_independent_fits():
     rng = np.random.default_rng(0)
     x = with_bias(rng.random((20, 4)))
     y = np.where(rng.random((20, 3)) < 0.5, 1.0, -1.0)
-    joint = fit_logistic_columns(x, y, reg=1e-2, tol=1e-9, max_epochs=500)
+    joint = fit_logistic_columns(x, y, reg=1e-2)
     for j in range(3):
-        alone = fit_logistic_columns(
-            x, y[:, j : j + 1], reg=1e-2, tol=1e-9, max_epochs=500
-        )
+        alone = fit_logistic_columns(x, y[:, j : j + 1], reg=1e-2)
         f_joint = column_objective(x, y[:, j], joint[:, j], 1e-2)
         f_alone = column_objective(x, y[:, j], alone[:, 0], 1e-2)
         assert f_joint == pytest.approx(f_alone, abs=1e-7)
         assert np.allclose(joint[:, j], alone[:, 0], atol=5e-3)
+
+
+def lbfgs_reference(x, y_col, reg, pos_weight):
+    """The column's optimum as L-BFGS-B finds it at gtol 1e-10."""
+    from scipy.optimize import minimize
+
+    dense = x.toarray()
+    weight = np.where(y_col > 0.0, pos_weight, 1.0) / len(y_col)
+
+    def fun(w):
+        z = y_col * (dense @ w)
+        loss = float((weight * np.logaddexp(0.0, -z)).sum()) + 0.5 * reg * float(w @ w)
+        grad = dense.T @ (-weight * y_col / (1.0 + np.exp(z))) + reg * w
+        return loss, grad
+
+    result = minimize(
+        fun, np.zeros(x.shape[1]), jac=True, method="L-BFGS-B",
+        options={"gtol": 1e-10, "ftol": 0.0, "maxiter": 10_000, "maxfun": 100_000},
+    )
+    return result.x
+
+
+def optimum_problem(seed: int, single_positive: bool):
+    rng = np.random.default_rng(seed)
+    n, d, k = 60, 12, 4
+    rows = rng.random((n, d)) * (rng.random((n, d)) < 0.4)
+    y = np.where(rng.random((n, k)) < 0.3, 1.0, -1.0)
+    if single_positive:
+        y[:, 0] = -1.0
+        y[int(rng.integers(n)), 0] = 1.0
+    return with_bias(rows), y
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "pos_weight"])
+@pytest.mark.parametrize("single_positive", [False, True], ids=["random", "one-positive"])
+@pytest.mark.parametrize("reg", [1e-1, 1e-3])
+@pytest.mark.parametrize("seed", range(3))
+def test_reaches_the_lbfgs_optimum(seed, reg, single_positive, weighted):
+    x, y = optimum_problem(seed, single_positive)
+    n_pos = (y > 0.0).sum(axis=0)
+    pos_weight = (len(y) - n_pos) / n_pos if weighted else None
+    w = fit_logistic_columns(x, y, reg, pos_weight=pos_weight)
+    # The objective is reg-strongly convex, so a column stopped at gradient
+    # g lies within |g|^2 / (2 reg) of the optimum; every |g_i| <= GRAD_TOL.
+    gap = x.shape[1] * GRAD_TOL**2 / (2.0 * reg)
+    for j in range(y.shape[1]):
+        pw = 1.0 if pos_weight is None else pos_weight[j]
+        reference = lbfgs_reference(x, y[:, j], reg, pw)
+        got = column_objective(x, y[:, j], w[:, j], reg, pw)
+        want = column_objective(x, y[:, j], reference, reg, pw)
+        assert abs(got - want) <= gap
 
 
 def test_pos_weight_lifts_rare_positives():

@@ -25,7 +25,7 @@ from brandlink.ptfilter import (
     train_pt_baseline,
     write_associations_tsv,
 )
-from brandlink.text import FeaturizerConfig, vectorize
+from brandlink.text import FeaturizerConfig, normalize, vectorize
 
 US = StoreTag("us")
 SHOE = ProductType("shoe")
@@ -186,6 +186,11 @@ def test_removing_dropped_candidate_is_noop(case):
         assert again.best.entity == result.best.entity
 
 
+def train_on(rows, featurizer):
+    """train_pt_baseline over (query, product type) rows."""
+    return train_pt_baseline([(normalize(q.text), pt) for q, pt in rows], featurizer)
+
+
 @pytest.fixture(scope="module")
 def trained():
     rows = []
@@ -195,7 +200,7 @@ def trained():
         rows.append((Query(text, US), ProductType("cable")))
     for text in ["desk lamp", "floor lamp", "lamp shade", "bright lamp", "lamp bulb"]:
         rows.append((Query(text, US), ProductType("lamp")))
-    return rows, train_pt_baseline(rows, CFG)
+    return rows, train_on(rows, CFG)
 
 
 class TestPtBaseline:
@@ -212,7 +217,7 @@ class TestPtBaseline:
         rows, model = trained
         cable, lamp = ProductType("cable"), ProductType("lamp")
         flip = {SHOE: cable, cable: SHOE, lamp: lamp}
-        swapped = train_pt_baseline([(q, flip[pt]) for q, pt in rows], CFG)
+        swapped = train_on([(q, flip[pt]) for q, pt in rows], CFG)
         for q, pt in rows:
             assert model.predict(q) == pt
             assert swapped.predict(q) == flip[pt]
@@ -260,7 +265,7 @@ class TestPtBaseline:
     def test_predict_allocates_no_dense_vector(self, trained):
         rows, _ = trained
         wide = FeaturizerConfig(dim=2**20)
-        model = train_pt_baseline(rows, wide)
+        model = train_on(rows, wide)
         tracemalloc.start()
         try:
             assert model.predict(Query("red running shoes", US)) == SHOE
