@@ -242,7 +242,8 @@ def csr_from_blobs(
     dtypes the scorer reads.  Raises KeyError for a missing blob and
     ArtifactFormatError for another dtype, a structure scipy's unchecked
     loops must not see, or a non-finite value, which would mis-score every
-    query.
+    query.  The scorer relies on the row pointers never decreasing: its
+    gaps between two rows are empty only then.
     """
     data = blobs[f"{prefix}/data"]
     indices = blobs[f"{prefix}/indices"]

@@ -73,7 +73,7 @@ from .ptfilter import (
     save_pt_predictor,
     train_pt_baseline,
 )
-from .text import FeaturizerConfig, featurize, fit_idf, normalize, vectorize
+from .text import FeaturizerConfig, featurize_corpus, normalize, vectorize
 from .xmc import (
     DEFAULT_REG,
     BeamParams,
@@ -256,11 +256,10 @@ def _cmd_train_xmc(config: dict) -> int:
     if not pairs:
         raise ValueError("no usable training examples")
 
-    normalized = [(normalize(text), label) for text, label in pairs]
-    featurizer = fit_idf(
-        (nt for nt, _ in normalized), FeaturizerConfig(dim=int(config["dim"]))
+    featurizer, vectors = featurize_corpus(
+        [normalize(text) for text, _ in pairs], FeaturizerConfig(dim=int(config["dim"]))
     )
-    featurized = [(featurize(nt, featurizer), label) for nt, label in normalized]
+    featurized = [(vec, label) for vec, (_, label) in zip(vectors, pairs)]
 
     labels = sorted({label for _, label in pairs}, key=lambda e: e.id)
     surfaces = _surfaces_by_entity(load_dictionary(config["dict"]))
@@ -286,11 +285,13 @@ def _cmd_train_xmc(config: dict) -> int:
 
 def _cmd_train_pt(config: dict) -> int:
     _require(config, "train-pt", "train", "out")
-    rows = [
-        (normalize(query.text), pt) for query, pt in read_pt_training_jsonl(config["train"])
-    ]
-    featurizer = fit_idf((text for text, _ in rows), FeaturizerConfig(dim=int(config["dim"])))
-    predictor = train_pt_baseline(rows, featurizer, float(config["reg"]))
+    rows = list(read_pt_training_jsonl(config["train"]))
+    featurizer, vectors = featurize_corpus(
+        [normalize(query.text) for query, _ in rows], FeaturizerConfig(dim=int(config["dim"]))
+    )
+    predictor = train_pt_baseline(
+        zip(vectors, (pt for _, pt in rows)), featurizer, float(config["reg"])
+    )
     save_pt_predictor(predictor, config["out"])
     print(
         f"pt model: {len(predictor.product_types)} types,"

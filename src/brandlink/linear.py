@@ -20,7 +20,8 @@ BLAS thread count.  Only ``scipy.sparse`` is imported, so loading a model
 to link with never loads an optimizer.
 
 Every trained model scores through :func:`score_vector`, which reads only
-the query's feature rows of a row-major weight matrix, in compiled code.
+the query's feature rows of a row-major weight matrix stored bottom-up,
+where they lie, in one compiled loop.
 """
 from __future__ import annotations
 
@@ -321,35 +322,47 @@ def stack_rows(vectors: Sequence[SparseVector], dim: int) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(len(vectors), dim))
 
 
-def score_vector(weights: sp.csr_matrix, x: SparseVector) -> np.ndarray:
-    """Margins ``weights.T @ [x, 1]`` of every column, read from x's nonzero rows.
+def to_bottom_up(weights: sp.spmatrix) -> sp.csr_matrix:
+    """Weights in feature order, the bias row last, as the bottom-up CSR
+    that :func:`score_vector` reads: the same rows in reverse order."""
+    return weights.tocsr()[::-1]
 
-    ``weights`` has one row per feature of ``x`` plus a final bias row.
-    scipy's compiled kernels copy those rows out and add each stored term
-    into its column, walking the rows in ascending order, the order of a
-    dense matvec, so the margins equal it bit for bit.  The kernels do not
-    bounds-check: a ``weights`` whose row count is not ``x.dim + 1``
-    raises ValueError here, and ``x``'s own invariant keeps its indices
-    inside ``[0, x.dim)``.
+
+def score_vector(weights: sp.csr_matrix, x: SparseVector) -> np.ndarray:
+    """Margins ``W.T @ [x, 1]`` of every column, read in place from x's rows.
+
+    ``weights`` holds W bottom-up: stored row 0 is the bias row and stored
+    row ``k`` is feature ``x.dim - k``, so x's features, ascending, sit at
+    strictly descending stored rows.  One compiled ``csc_matvec`` walks a
+    "column" per feature over its stored row's range of the weight arrays,
+    with x's value, and between two features a gap "column" from the end
+    of one row back to the start of the next, which is empty, with 0; the
+    bias row comes last, with 1.  The gaps stay empty only because the
+    row pointers never decrease, as in every matrix scipy builds; the
+    artifact loaders check it of a stored one.  Nothing is copied out, and
+    each margin adds its terms in ascending feature order from 0.0, the
+    order of a dense matvec, so the margins equal it bit for bit.  The
+    kernel does not bounds-check: a ``weights`` whose row count is not
+    ``x.dim + 1`` raises ValueError here, and ``x``'s own invariant keeps
+    its indices inside ``[0, x.dim)``.
     """
     indptr = weights.indptr
     n_rows, n_cols = weights.shape
     if n_rows != x.dim + 1:
         raise ValueError(f"weights have {n_rows} rows, expected {x.dim + 1}")
-    n = x.nnz + 1
-    rows = np.empty(n, dtype=indptr.dtype)
-    rows[:-1] = x.indices
-    rows[-1] = x.dim
-    vals = np.empty(n, dtype=np.float64)
-    vals[:-1] = x.values
+    n = x.nnz
+    # Each feature's stored row r as the pointer pair (r, r + 1), then the
+    # bias row's (0, 1).
+    rows = np.empty(2 * n + 2, dtype=np.int64)
+    np.subtract(x.dim, x.indices, out=rows[:-2:2])
+    np.subtract(x.dim + 1, x.indices, out=rows[1:-2:2])
+    rows[-2:] = 0, 1
+    bounds = indptr.take(rows)
+    vals = np.zeros(2 * n + 1, dtype=np.float64)
+    vals[:-1:2] = x.values
     vals[-1] = 1.0
-    picked = np.zeros(n + 1, dtype=indptr.dtype)
-    np.cumsum(indptr[rows + 1] - indptr[rows], out=picked[1:])
-    cols = np.empty(picked[-1], dtype=weights.indices.dtype)
-    terms = np.empty(picked[-1], dtype=weights.data.dtype)
-    _sparsetools.csr_row_index(n, rows, indptr, weights.indices, weights.data, cols, terms)
-    # Read as CSC, each picked row is a column; csc_matvec walks them in
-    # order and adds weight times the row's x value to each margin.
     margins = np.zeros(n_cols, dtype=np.float64)
-    _sparsetools.csc_matvec(n_cols, n, picked, cols, terms, vals, margins)
+    _sparsetools.csc_matvec(
+        n_cols, 2 * n + 1, bounds, weights.indices, weights.data, vals, margins
+    )
     return margins

@@ -7,8 +7,9 @@ narrows the given list and maps what remains to a terminal decision.
 
 The PT predictor answers only when its best sigmoid score reaches the
 fixed ``PT_CONFIDENCE_THRESHOLD``.  Its artifact (``pt-model`` format
-version 2) records that threshold, and a loader refuses any other; it
-stores the weights as one CSR matrix in the dtypes the scorer reads, and a
+version 3) records that threshold, and a loader refuses any other; it
+stores the weights as one bottom-up CSR matrix (the bias row first, then
+the features from the last down) in the dtypes the scorer reads, and a
 loaded predictor serves them, and its idf table, as read-only views over
 the artifact's aligned payload buffer.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol
 
@@ -36,8 +37,8 @@ from .core import (
     read_jsonl,
     read_tsv,
 )
-from .linear import fit_sparse_ova, score_vector, stack_rows
-from .text import FeaturizerConfig, NormalizedText, SparseVector, featurize
+from .linear import fit_sparse_ova, score_vector, stack_rows, to_bottom_up
+from .text import FeaturizerConfig, SparseVector, featurize
 from .text import featurizer_from_meta, featurizer_to_meta, normalize
 from .xmc.train import DEFAULT_REG
 
@@ -47,7 +48,7 @@ LOGGER = logging.getLogger(__name__)
 PT_CONFIDENCE_THRESHOLD = 0.5
 
 _PT_MODEL_KIND = "pt-model"
-_PT_MODEL_VERSION = 2
+_PT_MODEL_VERSION = 3
 
 _ASSOC_HEADER = ("entity_id", "pt_code")
 
@@ -185,16 +186,24 @@ class LinearPtPredictor:
     """Flat one-vs-all linear classifier over the featurizer space.
 
     Abstains when its best score is below ``PT_CONFIDENCE_THRESHOLD``.
-    Weights of any sparse layout are converted to row-major once, here;
-    CSR weights, such as a loaded predictor's, are kept as they are.
+    ``weights`` has one row per feature and a final bias row, in any
+    sparse layout; it is turned once, here, into the bottom-up CSR that
+    :func:`brandlink.linear.score_vector` reads.  ``bottom_up`` says it is
+    already stored so, such as a loaded predictor's, and is then kept as
+    it is; once built, a predictor's ``weights`` always are.
     """
 
     product_types: tuple[ProductType, ...]
     weights: sp.csr_matrix  # (dim + 1, n_types)
     featurizer: FeaturizerConfig
+    bottom_up: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.weights = self.weights.tocsr()
+        if self.bottom_up:
+            self.weights = self.weights.tocsr()
+        else:
+            self.weights = to_bottom_up(self.weights)
+            self.bottom_up = True
 
     def predict(self, query: Query) -> ProductType | None:
         x = featurize(normalize(query.text), self.featurizer)
@@ -208,27 +217,18 @@ class LinearPtPredictor:
         return self.product_types[best]
 
 
-class OraclePtPredictor:
-    """Replays gold product types keyed by normalized query text."""
-
-    def __init__(self, mapping: dict[str, ProductType]) -> None:
-        self._mapping = dict(mapping)
-
-    def predict(self, query: Query) -> ProductType | None:
-        return self._mapping.get(normalize(query.text).text)
-
-
 def train_pt_baseline(
-    data: Iterable[tuple[NormalizedText, ProductType]],
+    data: Iterable[tuple[SparseVector, ProductType]],
     featurizer: FeaturizerConfig,
     reg: float = DEFAULT_REG,
 ) -> LinearPtPredictor:
     """Train the flat OVA product-type baseline.
 
     Args:
-        data: (normalized query text, gold product type) pairs; must be
-            non-empty.
-        featurizer: Featurizer parameters shared with prediction.
+        data: (featurized query, gold product type) pairs; must be
+            non-empty.  Zero vectors are skipped.
+        featurizer: The configuration the queries were featurized with,
+            shared with prediction.
         reg: L2 penalty.
 
     Raises:
@@ -236,8 +236,7 @@ def train_pt_baseline(
     """
     vectors: list[SparseVector] = []
     codes: list[str] = []
-    for text, pt in data:
-        vec = featurize(text, featurizer)
+    for vec, pt in data:
         if vec.nnz == 0:
             continue
         vectors.append(vec)
@@ -286,6 +285,7 @@ def load_pt_predictor(path: str | Path) -> LinearPtPredictor:
             product_types=types,
             weights=csr_from_blobs(path, blobs, "weights", (config.dim + 1, len(types))),
             featurizer=config,
+            bottom_up=True,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactFormatError(f"{path}: inconsistent pt model: {exc}") from exc

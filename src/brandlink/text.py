@@ -246,7 +246,11 @@ def featurize(text: NormalizedText, config: FeaturizerConfig) -> SparseVector:
     Returns:
         A sparse vector of L2 norm 1, or the zero vector for empty input.
     """
-    counts = hashed_counts(text, config)
+    return _vector(hashed_counts(text, config), config)
+
+
+def _vector(counts: dict[int, int], config: FeaturizerConfig) -> SparseVector:
+    """The featurized vector of one text's :func:`hashed_counts`."""
     if not counts:
         return SparseVector.zero(config.dim)
     n = len(counts)
@@ -269,30 +273,35 @@ def vectorize(raw: str, config: FeaturizerConfig) -> SparseVector:
     return featurize(normalize(raw), config)
 
 
-def fit_idf(corpus: Iterable[NormalizedText], config: FeaturizerConfig) -> FeaturizerConfig:
-    """Fit smoothed inverse document frequencies over a corpus.
+def featurize_corpus(
+    corpus: Iterable[NormalizedText], config: FeaturizerConfig
+) -> tuple[FeaturizerConfig, list[SparseVector]]:
+    """Fit smoothed inverse document frequencies, then featurize with them.
 
     For a corpus of N documents a bucket seen in df of them gets weight
     log((1 + N) / (1 + df)) + 1; unseen buckets get the df = 0 weight.
+    Each document is hashed once: its counts serve both the fit and its
+    vector, which equals :func:`featurize` under the fitted table.
 
     Args:
         corpus: Normalized documents; must be non-empty.
         config: Base featurizer parameters.
 
     Returns:
-        A copy of ``config`` carrying the fitted idf table.
+        A copy of ``config`` carrying the fitted idf table, and every
+        document's vector under it, in corpus order.
 
     Raises:
         ValueError: If the corpus is empty.
     """
+    counts = [hashed_counts(doc, config) for doc in corpus]
+    if not counts:
+        raise ValueError("cannot fit idf on an empty corpus")
     df = np.zeros(config.dim, dtype=np.int64)
-    n_docs = 0
-    for doc in corpus:
-        n_docs += 1
-        buckets = hashed_counts(doc, config)
+    for buckets in counts:
         if buckets:
             df[np.fromiter(buckets.keys(), dtype=np.int64)] += 1
-    if n_docs == 0:
-        raise ValueError("cannot fit idf on an empty corpus")
+    n_docs = len(counts)
     weights = (np.log((1.0 + n_docs) / (1.0 + df)) + 1.0).astype(np.float32)
-    return dataclasses.replace(config, idf=IdfTable(weights=weights, n_docs=n_docs))
+    fitted = dataclasses.replace(config, idf=IdfTable(weights=weights, n_docs=n_docs))
+    return fitted, [_vector(doc_counts, fitted) for doc_counts in counts]

@@ -1,9 +1,10 @@
 """Trained ranker model and level-wise beam inference.
 
 A model holds one sparse weight matrix with one column per tree node, the
-layers stacked column-wise from the root down, stored row-major so a query
-reads only its own feature rows.  A loaded model serves that matrix as a
-view over its artifact.  Inference scores every node with one
+layers stacked column-wise from the root down, stored row-major and
+bottom-up (the bias row first, then the features from the last down) so a
+query's rows are read where they lie.  A loaded model serves that matrix
+as a view over its artifact.  Inference scores every node with one
 :func:`brandlink.linear.score_vector` call, which sums each column's terms
 in ascending feature order, then walks the layers keeping the
 ``beam_size`` best partial paths; a path's score is the product of
@@ -19,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..core import BrandEntityId, BrandMention, Query, ScoredEntity
-from ..linear import score_vector
+from ..linear import score_vector, to_bottom_up
 from ..text import FeaturizerConfig, SparseVector, featurize, normalize
 from .tree import LabelTree
 
@@ -46,17 +47,18 @@ _STACK_SLICE_NNZ = 1 << 16
 
 
 def _stack_layers(blocks: list[sp.spmatrix], n_rows: int) -> sp.csr_matrix:
-    """The layer blocks side by side as one CSR matrix.
+    """The layer blocks side by side as one bottom-up CSR matrix.
 
     Row counts are summed first, so every entry is written once, straight
     into its final slot, and each block is transposed a slice of columns at
-    a time: the build holds no stacked copy beside the result.  Each row
-    lists its columns in ascending order, as ``sp.hstack(blocks).tocsr()``
+    a time: the build holds no stacked copy beside the result.  Block row
+    ``r`` lands in stored row ``n_rows - 1 - r``, and each row lists its
+    columns in ascending order, as ``sp.hstack(blocks).tocsr()[::-1]``
     does.
     """
     counts = np.zeros(n_rows, dtype=np.int64)
     for block in blocks:
-        counts += block.getnnz(axis=1)
+        counts += block.getnnz(axis=1)[::-1]
     nnz = int(counts.sum())
     n_cols = sum(block.shape[1] for block in blocks)
     fits = max(nnz, n_rows + 1, n_cols) <= np.iinfo(np.int32).max
@@ -66,7 +68,8 @@ def _stack_layers(blocks: list[sp.spmatrix], n_rows: int) -> sp.csr_matrix:
     del counts
     indices = np.empty(nnz, dtype=index_dtype)
     data = np.empty(nnz, dtype=np.float64)
-    fill = indptr[:-1].copy()  # next free slot of each row
+    # Next free slot of each block row r, in its stored row n_rows - 1 - r.
+    fill = indptr[-2::-1].copy()
     col = 0
     for block in blocks:
         block = block.tocsc()
@@ -90,13 +93,16 @@ def _stack_layers(blocks: list[sp.spmatrix], n_rows: int) -> sp.csr_matrix:
 class XmcModel:
     """Tree, stacked node weights, and the featurizer they were trained with.
 
-    ``layer_weights`` is either one matrix per tree layer, in any sparse
-    layout, or one sparse matrix that already stacks them column-wise; a
-    CSR stack, such as a loaded or a trained model's, is kept as it is.
-    ``weights`` is that stack, of shape
-    ``(featurizer.dim + 1, sum(tree.layer_sizes))``; the extra final row is
-    the constant bias feature appended at train and inference time.  Layer
-    ``l`` owns columns ``layer_offsets[l]:layer_offsets[l + 1]``.
+    ``layer_weights`` is either one matrix per tree layer or one matrix
+    that already stacks them column-wise, in any sparse layout, with one
+    row per feature and a final row for the constant bias feature appended
+    at train and inference time.  ``weights`` is that stack, of shape
+    ``(featurizer.dim + 1, sum(tree.layer_sizes))``, stored as CSR with
+    its rows bottom-up, as :func:`brandlink.linear.score_vector` reads it:
+    the stack is turned once, here.  ``bottom_up`` says a stack is already
+    stored so, such as a loaded model's, and is then kept as it is; once
+    built, a model's ``weights`` always are.  Layer ``l`` owns columns
+    ``layer_offsets[l]:layer_offsets[l + 1]``.
     """
 
     labels: tuple[BrandEntityId, ...]
@@ -104,6 +110,7 @@ class XmcModel:
     layer_weights: InitVar[sp.spmatrix | list[sp.spmatrix]]
     featurizer: FeaturizerConfig
     stats: dict = field(default_factory=dict, repr=False)
+    bottom_up: bool = field(default=False, repr=False)
     weights: sp.csr_matrix = field(init=False, repr=False)
     layer_offsets: np.ndarray = field(init=False, repr=False)
     # Derived for beam search: per node of every non-final layer, in stack
@@ -117,7 +124,10 @@ class XmcModel:
         sizes = self.tree.layer_sizes
         expected_rows = self.featurizer.dim + 1
         if sp.issparse(layer_weights):
-            self.weights = layer_weights.tocsr()
+            if self.bottom_up:
+                self.weights = layer_weights.tocsr()
+            else:
+                self.weights = to_bottom_up(layer_weights)
         else:
             if len(layer_weights) != self.tree.n_layers:
                 raise ValueError("one weight matrix per tree layer expected")
@@ -125,6 +135,7 @@ class XmcModel:
                 if weights.shape != (expected_rows, sizes[layer]):
                     raise ValueError(f"layer {layer} weight shape mismatch")
             self.weights = _stack_layers(layer_weights, expected_rows)
+        self.bottom_up = True
         if self.weights.shape != (expected_rows, sum(sizes)):
             raise ValueError("stacked weight shape mismatch")
         if len(self.labels) != self.tree.n_labels:

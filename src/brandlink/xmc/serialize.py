@@ -1,8 +1,9 @@
 """Binary save/load for trained ranker models.
 
 One artifact file holds the featurizer configuration (idf table included),
-the tree topology, and the model's stacked node weights as one CSR matrix
-in the dtypes the scorer reads (``xmc-model`` format version 2).  Loading
+the tree topology, and the model's stacked node weights as one bottom-up
+CSR matrix (the bias row first, then the features from the last down) in
+the dtypes the scorer reads (``xmc-model`` format version 3).  Loading
 verifies container magic, version, payload checksum and the structure of
 every array, then serves the weights and the idf table as read-only views
 over the artifact's aligned payload buffer, with no conversion or copy.
@@ -22,7 +23,7 @@ from .model import SCORE_TRANSFORM, XmcModel
 from .tree import LabelTree
 
 MODEL_KIND = "xmc-model"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 
 def save_model(model: XmcModel, path: str | Path) -> None:
@@ -72,6 +73,7 @@ def load_model(path: str | Path) -> XmcModel:
             tree=tree,
             layer_weights=weights,
             featurizer=config,
+            bottom_up=True,
         )
     except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise ArtifactFormatError(f"{path}: inconsistent model: {exc}") from exc

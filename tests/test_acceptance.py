@@ -39,7 +39,6 @@ from brandlink.pipeline import (
     link_two_stage,
 )
 from brandlink.ptfilter import (
-    OraclePtPredictor,
     ProductType,
     load_pt_predictor,
     mine_associations,
@@ -47,6 +46,16 @@ from brandlink.ptfilter import (
 )
 from brandlink.text import featurize, normalize
 from brandlink.xmc import BeamParams, beam_predict, load_model
+
+
+class OraclePtPredictor:
+    """Replays gold product types keyed by normalized query text."""
+
+    def __init__(self, mapping: dict[str, ProductType]) -> None:
+        self._mapping = dict(mapping)
+
+    def predict(self, query: Query) -> ProductType | None:
+        return self._mapping.get(normalize(query.text).text)
 
 
 def _verdict(number: int, name: str, ok: bool, detail: str) -> None:
@@ -83,8 +92,12 @@ def _write_pseudo(b2e_path, out_path):
     return out_path
 
 
-def _exhaustive_scores(model, vec) -> dict:
-    """Full-path scores for every label: no beam, no pruning."""
+def _exhaustive_scores(model, weights, vec) -> dict:
+    """Full-path scores for every label: no beam, no pruning.
+
+    ``weights`` is the model's stack in feature order, ``model.weights``
+    turned back (``[::-1]``) once by the caller.
+    """
     dense = np.zeros(vec.dim + 1, dtype=np.float64)
     dense[vec.indices] = vec.values
     dense[vec.dim] = 1.0
@@ -92,7 +105,7 @@ def _exhaustive_scores(model, vec) -> dict:
     logs = None
     for layer in range(tree.n_layers):
         lo, hi = model.layer_offsets[layer], model.layer_offsets[layer + 1]
-        margins = np.asarray(model.weights[:, lo:hi].T @ dense).ravel()
+        margins = np.asarray(weights[:, lo:hi].T @ dense).ravel()
         layer_logs = -np.logaddexp(0.0, -margins)
         if logs is None:
             logs = layer_logs
@@ -105,9 +118,9 @@ def _exhaustive_scores(model, vec) -> dict:
     }
 
 
-def _exhaustive_top(model, vec, k: int) -> list[tuple[BrandEntityId, float]]:
+def _exhaustive_top(model, weights, vec, k: int) -> list[tuple[BrandEntityId, float]]:
     ranked = sorted(
-        _exhaustive_scores(model, vec).items(), key=lambda kv: (-kv[1], kv[0].id)
+        _exhaustive_scores(model, weights, vec).items(), key=lambda kv: (-kv[1], kv[0].id)
     )
     return ranked[:k]
 
@@ -270,11 +283,12 @@ def test_criterion_1_beam_matches_exhaustive(work):
     wide = BeamParams(beam_size=max(model.tree.layer_sizes), top_k=5)
     narrow = BeamParams(beam_size=10, top_k=1)
     started = time.perf_counter()
+    logical = model.weights[::-1]
     exact_mismatches = 0
     top1_agree = 0
     for query in queries:
         vec = featurize(normalize(query.text), model.featurizer)
-        want = _exhaustive_top(model, vec, 5)
+        want = _exhaustive_top(model, logical, vec, 5)
         got = beam_predict(model, vec, wide)
         if [(s.entity, s.score) for s in got] != want:
             exact_mismatches += 1

@@ -25,16 +25,21 @@ from brandlink.data import (
 )
 from brandlink.gazetteer import TrieDetector, build_dictionary, read_b2e_tsv
 from brandlink.pipeline import LexicalMatcher, LinkerConfig, link_two_stage
-from brandlink.ptfilter import (
-    OraclePtPredictor,
-    ProductType,
-    mine_associations,
-    read_associations_tsv,
-)
+from brandlink.ptfilter import ProductType, mine_associations, read_associations_tsv
 from brandlink.text import normalize
 
 US = StoreTag("us")
 E1 = BrandEntityId("E1")
+
+
+class OraclePtPredictor:
+    """Replays gold product types keyed by normalized query text."""
+
+    def __init__(self, mapping: dict[str, ProductType]) -> None:
+        self._mapping = dict(mapping)
+
+    def predict(self, query: Query) -> ProductType | None:
+        return self._mapping.get(normalize(query.text).text)
 
 
 class TestAugmentB2e:

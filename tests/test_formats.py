@@ -1,10 +1,11 @@
 """Pinned bytes of every saved format: ranker and PT artifacts, result lines.
 
 Each artifact is saved from fixed weights over a featurizer whose idf is
-fitted on fixed texts, so nothing here trains (a trained model's bytes
-depend on the BLAS thread count).  A digest changes only when what a
-format records changes; such a change must be explained and the digest
-re-pinned.
+fitted on fixed texts, so nothing here trains.  A digest changes only when
+what a format records changes; such a change must be explained and the
+digest re-pinned.  Both model formats are at version 3, which stores the
+weight rows bottom-up (the bias row first); apart from that version number
+and the row order, they record what format 2 did.
 """
 import hashlib
 
@@ -21,12 +22,12 @@ from brandlink.core import (
     write_jsonl,
 )
 from brandlink.ptfilter import LinearPtPredictor, ProductType, save_pt_predictor
-from brandlink.text import FeaturizerConfig, fit_idf, normalize
+from brandlink.text import FeaturizerConfig, featurize_corpus, normalize
 from brandlink.xmc import XmcModel, save_model
 from brandlink.xmc.tree import LabelTree
 
 TEXTS = ("nike running shoes", "sony tv 55 inch", "耐克 鞋子", "red socks", "nike")
-FEATURIZER = fit_idf((normalize(t) for t in TEXTS), FeaturizerConfig(dim=2**16))
+FEATURIZER, _ = featurize_corpus((normalize(t) for t in TEXTS), FeaturizerConfig(dim=2**16))
 
 
 def sha256(path) -> str:
@@ -55,7 +56,7 @@ def test_xmc_model_bytes(tmp_path):
     )
     path = tmp_path / "m.blaf"
     save_model(model, path)
-    assert sha256(path) == "5fd2ceeb50206ad9c1682b6bd53a0f0597e7a818cfe7854d3b865b21674974ce"
+    assert sha256(path) == "e2ea7b7c103fb001bac9314e037f5618d179d526fa1b2cbaf6f07c5d38310df6"
 
 
 def test_pt_model_bytes(tmp_path):
@@ -66,7 +67,7 @@ def test_pt_model_bytes(tmp_path):
     )
     path = tmp_path / "pt.blaf"
     save_pt_predictor(predictor, path)
-    assert sha256(path) == "5ab403a56c928254667c38559c689afb81d7861bd9d4f7eff27e0b0201c56b21"
+    assert sha256(path) == "e461741ab95e57b98680e1bdf6d985dcab16f861bbfd2452b7ab5d334273c51b"
 
 
 TRACE = (TraceRecord("detect", "mention 'nike' at (0, 4)"), TraceRecord("filter", "pt=shoe"))

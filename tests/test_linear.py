@@ -1,7 +1,11 @@
 """Sparse regularized logistic fitting shared by the rankers."""
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from brandlink.linear import (
@@ -153,13 +157,13 @@ class TestStackRows:
 
 
 class TestScoreRows:
-    """score_vector, which scores a vector by gathering its rows of the weights."""
+    """score_vector, which reads a vector's rows of bottom-up weights in place."""
 
     def weights(self, index_dtype):
-        # 39 feature rows plus the bias row.
+        # 39 feature rows plus the bias row, stored bottom-up.
         rng = np.random.default_rng(3)
         dense = rng.normal(size=(40, 7)) * (rng.random((40, 7)) < 0.3)
-        matrix = sp.csr_matrix(dense)
+        matrix = sp.csr_matrix(dense[::-1])
         matrix.indices = matrix.indices.astype(index_dtype)
         matrix.indptr = matrix.indptr.astype(index_dtype)
         return matrix, dense
@@ -173,7 +177,7 @@ class TestScoreRows:
         dense = np.zeros(40)
         dense[x.indices] = x.values
         dense[39] = 1.0
-        assert np.array_equal(score_vector(matrix, x), matrix.T @ dense)
+        assert np.array_equal(score_vector(matrix, x), matrix[::-1].T @ dense)
 
     def test_zero_vector_scores_the_bias_row(self):
         matrix, dense = self.weights(np.int32)
@@ -181,18 +185,86 @@ class TestScoreRows:
 
     @pytest.mark.parametrize("row", [-1, 39], ids=["negative", "past-last"])
     def test_row_outside_weights_rejected(self, row):
-        # The kernels do not bounds-check; the vector's invariant keeps its
-        # rows inside [0, dim), so such a row never reaches them.
+        # The kernel does not bounds-check; the vector's invariant keeps its
+        # rows inside [0, dim), so such a row never reaches it.
         matrix, _ = self.weights(np.int32)
         with pytest.raises(ValueError):
             score_vector(matrix, SparseVector(np.array([0, row]), np.ones(2), 39))
 
     @pytest.mark.parametrize("dim", [38, 40], ids=["rows-past-dim", "bias-row-missing"])
     def test_dimension_mismatch_rejected(self, dim):
-        # The compiled kernels would read out of bounds.
+        # The compiled kernel would read out of bounds.
         matrix, _ = self.weights(np.int32)
         with pytest.raises(ValueError):
             score_vector(matrix, SparseVector(np.array([0, dim - 1]), np.ones(2), dim))
+
+    @staticmethod
+    @st.composite
+    def weights_and_vector(draw):
+        dim = draw(st.integers(1, 24))
+        n_cols = draw(st.integers(1, 5))
+        finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+        cells = st.one_of(st.just(0.0), finite)
+        dense = np.array(
+            draw(st.lists(cells, min_size=(dim + 1) * n_cols, max_size=(dim + 1) * n_cols)),
+            dtype=np.float64,
+        ).reshape(dim + 1, n_cols)
+        if draw(st.booleans()):
+            dense[draw(st.integers(0, dim))] = 0.0  # an empty row
+        # The edge buckets 0 and dim - 1 are drawn as often as the rest.
+        buckets = st.one_of(st.sampled_from([0, dim - 1]), st.integers(0, dim - 1))
+        indices = np.array(sorted(draw(st.sets(buckets, max_size=dim))), dtype=np.int64)
+        values = np.array(draw(st.lists(finite, min_size=len(indices), max_size=len(indices))))
+        index_dtype = draw(st.sampled_from([np.int32, np.int64]))
+        return dense, SparseVector(indices, values.astype(np.float64), dim), index_dtype
+
+    @given(weights_and_vector())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_dense_matvec_bit_for_bit(self, case):
+        dense, x, index_dtype = case
+        stored = sp.csr_matrix(dense[::-1])
+        stored.indices = stored.indices.astype(index_dtype)
+        stored.indptr = stored.indptr.astype(index_dtype)
+        vector = np.zeros(x.dim + 1)
+        vector[x.indices] = x.values
+        vector[x.dim] = 1.0
+        # W.T @ [x, 1], every row added in ascending order from 0.0, the
+        # zero terms included.
+        want = np.zeros(dense.shape[1])
+        for row in range(x.dim + 1):
+            want = want + dense[row] * vector[row]
+        got = score_vector(stored, x)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("nnz", [0, 1, 60], ids=["zero", "one-feature", "q2e-query"])
+    def test_allocates_per_feature_and_column_not_per_term(self, nnz):
+        # A q2e-sized score: 2k columns over 2**20 buckets, the query's rows
+        # holding 45k terms.  A copy of those terms would take 540 kB; the
+        # bound allows the margins and a few arrays per feature, 24 kB.
+        dim, n_cols, per_row = 2**20, 2000, 750
+        rng = np.random.default_rng(5)
+        features = np.sort(rng.choice(dim, size=nnz, replace=False))
+        stored_rows = np.append(dim - features, 0)  # the bias row too
+        counts = np.zeros(dim + 1, dtype=np.int32)
+        counts[stored_rows] = per_row
+        indptr = np.zeros(dim + 2, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
+        terms = per_row * len(stored_rows)
+        indices = np.concatenate(
+            [np.sort(rng.choice(n_cols, size=per_row, replace=False)) for _ in stored_rows]
+        ).astype(np.int32)
+        weights = sp.csr_matrix(
+            (rng.normal(size=terms), indices, indptr), shape=(dim + 1, n_cols)
+        )
+        x = SparseVector(features.astype(np.int64), rng.random(nnz) + 0.5, dim)
+        tracemalloc.start()
+        try:
+            score_vector(weights, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n_cols + 64 * (nnz + 1) + 4096
 
 
 def test_reg_must_be_positive():

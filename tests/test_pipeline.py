@@ -24,7 +24,7 @@ from brandlink.ptfilter import (
     save_pt_predictor,
     train_pt_baseline,
 )
-from brandlink.text import FeaturizerConfig, normalize, vectorize
+from brandlink.text import FeaturizerConfig, vectorize
 from brandlink.xmc.model import BeamParams
 from brandlink.xmc.serialize import load_model, save_model
 from brandlink.xmc.train import train
@@ -269,7 +269,7 @@ def test_threads_sharing_loaded_models_match_sequential(dictionary, tmp_path):
     save_model(toy_q2e(), tmp_path / "q2e.blaf")
     save_model(toy_m2e(), tmp_path / "m2e.blaf")
     pt = train_pt_baseline(
-        [(normalize(t), ProductType(p)) for t, p in [
+        [(vectorize(t, CFG), ProductType(p)) for t, p in [
             ("nike shoes", "shoe"), ("red shoes", "shoe"),
             ("sony tv", "tv"), ("hdmi tv", "tv"),
         ]],
@@ -312,7 +312,7 @@ def loaded_linkers(dictionary, tmp_path_factory):
     save_model(toy_q2e(), root / "q2e.blaf")
     save_model(toy_m2e(), root / "m2e.blaf")
     pt = train_pt_baseline(
-        [(normalize(t), ProductType(p)) for t, p in [
+        [(vectorize(t, CFG), ProductType(p)) for t, p in [
             ("nike shoes", "shoe"), ("red shoes", "shoe"),
             ("sony tv", "tv"), ("hdmi tv", "tv"),
         ]],

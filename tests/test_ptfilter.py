@@ -7,14 +7,19 @@ import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from brandlink.binio import ArtifactFormatError, read_artifact, write_artifact
+from brandlink.binio import (
+    ArtifactFormatError,
+    ArtifactVersionError,
+    csr_blobs,
+    read_artifact,
+    write_artifact,
+)
 from brandlink.core import NIL, BrandEntityId, Outcome, Query, ScoredEntity, StoreTag
 from brandlink.linear import score_vector
 from brandlink.ptfilter import (
     PT_CONFIDENCE_THRESHOLD,
     FilterMode,
     LinearPtPredictor,
-    OraclePtPredictor,
     ProductType,
     PtAssociations,
     filter_candidates,
@@ -33,6 +38,16 @@ SOCK = ProductType("sock")
 TOY = ProductType("toy")
 E1, E2, E3 = (BrandEntityId(f"E{i}") for i in (1, 2, 3))
 CFG = FeaturizerConfig(dim=2**16)
+
+
+class OraclePtPredictor:
+    """Replays gold product types keyed by normalized query text."""
+
+    def __init__(self, mapping: dict[str, ProductType]) -> None:
+        self._mapping = dict(mapping)
+
+    def predict(self, query: Query) -> ProductType | None:
+        return self._mapping.get(normalize(query.text).text)
 
 
 def cands(*pairs):
@@ -188,7 +203,7 @@ def test_removing_dropped_candidate_is_noop(case):
 
 def train_on(rows, featurizer):
     """train_pt_baseline over (query, product type) rows."""
-    return train_pt_baseline([(normalize(q.text), pt) for q, pt in rows], featurizer)
+    return train_pt_baseline([(vectorize(q.text, featurizer), pt) for q, pt in rows], featurizer)
 
 
 @pytest.fixture(scope="module")
@@ -248,7 +263,7 @@ class TestPtBaseline:
             dense[vec.indices] = vec.values
             dense[vec.dim] = 1.0
             got = score_vector(model.weights, vec)
-            assert np.array_equal(got, model.weights.T @ dense)
+            assert np.array_equal(got, model.weights[::-1].T @ dense)
 
     def test_tied_types_resolve_to_lowest_index(self):
         # Columns 1 and 2 carry identical weights and beat column 0.
@@ -279,20 +294,42 @@ class TestPtBaseline:
         [
             ("weights/indptr", lambda a, n_cols: a[1:]),
             ("weights/indptr", lambda a, n_cols: a[::-1].copy()),
+            (
+                "weights/indptr",
+                lambda a, n_cols: np.concatenate([[0, a[-1]], a[2:]]).astype(a.dtype),
+            ),
             ("weights/indices", lambda a, n_cols: np.append(a[:-1], n_cols).astype(a.dtype)),
             ("weights/indices", lambda a, n_cols: a.astype(np.int64)),
         ],
-        ids=["indptr-short", "indptr-decreasing", "column-past-last-type", "index-dtypes-differ"],
+        ids=[
+            "indptr-short",
+            "indptr-decreasing",
+            "indptr-dips",
+            "column-past-last-type",
+            "index-dtypes-differ",
+        ],
     )
     def test_crafted_structure_rejected(self, trained, tmp_path, name, edit):
         _, model = trained
         path = tmp_path / "pt.blaf"
         save_pt_predictor(model, path)
-        meta, blobs = read_artifact(path, "pt-model", 2)
+        meta, blobs = read_artifact(path, "pt-model", 3)
         blobs = dict(blobs)
         blobs[name] = edit(np.array(blobs[name]), len(model.product_types))
-        write_artifact(path, "pt-model", 2, meta, blobs)
+        write_artifact(path, "pt-model", 3, meta, blobs)
         with pytest.raises(ArtifactFormatError):
+            load_pt_predictor(path)
+
+    def test_format_2_rejected(self, trained, tmp_path):
+        # Format 2 stored the rows in feature order; read as bottom-up they
+        # would mis-score every query, so the loader refuses the file.
+        _, model = trained
+        path = tmp_path / "pt.blaf"
+        save_pt_predictor(model, path)
+        meta, blobs = read_artifact(path, "pt-model", 3)
+        blobs = dict(blobs, **csr_blobs(model.weights[::-1], "weights"))
+        write_artifact(path, "pt-model", 2, meta, blobs)
+        with pytest.raises(ArtifactVersionError):
             load_pt_predictor(path)
 
     def test_load_serves_weights_as_views(self, trained, tmp_path):
@@ -322,13 +359,13 @@ class TestPtBaseline:
         _, model = trained
         path = tmp_path / "pt.blaf"
         save_pt_predictor(model, path)
-        meta, blobs = read_artifact(path, "pt-model", 2)
+        meta, blobs = read_artifact(path, "pt-model", 3)
         assert meta["threshold"] == 0.5
         if "threshold" in edit:
             crafted = dict(meta, **edit)
         else:
             crafted = dict(meta, featurizer=dict(meta["featurizer"], **edit))
-        write_artifact(path, "pt-model", 2, crafted, blobs)
+        write_artifact(path, "pt-model", 3, crafted, blobs)
         with pytest.raises(ArtifactFormatError, match="unsupported"):
             load_pt_predictor(path)
 
@@ -339,13 +376,13 @@ class TestPtBaseline:
         _, model = trained
         path = tmp_path / "pt.blaf"
         save_pt_predictor(model, path)
-        meta, blobs = read_artifact(path, "pt-model", 2)
+        meta, blobs = read_artifact(path, "pt-model", 3)
         weights = dict(blobs)
         weights["weights/data"] = np.full_like(blobs["weights/data"], bad)
         idf_meta = dict(meta, featurizer=dict(meta["featurizer"], idf_docs=1))
         idf = dict(blobs, **{"featurizer/idf": np.full(CFG.dim, bad, np.float32)})
         for crafted_meta, crafted in ((meta, weights), (idf_meta, idf)):
-            write_artifact(path, "pt-model", 2, crafted_meta, crafted)
+            write_artifact(path, "pt-model", 3, crafted_meta, crafted)
             with pytest.raises(ArtifactFormatError):
                 load_pt_predictor(path)
 

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from brandlink import text as text_module
 from brandlink.text import (
     FeaturizerConfig,
     IdfTable,
     SparseVector,
     featurize,
-    fit_idf,
+    featurize_corpus,
     hashed_counts,
     normalize,
     vectorize,
@@ -201,10 +202,10 @@ def reference_featurize(text, config) -> SparseVector:
 _DIMS = [2**16, 2**18, 2**20, 2**16 + 7]
 # One idf table per dim, fitted on a few documents so weights vary per bucket.
 _IDF_CONFIGS = {
-    dim: fit_idf(
+    dim: featurize_corpus(
         (normalize(t) for t in ("nike air", "sony tv 4k", "鞋子 nike", "usb cable", "a")),
         FeaturizerConfig(dim=dim),
-    )
+    )[0]
     for dim in _DIMS
 }
 
@@ -272,13 +273,13 @@ class TestConfig:
 
 class TestIdf:
     def test_single_document_weights(self):
-        cfg = fit_idf([normalize("nike shoes")], CFG)
+        cfg, _ = featurize_corpus([normalize("nike shoes")], CFG)
         buckets = hashed_counts(normalize("nike shoes"), cfg)
         for bucket in buckets:
             assert cfg.idf.weights[bucket] == pytest.approx(math.log(2 / 2) + 1)
 
     def test_absent_feature_weight(self):
-        cfg = fit_idf([normalize("nike shoes")], CFG)
+        cfg, _ = featurize_corpus([normalize("nike shoes")], CFG)
         absent = hashed_counts(normalize("zzqqy"), cfg)
         fresh = set(absent) - set(hashed_counts(normalize("nike shoes"), cfg))
         assert fresh
@@ -287,7 +288,7 @@ class TestIdf:
 
     def test_rarer_feature_weighs_more(self):
         docs = [normalize("nike shoes"), normalize("nike socks")]
-        cfg = fit_idf(docs, CFG)
+        cfg, _ = featurize_corpus(docs, CFG)
         shared = set(hashed_counts(docs[0], cfg)) & set(hashed_counts(docs[1], cfg))
         only_first = set(hashed_counts(docs[0], cfg)) - shared
         assert shared and only_first
@@ -297,7 +298,35 @@ class TestIdf:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            fit_idf([], CFG)
+            featurize_corpus([], CFG)
+
+    @given(raws=st.lists(_MIXED_TEXT, min_size=1, max_size=6))
+    def test_vectors_equal_featurize_under_the_fitted_table(self, raws):
+        docs = [normalize(raw) for raw in raws]
+        fitted, vectors = featurize_corpus(docs, CFG)
+        df = np.zeros(CFG.dim)
+        for doc in docs:
+            df[list(hashed_counts(doc, CFG))] += 1
+        want = (np.log((1.0 + len(docs)) / (1.0 + df)) + 1.0).astype(np.float32)
+        assert fitted.idf.n_docs == len(docs)
+        assert fitted.idf.weights.tobytes() == want.tobytes()
+        assert len(vectors) == len(docs)
+        for doc, got in zip(docs, vectors):
+            expected = featurize(doc, fitted)
+            assert got.indices.tobytes() == expected.indices.tobytes()
+            assert got.values.tobytes() == expected.values.tobytes()
+
+    def test_each_document_hashed_once(self, monkeypatch):
+        calls = []
+
+        def counted(text, config):
+            calls.append(text)
+            return hashed_counts(text, config)
+
+        monkeypatch.setattr(text_module, "hashed_counts", counted)
+        docs = [normalize(t) for t in ("nike shoes", "red shoes", "nike shoes", "")]
+        featurize_corpus(docs, CFG)
+        assert calls == docs
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weight_rejected(self, bad):
@@ -307,7 +336,7 @@ class TestIdf:
             IdfTable(weights=weights, n_docs=1)
 
     def test_idf_changes_vector_not_norm(self):
-        cfg = fit_idf([normalize("nike shoes"), normalize("red shoes")], CFG)
+        cfg, _ = featurize_corpus([normalize("nike shoes"), normalize("red shoes")], CFG)
         plain = vectorize("nike shoes", CFG)
         weighted = vectorize("nike shoes", cfg)
         assert np.linalg.norm(weighted.values) == pytest.approx(1.0)

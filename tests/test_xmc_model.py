@@ -14,11 +14,12 @@ from brandlink.binio import (
     ArtifactChecksumError,
     ArtifactFormatError,
     ArtifactVersionError,
+    csr_blobs,
     read_artifact,
     write_artifact,
 )
 from brandlink.core import NIL, BrandEntityId, BrandMention, Query, StoreTag
-from brandlink.text import FeaturizerConfig, SparseVector, fit_idf, normalize, vectorize
+from brandlink.text import FeaturizerConfig, SparseVector, featurize_corpus, normalize, vectorize
 from brandlink.linear import score_vector
 from brandlink.xmc import model as xmc_model
 from brandlink.xmc.model import BeamParams, XmcModel, beam_predict, m2e_match, q2e_predict
@@ -50,9 +51,10 @@ def memory_owner(array):
 
 
 def layer_weights(model, layer):
-    """The columns of one tree layer, sliced from the model's stack."""
+    """The columns of one tree layer, sliced from the model's stack in
+    feature order (the stack is stored bottom-up)."""
     lo, hi = model.layer_offsets[layer], model.layer_offsets[layer + 1]
-    return model.weights[:, lo:hi]
+    return model.weights[::-1][:, lo:hi]
 
 
 def exhaustive_scores(model, vec) -> dict:
@@ -88,7 +90,8 @@ def exhaustive_top(model, vec, k: int):
 
 
 # beam_predict and its row gather before the per-call costs were cut, kept
-# as the reference the current ones must equal bit for bit.
+# as the reference the current ones must equal bit for bit.  It reads the
+# weights in feature order, the stored stack turned back (``[::-1]``).
 def reference_margins(weights, x) -> np.ndarray:
     rows, vals = np.append(x.indices, x.dim), np.append(x.values, 1.0)
     indptr = weights.indptr
@@ -109,7 +112,7 @@ def reference_beam_predict(model, x, params):
     if x.nnz == 0:
         return []
     tree = model.tree
-    margins = reference_margins(model.weights, x)
+    margins = reference_margins(model.weights[::-1], x)
     nodes = np.arange(tree.layer_sizes[0], dtype=np.int64)
     path_logs = np.zeros(len(nodes), dtype=np.float64)
     for layer in range(tree.n_layers):
@@ -205,7 +208,8 @@ class TestTrain:
         model = request.getfixturevalue(fixture)
         model = model[0] if isinstance(model, tuple) else model
         offsets = model.layer_offsets.tolist()
-        blocks = [model.weights[:, a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+        logical = model.weights[::-1]
+        blocks = [logical[:, a:b] for a, b in zip(offsets[:-1], offsets[1:])]
         rebuilt = XmcModel(model.labels, model.tree, blocks, model.featurizer)
         for name in ("indptr", "indices", "data"):
             got, want = getattr(model.weights, name), getattr(rebuilt.weights, name)
@@ -304,7 +308,7 @@ def idf_model():
         for name, label in zip(names, labels)
         for kind in ("shoes", "tv", "drill", "")
     ]
-    cfg = fit_idf((normalize(text) for text, _ in data), CFG)
+    cfg, _ = featurize_corpus((normalize(text) for text, _ in data), CFG)
     space = aggregate_label_features(
         labels, {l: [n] for l, n in zip(labels, names)}, {}, cfg
     )
@@ -360,7 +364,7 @@ class TestBeamAgainstOracle:
             dense[vec.dim] = 1.0
             stacked = score_vector(model.weights, vec)
             assert stacked.dtype == np.float64
-            assert np.array_equal(stacked, reference_margins(model.weights, vec))
+            assert np.array_equal(stacked, reference_margins(model.weights[::-1], vec))
             for layer in range(model.tree.n_layers):
                 weights = layer_weights(model, layer)
                 want = weights.T @ dense
@@ -492,6 +496,7 @@ class TestStackLayers:
         blocks = [b.asformat(layout) for b in self.blocks(rng)]
         want = sp.hstack(blocks).tocsr()
         want.sort_indices()
+        want = want[::-1]
         got = xmc_model._stack_layers(blocks, 2**16 + 1)
         assert got.shape == want.shape
         assert got.indices.dtype == np.int32
@@ -502,7 +507,7 @@ class TestStackLayers:
         monkeypatch.setattr(xmc_model, "_STACK_SLICE_NNZ", 7)
         rng = np.random.default_rng(12)
         blocks = self.blocks(rng, widths=(30, 1, 90), density=0.001)
-        want = sp.hstack(blocks).tocsr()
+        want = sp.hstack(blocks).tocsr()[::-1]
         got = xmc_model._stack_layers(blocks, 2**16 + 1)
         assert got.has_sorted_indices or got.nnz == 0
         for name in ("indptr", "indices", "data"):
@@ -639,6 +644,18 @@ class TestSerialization:
     def test_wrong_kind_version_detected(self, tmp_path):
         path = tmp_path / "m.blaf"
         write_artifact(path, "xmc-model", 99, {"anything": True}, {})
+        with pytest.raises(ArtifactVersionError):
+            load_model(path)
+
+    def test_format_2_rejected(self, two_brand_model, tmp_path):
+        # Format 2 stored the rows in feature order; read as bottom-up they
+        # would mis-score every query, so the loader refuses the file.
+        model, _ = two_brand_model
+        path = tmp_path / "m.blaf"
+        save_model(model, path)
+        meta, blobs = read_artifact(path, MODEL_KIND, MODEL_VERSION)
+        blobs = dict(blobs, **csr_blobs(model.weights[::-1], "weights"))
+        write_artifact(path, MODEL_KIND, 2, meta, blobs)
         with pytest.raises(ArtifactVersionError):
             load_model(path)
 

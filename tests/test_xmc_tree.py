@@ -5,7 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from brandlink.core import BrandEntityId
-from brandlink.text import FeaturizerConfig, SparseVector, fit_idf, normalize, vectorize
+from brandlink.text import FeaturizerConfig, SparseVector, featurize_corpus, normalize, vectorize
 from brandlink.xmc.tree import LabelSpace, aggregate_label_features, build_tree
 
 CFG = FeaturizerConfig(dim=2**16)
@@ -85,7 +85,7 @@ def reference_aggregate(labels, surfaces, inputs, config) -> list[SparseVector]:
     return features
 
 
-_IDF_CFG = fit_idf(
+_IDF_CFG, _ = featurize_corpus(
     (normalize(t) for t in ("nike air", "sony tv", "鞋子 nike", "耐克 跑鞋", "usb")), CFG
 )
 # Latin and CJK texts from a small pool of overlapping phrases, so surfaces
