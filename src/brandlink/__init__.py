@@ -6,145 +6,9 @@ it by exact dictionary lookup or a mention-to-entity model, filter by
 product type) and an end-to-end path that ranks entities for the whole
 query with NIL in the label space.  A fusion wrapper runs both and
 prefers the two-stage answer.
+
+Import what you use from its submodule (``brandlink.pipeline``,
+``brandlink.xmc`` and so on); the package root loads none of them.
 """
-from .core import (
-    KEY_SEPARATOR,
-    NIL,
-    NIL_ID,
-    BrandEntityId,
-    BrandMention,
-    LabeledQuery,
-    LinkResult,
-    Outcome,
-    Query,
-    ScoredEntity,
-    Source,
-    StoreTag,
-    TraceRecord,
-    entity_from_id,
-)
-from .evaluation import (
-    EvalCounts,
-    MetricReport,
-    MetricRow,
-    false_alarm_rate,
-    metrics,
-    report,
-    score,
-)
-from .gazetteer import (
-    BrandDictionary,
-    MentionDetector,
-    TrieDetector,
-    build_dictionary,
-    lexical_match,
-    load_dictionary,
-    save_dictionary,
-    trie_detect,
-)
-from .pipeline import (
-    LexicalMatcher,
-    LinkerConfig,
-    M2eMatcher,
-    link_end_to_end,
-    link_fused,
-    link_two_stage,
-)
-from .ptfilter import (
-    FilterMode,
-    LinearPtPredictor,
-    ProductType,
-    PtAssociations,
-    PtPredictor,
-    filter_candidates,
-    mine_associations,
-    train_pt_baseline,
-)
-from .text import (
-    FeaturizerConfig,
-    NormalizedText,
-    SparseVector,
-    featurize,
-    featurize_corpus,
-    normalize,
-    vectorize,
-)
-from .xmc import (
-    BeamParams,
-    LabelSpace,
-    LabelTree,
-    XmcModel,
-    beam_predict,
-    build_tree,
-    load_model,
-    m2e_match,
-    q2e_predict,
-    save_model,
-    train,
-)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "KEY_SEPARATOR",
-    "NIL",
-    "NIL_ID",
-    "BeamParams",
-    "BrandDictionary",
-    "BrandEntityId",
-    "BrandMention",
-    "EvalCounts",
-    "FeaturizerConfig",
-    "FilterMode",
-    "LabelSpace",
-    "LabelTree",
-    "LabeledQuery",
-    "LexicalMatcher",
-    "LinearPtPredictor",
-    "LinkResult",
-    "LinkerConfig",
-    "M2eMatcher",
-    "MentionDetector",
-    "MetricReport",
-    "MetricRow",
-    "NormalizedText",
-    "Outcome",
-    "ProductType",
-    "PtAssociations",
-    "PtPredictor",
-    "Query",
-    "ScoredEntity",
-    "Source",
-    "SparseVector",
-    "StoreTag",
-    "TraceRecord",
-    "TrieDetector",
-    "XmcModel",
-    "beam_predict",
-    "build_dictionary",
-    "build_tree",
-    "entity_from_id",
-    "false_alarm_rate",
-    "featurize",
-    "featurize_corpus",
-    "filter_candidates",
-    "lexical_match",
-    "link_end_to_end",
-    "link_fused",
-    "link_two_stage",
-    "load_dictionary",
-    "load_model",
-    "m2e_match",
-    "metrics",
-    "mine_associations",
-    "normalize",
-    "q2e_predict",
-    "report",
-    "save_dictionary",
-    "save_model",
-    "score",
-    "train",
-    "train_pt_baseline",
-    "trie_detect",
-    "vectorize",
-]

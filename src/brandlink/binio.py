@@ -240,10 +240,11 @@ def csr_from_blobs(
 
     Nothing is converted or copied, so the blobs must already carry the
     dtypes the scorer reads.  Raises KeyError for a missing blob and
-    ArtifactFormatError for another dtype, a structure scipy's unchecked
-    loops must not see, or a non-finite value, which would mis-score every
-    query.  The scorer relies on the row pointers never decreasing: its
-    gaps between two rows are empty only then.
+    ArtifactFormatError for another dtype, int64 indices scipy would copy
+    to int32, a structure scipy's unchecked loops must not see, or a
+    non-finite value, which would mis-score every query.  The scorer
+    relies on the row pointers never decreasing: its gaps between two
+    rows are empty only then.
     """
     data = blobs[f"{prefix}/data"]
     indices = blobs[f"{prefix}/indices"]
@@ -268,4 +269,9 @@ def csr_from_blobs(
         raise ArtifactFormatError(f"{path}: {prefix} has a non-finite value")
     if len(indices) and (indices.min() < 0 or indices.max() >= n_cols):
         raise ArtifactFormatError(f"{path}: {prefix} has a column index out of range")
-    return sp.csr_matrix((data, indices, indptr), shape=shape, copy=False)
+    matrix = sp.csr_matrix((data, indices, indptr), shape=shape, copy=False)
+    # scipy narrows int64 index arrays whose values fit int32 into a copy;
+    # the writers store int32 whenever it fits, so only a foreign file does.
+    if matrix.indices.dtype != indices.dtype:
+        raise ArtifactFormatError(f"{path}: {prefix} has int64 indices that fit int32")
+    return matrix

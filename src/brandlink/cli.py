@@ -304,6 +304,8 @@ def _linker_from_config(config: dict) -> tuple[LinkerConfig, str]:
     mode = config["mode"]
     if mode not in ("lexical", "m2e", "q2e", "fused"):
         raise UsageError("--mode must be one of lexical, m2e, q2e, fused")
+    if config["fused_matcher"] not in ("lexical", "m2e"):
+        raise UsageError("--fused-matcher must be one of lexical, m2e")
     params = BeamParams(
         beam_size=int(config["beam_size"]), top_k=int(config["top_k"])
     )
@@ -313,10 +315,11 @@ def _linker_from_config(config: dict) -> tuple[LinkerConfig, str]:
 
     matcher = None
     detector = None
-    if mode == "lexical" or (mode == "fused" and config["fused_matcher"] == "lexical"):
+    matcher_kind = config["fused_matcher"] if mode == "fused" else mode
+    if matcher_kind == "lexical":
         _require(config, "link", "dict")
         matcher = LexicalMatcher(dictionary)
-    elif mode == "m2e" or (mode == "fused" and config["fused_matcher"] == "m2e"):
+    elif matcher_kind == "m2e":
         _require(config, "link", "dict", "m2e_model")
         matcher = M2eMatcher(load_model(config["m2e_model"]), params)
     if matcher is not None:
@@ -453,12 +456,13 @@ def _centroid_model(
             shape=(tree.layer_sizes[layer - 1], n_nodes),
         )
         layer_features.insert(0, unit_rows(members @ layer_features[0]))
-    # One row per node, layers in order from the root; the added last
-    # column, the bias feature's, stays zero.  Transposed, one column per node.
-    stack = sp.vstack(layer_features, format="csr")
-    stack.resize(stack.shape[0], featurizer.dim + 1)
+    # Per layer, one column per node; the added last row, the bias
+    # feature's, stays zero.
+    blocks = [features.T for features in layer_features]
+    for block in blocks:
+        block.resize(featurizer.dim + 1, block.shape[1])
     return XmcModel(
-        labels=labels, tree=tree, layer_weights=stack.T, featurizer=featurizer
+        labels=labels, tree=tree, layer_weights=blocks, featurizer=featurizer
     )
 
 

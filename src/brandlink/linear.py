@@ -19,9 +19,13 @@ no step goes through BLAS: the weights come out as the same bytes on any
 BLAS thread count.  Only ``scipy.sparse`` is imported, so loading a model
 to link with never loads an optimizer.
 
-Every trained model scores through :func:`score_vector`, which reads only
-the query's feature rows of a row-major weight matrix stored bottom-up,
-where they lie, in one compiled loop.
+Every trained model holds its weights as one row-major (CSR) matrix
+stored bottom-up: stored row 0 is the bias row and stored row ``k`` is
+feature ``dim - k``.  This module is the only one that knows that order.
+:func:`fit_sparse_ova` writes its triplets in it, :func:`stack_layers`
+turns per-layer blocks in feature order into it, and :func:`score_vector`
+reads only the query's rows of it, where they lie, in one compiled loop.
+Models, loaders and writers hold the matrix and pass it on.
 """
 from __future__ import annotations
 
@@ -254,8 +258,9 @@ def fit_sparse_ova(
     """Train one-vs-all columns over a shared row group, sparsely.
 
     Rows are restricted to the features they actually touch before the
-    dense solve, then weights are scattered back into the full space with
-    a constant bias feature stored at row index ``dim``.  When balanced,
+    dense solve, then weights are scattered back into the stored rows
+    :func:`score_vector` reads: feature ``r`` goes to row ``dim - r`` and
+    the constant bias feature to row 0.  When balanced,
     positive rows are class-weighted per column (negatives over positives,
     1 when a column has no negatives).  Columns without a single positive
     row are not trained; they get a zero weight vector with
@@ -267,7 +272,7 @@ def fit_sparse_ova(
             classifier treats it as positive; every other column treats it
             as negative.
         n_cols: Number of columns to produce.
-        dim: Full feature dimension; bias lands at index ``dim``.
+        dim: Full feature dimension; the weights span ``dim + 1`` rows.
         reg: L2 penalty weight.
         balanced: Apply the per-column positive class weight.  Leave off
             for calibrated scores whose absolute value gates a decision;
@@ -275,8 +280,8 @@ def fit_sparse_ova(
         prune: Drop trained weights with magnitude below this (bias kept).
 
     Returns:
-        COO triplets (rows, cols, values) in the (dim + 1)-row space and
-        the count of untrained all-negative default columns.
+        COO triplets (stored rows, cols, values) in the (dim + 1)-row
+        space and the count of untrained all-negative default columns.
     """
     counts = np.bincount(positive_col, minlength=n_cols)
     trained = np.flatnonzero(counts)
@@ -298,9 +303,11 @@ def fit_sparse_ova(
         w = fit_logistic_columns(x_aug, y, reg, pos_weight=pos_weight)
     keep = np.abs(w) >= prune if prune > 0.0 else w != 0.0
     keep[-1] = True  # bias survives pruning
-    # Column by column, rows ascending, after the default columns' biases.
+    # Column by column, features ascending, after the default columns' biases.
     col, row = np.nonzero(keep.T)
-    rows = np.concatenate((np.full(len(defaults), dim), np.append(active, dim)[row]))
+    rows = np.concatenate(
+        (np.zeros(len(defaults), dtype=np.int64), np.append(dim - active, 0)[row])
+    )
     cols = np.concatenate((defaults, trained[col]))
     vals = np.concatenate((np.full(len(defaults), DEFAULT_NEGATIVE_BIAS), w[row, col]))
     return rows, cols, vals, len(defaults)
@@ -322,10 +329,53 @@ def stack_rows(vectors: Sequence[SparseVector], dim: int) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(len(vectors), dim))
 
 
-def to_bottom_up(weights: sp.spmatrix) -> sp.csr_matrix:
-    """Weights in feature order, the bias row last, as the bottom-up CSR
-    that :func:`score_vector` reads: the same rows in reverse order."""
-    return weights.tocsr()[::-1]
+# Stored entries a CSC block is transposed in at a time while stacking;
+# bounds the build's temporaries whatever the size of the block.
+_STACK_SLICE_NNZ = 1 << 16
+
+
+def stack_layers(blocks: Sequence[sp.spmatrix], n_rows: int) -> sp.csr_matrix:
+    """Blocks in feature order, the bias row last, side by side as the
+    stored CSR matrix :func:`score_vector` reads.
+
+    Row counts are summed first, so every entry is written once, straight
+    into its final slot, and each block is transposed a slice of columns at
+    a time: the build holds no stacked copy beside the result.  Block row
+    ``r`` lands in stored row ``n_rows - 1 - r``, and each row lists its
+    columns in ascending order, as ``sp.hstack(blocks).tocsr()[::-1]``
+    does.
+    """
+    counts = np.zeros(n_rows, dtype=np.int64)
+    for block in blocks:
+        counts += block.getnnz(axis=1)[::-1]
+    nnz = int(counts.sum())
+    n_cols = sum(block.shape[1] for block in blocks)
+    fits = max(nnz, n_rows + 1, n_cols) <= np.iinfo(np.int32).max
+    index_dtype = np.int32 if fits else np.int64
+    indptr = np.zeros(n_rows + 1, dtype=index_dtype)
+    np.cumsum(counts, out=indptr[1:])
+    del counts
+    indices = np.empty(nnz, dtype=index_dtype)
+    data = np.empty(nnz, dtype=np.float64)
+    # Next free slot of each block row r, in its stored row n_rows - 1 - r.
+    fill = indptr[-2::-1].copy()
+    col = 0
+    for block in blocks:
+        block = block.tocsc()
+        bounds = block.indptr
+        targets = np.arange(_STACK_SLICE_NNZ, bounds[-1], _STACK_SLICE_NNZ)
+        cuts = np.searchsorted(bounds, targets)
+        cuts = np.unique(np.concatenate(([0], cuts, [block.shape[1]])))
+        for start, stop in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            piece = block[:, start:stop].tocsr()
+            per_row = np.diff(piece.indptr)
+            dest = np.repeat(fill - piece.indptr[:-1], per_row)
+            dest += np.arange(piece.nnz, dtype=dest.dtype)
+            indices[dest] = piece.indices + (col + start)
+            data[dest] = piece.data
+            fill += per_row
+        col += block.shape[1]
+    return sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
 
 
 def score_vector(weights: sp.csr_matrix, x: SparseVector) -> np.ndarray:

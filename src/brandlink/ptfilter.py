@@ -6,18 +6,19 @@ associations always survive.  Filtering never invents candidates, it only
 narrows the given list and maps what remains to a terminal decision.
 
 The PT predictor answers only when its best sigmoid score reaches the
-fixed ``PT_CONFIDENCE_THRESHOLD``.  Its artifact (``pt-model`` format
-version 3) records that threshold, and a loader refuses any other; it
-stores the weights as one bottom-up CSR matrix (the bias row first, then
-the features from the last down) in the dtypes the scorer reads, and a
-loaded predictor serves them, and its idf table, as read-only views over
-the artifact's aligned payload buffer.
+fixed ``PT_CONFIDENCE_THRESHOLD``.  Its weights are one CSR matrix in
+the row order :mod:`brandlink.linear` writes and reads: training builds
+it from ``fit_sparse_ova``'s triplets, and the predictor holds it as it
+is.  Its artifact (``pt-model`` format version 3) records the threshold,
+and a loader refuses any other; it stores the matrix as held, in the
+dtypes the scorer reads, and a loaded predictor serves it, and its idf
+table, as read-only views over the artifact's aligned payload buffer.
 """
 from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol
 
@@ -37,7 +38,7 @@ from .core import (
     read_jsonl,
     read_tsv,
 )
-from .linear import fit_sparse_ova, score_vector, stack_rows, to_bottom_up
+from .linear import fit_sparse_ova, score_vector, stack_rows
 from .text import FeaturizerConfig, SparseVector, featurize
 from .text import featurizer_from_meta, featurizer_to_meta, normalize
 from .xmc.train import DEFAULT_REG
@@ -186,24 +187,21 @@ class LinearPtPredictor:
     """Flat one-vs-all linear classifier over the featurizer space.
 
     Abstains when its best score is below ``PT_CONFIDENCE_THRESHOLD``.
-    ``weights`` has one row per feature and a final bias row, in any
-    sparse layout; it is turned once, here, into the bottom-up CSR that
-    :func:`brandlink.linear.score_vector` reads.  ``bottom_up`` says it is
-    already stored so, such as a loaded predictor's, and is then kept as
-    it is; once built, a predictor's ``weights`` always are.
+    ``weights`` is the stored CSR matrix that
+    :func:`brandlink.linear.score_vector` reads, one column per product
+    type; anything else is refused here rather than at the first query.
     """
 
     product_types: tuple[ProductType, ...]
     weights: sp.csr_matrix  # (dim + 1, n_types)
     featurizer: FeaturizerConfig
-    bottom_up: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.bottom_up:
-            self.weights = self.weights.tocsr()
-        else:
-            self.weights = to_bottom_up(self.weights)
-            self.bottom_up = True
+        shape = (self.featurizer.dim + 1, len(self.product_types))
+        if not sp.issparse(self.weights) or self.weights.format != "csr":
+            raise ValueError("pt weights must be the stored CSR matrix")
+        if self.weights.shape != shape:
+            raise ValueError(f"pt weights have shape {self.weights.shape}, expected {shape}")
 
     def predict(self, query: Query) -> ProductType | None:
         x = featurize(normalize(query.text), self.featurizer)
@@ -254,7 +252,7 @@ def train_pt_baseline(
     )
     weights = sp.coo_matrix(
         (vals, (rows, cols)), shape=(featurizer.dim + 1, len(types))
-    )
+    ).tocsr()
     LOGGER.info(
         "trained pt baseline: %d types over %d queries", len(types), len(vectors)
     )
@@ -285,7 +283,6 @@ def load_pt_predictor(path: str | Path) -> LinearPtPredictor:
             product_types=types,
             weights=csr_from_blobs(path, blobs, "weights", (config.dim + 1, len(types))),
             featurizer=config,
-            bottom_up=True,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactFormatError(f"{path}: inconsistent pt model: {exc}") from exc

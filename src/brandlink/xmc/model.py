@@ -1,16 +1,16 @@
 """Trained ranker model and level-wise beam inference.
 
 A model holds one sparse weight matrix with one column per tree node, the
-layers stacked column-wise from the root down, stored row-major and
-bottom-up (the bias row first, then the features from the last down) so a
-query's rows are read where they lie.  A loaded model serves that matrix
-as a view over its artifact.  Inference scores every node with one
-:func:`brandlink.linear.score_vector` call, which sums each column's terms
-in ascending feature order, then walks the layers keeping the
-``beam_size`` best partial paths; a path's score is the product of
-sigmoid-transformed node margins, so leaf scores stay in (0, 1).  Each
-layer reads only the columns under the surviving beam, through child
-position arrays built once with the model.
+layers stacked column-wise from the root down, stored as the CSR matrix
+:mod:`brandlink.linear` writes and reads; that module alone knows its row
+order.  Training builds the stack from ``fit_sparse_ova``'s triplets, and
+a loaded model serves it as a view over its artifact.  Inference scores
+every node with one :func:`brandlink.linear.score_vector` call, which
+sums each column's terms in ascending feature order, then walks the
+layers keeping the ``beam_size`` best partial paths; a path's score is
+the product of sigmoid-transformed node margins, so leaf scores stay in
+(0, 1).  Each layer reads only the columns under the surviving beam,
+through child position arrays built once with the model.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..core import BrandEntityId, BrandMention, Query, ScoredEntity
-from ..linear import score_vector, to_bottom_up
+from ..linear import score_vector, stack_layers
 from ..text import FeaturizerConfig, SparseVector, featurize, normalize
 from .tree import LabelTree
 
@@ -41,68 +41,19 @@ class BeamParams:
             raise ValueError("top_k must be at least 1")
 
 
-# Stored entries a CSC layer is transposed in at a time while stacking;
-# bounds the build's temporaries whatever the size of the layer.
-_STACK_SLICE_NNZ = 1 << 16
-
-
-def _stack_layers(blocks: list[sp.spmatrix], n_rows: int) -> sp.csr_matrix:
-    """The layer blocks side by side as one bottom-up CSR matrix.
-
-    Row counts are summed first, so every entry is written once, straight
-    into its final slot, and each block is transposed a slice of columns at
-    a time: the build holds no stacked copy beside the result.  Block row
-    ``r`` lands in stored row ``n_rows - 1 - r``, and each row lists its
-    columns in ascending order, as ``sp.hstack(blocks).tocsr()[::-1]``
-    does.
-    """
-    counts = np.zeros(n_rows, dtype=np.int64)
-    for block in blocks:
-        counts += block.getnnz(axis=1)[::-1]
-    nnz = int(counts.sum())
-    n_cols = sum(block.shape[1] for block in blocks)
-    fits = max(nnz, n_rows + 1, n_cols) <= np.iinfo(np.int32).max
-    index_dtype = np.int32 if fits else np.int64
-    indptr = np.zeros(n_rows + 1, dtype=index_dtype)
-    np.cumsum(counts, out=indptr[1:])
-    del counts
-    indices = np.empty(nnz, dtype=index_dtype)
-    data = np.empty(nnz, dtype=np.float64)
-    # Next free slot of each block row r, in its stored row n_rows - 1 - r.
-    fill = indptr[-2::-1].copy()
-    col = 0
-    for block in blocks:
-        block = block.tocsc()
-        bounds = block.indptr
-        targets = np.arange(_STACK_SLICE_NNZ, bounds[-1], _STACK_SLICE_NNZ)
-        cuts = np.searchsorted(bounds, targets)
-        cuts = np.unique(np.concatenate(([0], cuts, [block.shape[1]])))
-        for start, stop in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-            piece = block[:, start:stop].tocsr()
-            per_row = np.diff(piece.indptr)
-            dest = np.repeat(fill - piece.indptr[:-1], per_row)
-            dest += np.arange(piece.nnz, dtype=dest.dtype)
-            indices[dest] = piece.indices + (col + start)
-            data[dest] = piece.data
-            fill += per_row
-        col += block.shape[1]
-    return sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
-
-
 @dataclass(eq=False)
 class XmcModel:
     """Tree, stacked node weights, and the featurizer they were trained with.
 
-    ``layer_weights`` is either one matrix per tree layer or one matrix
-    that already stacks them column-wise, in any sparse layout, with one
-    row per feature and a final row for the constant bias feature appended
-    at train and inference time.  ``weights`` is that stack, of shape
-    ``(featurizer.dim + 1, sum(tree.layer_sizes))``, stored as CSR with
-    its rows bottom-up, as :func:`brandlink.linear.score_vector` reads it:
-    the stack is turned once, here.  ``bottom_up`` says a stack is already
-    stored so, such as a loaded model's, and is then kept as it is; once
-    built, a model's ``weights`` always are.  Layer ``l`` owns columns
-    ``layer_offsets[l]:layer_offsets[l + 1]``.
+    ``layer_weights`` is either a list with one matrix per tree layer, in
+    any sparse layout, with one row per feature in feature order and a
+    final row for the constant bias feature, which
+    :func:`brandlink.linear.stack_layers` stacks; or the stored stack
+    itself, a CSR matrix such as training and loading produce, which is
+    kept as it is.  A single matrix in another layout is refused, so a
+    stack in feature order cannot be mis-read.  ``weights`` is the stack,
+    of shape ``(featurizer.dim + 1, sum(tree.layer_sizes))``.  Layer ``l``
+    owns columns ``layer_offsets[l]:layer_offsets[l + 1]``.
     """
 
     labels: tuple[BrandEntityId, ...]
@@ -110,7 +61,6 @@ class XmcModel:
     layer_weights: InitVar[sp.spmatrix | list[sp.spmatrix]]
     featurizer: FeaturizerConfig
     stats: dict = field(default_factory=dict, repr=False)
-    bottom_up: bool = field(default=False, repr=False)
     weights: sp.csr_matrix = field(init=False, repr=False)
     layer_offsets: np.ndarray = field(init=False, repr=False)
     # Derived for beam search: per node of every non-final layer, in stack
@@ -123,19 +73,17 @@ class XmcModel:
     def __post_init__(self, layer_weights) -> None:
         sizes = self.tree.layer_sizes
         expected_rows = self.featurizer.dim + 1
-        if sp.issparse(layer_weights):
-            if self.bottom_up:
-                self.weights = layer_weights.tocsr()
-            else:
-                self.weights = to_bottom_up(layer_weights)
-        else:
+        if not sp.issparse(layer_weights):
             if len(layer_weights) != self.tree.n_layers:
                 raise ValueError("one weight matrix per tree layer expected")
             for layer, weights in enumerate(layer_weights):
                 if weights.shape != (expected_rows, sizes[layer]):
                     raise ValueError(f"layer {layer} weight shape mismatch")
-            self.weights = _stack_layers(layer_weights, expected_rows)
-        self.bottom_up = True
+            self.weights = stack_layers(layer_weights, expected_rows)
+        elif layer_weights.format == "csr":
+            self.weights = layer_weights
+        else:
+            raise ValueError("a single weight matrix must be the stored CSR stack")
         if self.weights.shape != (expected_rows, sum(sizes)):
             raise ValueError("stacked weight shape mismatch")
         if len(self.labels) != self.tree.n_labels:

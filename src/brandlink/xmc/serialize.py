@@ -1,13 +1,14 @@
 """Binary save/load for trained ranker models.
 
 One artifact file holds the featurizer configuration (idf table included),
-the tree topology, and the model's stacked node weights as one bottom-up
-CSR matrix (the bias row first, then the features from the last down) in
-the dtypes the scorer reads (``xmc-model`` format version 3).  Loading
-verifies container magic, version, payload checksum and the structure of
-every array, then serves the weights and the idf table as read-only views
-over the artifact's aligned payload buffer, with no conversion or copy.
-Identical models serialize to identical bytes.
+the tree topology, and the model's stacked node weights as the CSR
+matrix the model holds, in the row order :mod:`brandlink.linear` writes
+and in the dtypes the scorer reads (``xmc-model`` format version 3).
+Loading verifies container magic, version, payload checksum and the
+structure of every array, then hands the weights to the model as they
+are stored: they and the idf table are read-only views over the
+artifact's aligned payload buffer, with no conversion or copy.  Identical
+models serialize to identical bytes.
 """
 from __future__ import annotations
 
@@ -73,7 +74,6 @@ def load_model(path: str | Path) -> XmcModel:
             tree=tree,
             layer_weights=weights,
             featurizer=config,
-            bottom_up=True,
         )
     except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise ArtifactFormatError(f"{path}: inconsistent model: {exc}") from exc

@@ -4,9 +4,10 @@ Every tree node is a binary classifier.  An input is a positive for the
 node on its gold label's root-to-label path and a negative for that node's
 siblings under the same parent, so each parent group forms one small
 one-vs-all subproblem over exactly the inputs routed to it.  Groups are
-solved in parent order, layer by layer; each group's weight triplets are
-shifted to its columns of the stacked matrix, and all of them become the
-model's CSR stack in one conversion.
+solved in parent order, layer by layer; each group's weight triplets,
+already in the stored rows ``fit_sparse_ova`` writes, are shifted to its
+columns of the stacked matrix, and all of them become the model's CSR
+stack in one conversion.
 """
 from __future__ import annotations
 

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -18,6 +19,8 @@ from brandlink.binio import (
     ArtifactFormatError,
     ArtifactTruncatedError,
     ArtifactVersionError,
+    csr_blobs,
+    csr_from_blobs,
     read_artifact,
     write_artifact,
 )
@@ -232,6 +235,30 @@ def test_blobs_are_aligned_views_of_one_buffer(tmp_path):
             assert np.array_equal(blob, written[name])
             assert blob.ctypes.data % 8 == 0 and blob.flags.aligned
             assert not blob.flags.writeable
+
+
+def test_csr_is_served_as_views_of_its_blobs(tmp_path):
+    matrix = sp.random(100, 5, density=0.3, format="csr", random_state=0)
+    path = tmp_path / "w.blaf"
+    write_artifact(path, "k", 1, {}, csr_blobs(matrix, "w"))
+    _, blobs = read_artifact(path, "k", 1)
+    loaded = csr_from_blobs(path, blobs, "w", matrix.shape)
+    for name in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(loaded, name), blobs[f"w/{name}"])
+        assert np.array_equal(getattr(loaded, name), getattr(matrix, name))
+
+
+def test_int64_indices_that_fit_int32_rejected(tmp_path):
+    # scipy would serve them as an int32 copy; no writer stores them so.
+    matrix = sp.random(3, 5, density=0.5, format="csr", random_state=0)
+    blobs = csr_blobs(matrix, "w")
+    for name in ("w/indices", "w/indptr"):
+        blobs[name] = blobs[name].astype(np.int64)
+    path = tmp_path / "w.blaf"
+    write_artifact(path, "k", 1, {}, blobs)
+    _, blobs = read_artifact(path, "k", 1)
+    with pytest.raises(ArtifactFormatError, match="int64"):
+        csr_from_blobs(path, blobs, "w", matrix.shape)
 
 
 def test_unaligned_blob_area_rejected(tmp_path):

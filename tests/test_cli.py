@@ -192,6 +192,27 @@ class TestExitCodes:
         assert code == 2
         capsys.readouterr()
 
+    def test_bad_fused_matcher_exits_2(self, tmp_path, capsys):
+        code = run(
+            [
+                "link",
+                "--queries",
+                str(tmp_path / "q.jsonl"),
+                "--out",
+                str(tmp_path / "r.jsonl"),
+                "--mode",
+                "fused",
+                "--fused-matcher",
+                "foo",
+                "--q2e-model",
+                str(tmp_path / "q2e.blaf"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--fused-matcher" in err
+        assert not (tmp_path / "r.jsonl").exists()
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -476,6 +497,56 @@ class TestWorkflow:
         rows = list(read_jsonl(results))
         assert rows
         assert {r["outcome"] for r in rows} <= {"single", "nil", "no_prediction"}
+
+
+    def test_link_fused_with_m2e_matcher(self, workspace, tmp_path, capsys):
+        root, corpus = workspace
+        for target in ("m2e", "q2e"):
+            code = run(
+                [
+                    "train-xmc",
+                    "--train",
+                    str(corpus / "strong_labels.jsonl"),
+                    "--dict",
+                    str(root / "dict.blaf"),
+                    "--target",
+                    target,
+                    "--dim",
+                    "65536",
+                    "--out",
+                    str(tmp_path / f"{target}.blaf"),
+                ]
+            )
+            assert code == 0
+        results = tmp_path / "results.jsonl"
+        code = run(
+            [
+                "link",
+                "--queries",
+                str(corpus / "test.jsonl"),
+                "--dict",
+                str(root / "dict.blaf"),
+                "--mode",
+                "fused",
+                "--fused-matcher",
+                "m2e",
+                "--m2e-model",
+                str(tmp_path / "m2e.blaf"),
+                "--q2e-model",
+                str(tmp_path / "q2e.blaf"),
+                "--out",
+                str(results),
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        rows = list(read_jsonl(results))
+        assert len(rows) == sum(1 for _ in read_jsonl(corpus / "test.jsonl"))
+        matches = [
+            t["detail"] for r in rows for t in r["trace"] if t["stage"] == "two_stage/match"
+        ]
+        assert matches and all(m.startswith("m2e: ") for m in matches)
+        assert all(r["trace"][-1]["stage"] == "fusion" for r in rows)
 
 
 def test_bench_reports_scaling_rows(tmp_path, capsys):

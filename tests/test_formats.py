@@ -21,6 +21,7 @@ from brandlink.core import (
     link_result_to_record,
     write_jsonl,
 )
+from brandlink.linear import stack_layers
 from brandlink.ptfilter import LinearPtPredictor, ProductType, save_pt_predictor
 from brandlink.text import FeaturizerConfig, featurize_corpus, normalize
 from brandlink.xmc import XmcModel, save_model
@@ -35,12 +36,14 @@ def sha256(path) -> str:
 
 
 def fixed_weights(n_cols: int) -> sp.csr_matrix:
-    """A few exact binary fractions, bias row included, in every column."""
+    """A few exact binary fractions, bias row included, in every column,
+    as the stored stack both models hold."""
     rows = np.array([0, 17, 4099, 65535, FEATURIZER.dim] * n_cols, dtype=np.int64)
     cols = np.repeat(np.arange(n_cols, dtype=np.int64), 5)
     vals = (np.arange(len(rows), dtype=np.float64) - 7.0) / 8.0
     vals[vals == 0.0] = 0.125
-    return sp.csr_matrix((vals, (rows, cols)), shape=(FEATURIZER.dim + 1, n_cols))
+    feature_order = sp.csr_matrix((vals, (rows, cols)), shape=(FEATURIZER.dim + 1, n_cols))
+    return stack_layers([feature_order], FEATURIZER.dim + 1)
 
 
 def test_xmc_model_bytes(tmp_path):

@@ -296,13 +296,14 @@ class TestFitSparseOva:
         assert n_default == 1
         default_mask = cols == 2
         assert default_mask.sum() == 1
-        assert rows[default_mask][0] == 64  # bias row
+        assert rows[default_mask][0] == 0  # stored bias row
         assert vals[default_mask][0] == DEFAULT_NEGATIVE_BIAS
 
     def test_trained_columns_rank_their_own_features(self):
         x, positive = make_group()
         rows, cols, vals, _ = fit_sparse_ova(x, positive, 3, 64, reg=1e-2)
-        w = sp.coo_matrix((vals, (rows, cols)), shape=(65, 3)).tocsc()
+        # Stored row k is feature 64 - k; turned back to feature order.
+        w = sp.coo_matrix((vals, (64 - rows, cols)), shape=(65, 3)).tocsc()
         x_aug = sp.hstack([x, sp.csr_matrix(np.ones((x.shape[0], 1)))], format="csr")
         margins = (x_aug @ w).toarray()
         for i, col in enumerate(positive):
@@ -328,7 +329,7 @@ class TestFitSparseOva:
         x, positive = make_group()
         rows, cols, vals, _ = fit_sparse_ova(x, positive, 3, 64, reg=1e-2, prune=1e9)
         trained = cols != 2
-        assert set(rows[trained]) == {64}
+        assert set(rows[trained]) == {0}  # the stored bias row
 
     def test_empty_group_all_defaults(self):
         x = sp.csr_matrix((0, 16))
@@ -344,13 +345,15 @@ class TestFitSparseOva:
         rows, cols, vals, n_default = fit_sparse_ova(x, positive, 1, 8, reg=1e-2)
         assert n_default == 0
         w = sp.coo_matrix((vals, (rows, cols)), shape=(9, 1)).toarray()
-        margin = float(w[0, 0] + w[8, 0])
+        margin = float(w[8, 0] + w[0, 0])  # feature 0's stored row, then the bias
         assert expit(margin) > 0.9
 
 
 # fit_sparse_ova before its targets, default columns and kept weights
 # became array operations, kept as the reference the current one must
-# equal entry for entry once both are converted to CSR.
+# equal entry for entry once both are converted to CSR.  It writes rows in
+# feature order, the bias at ``dim``; ``stored`` turns them to the stored
+# rows the current one writes.
 def reference_fit_sparse_ova(x, positive_col, n_cols, dim, reg, *, balanced=True, prune=0.0):
     n = x.shape[0]
     rows_out, cols_out, vals_out = [], [], []
@@ -403,6 +406,11 @@ def reference_fit_sparse_ova(x, positive_col, n_cols, dim, reg, *, balanced=True
     return empty_i, empty_i.copy(), np.empty(0, dtype=np.float64), len(defaults)
 
 
+def stored(triplets, dim):
+    rows, cols, vals, n_default = triplets
+    return dim - rows, cols, vals, n_default
+
+
 def random_group(seed: int, dim: int):
     """Rows over ``dim`` features and a positive column per row.
 
@@ -427,8 +435,11 @@ class TestFitSparseOvaReference:
     def test_equals_reference(self, seed, dim, prune, balanced):
         x, positive, n_cols = random_group(seed, dim)
         got = fit_sparse_ova(x, positive, n_cols, dim, 1e-2, balanced=balanced, prune=prune)
-        want = reference_fit_sparse_ova(
-            x, positive, n_cols, dim, 1e-2, balanced=balanced, prune=prune
+        want = stored(
+            reference_fit_sparse_ova(
+                x, positive, n_cols, dim, 1e-2, balanced=balanced, prune=prune
+            ),
+            dim,
         )
         assert got[3] == want[3] >= 1
         shape = (dim + 1, n_cols)
@@ -440,7 +451,7 @@ class TestFitSparseOvaReference:
     def test_empty_group_equals_reference(self):
         x, positive = sp.csr_matrix((0, 16)), np.empty(0, dtype=np.int64)
         got = fit_sparse_ova(x, positive, 3, 16, reg=1e-2)
-        want = reference_fit_sparse_ova(x, positive, 3, 16, reg=1e-2)
+        want = stored(reference_fit_sparse_ova(x, positive, 3, 16, reg=1e-2), 16)
         for a, b in zip(got[:3], want[:3]):
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)

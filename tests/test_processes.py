@@ -1,5 +1,6 @@
-"""Properties only a fresh interpreter shows: what linking imports, and
-that trained models do not depend on the BLAS thread count."""
+"""Properties only a fresh interpreter shows: what linking and the text
+module import, and that trained models do not depend on the BLAS thread
+count."""
 import hashlib
 import json
 import os
@@ -41,6 +42,16 @@ def test_linking_does_not_load_the_trainer():
         f"print(*(m for m in {TRAINER_MODULES!r} if m in sys.modules))"
     )
     assert loaded.split() == []
+
+
+def test_text_loads_no_other_module_of_the_package():
+    # The package root re-exports nothing, so a submodule loads only what
+    # it imports itself; text needs neither scipy nor a sibling.
+    loaded = python(
+        "import sys, brandlink.text\n"
+        "print(*(m for m in sys.modules if m.split('.')[0] in ('brandlink', 'scipy')))"
+    )
+    assert sorted(loaded.split()) == ["brandlink", "brandlink.text"]
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,7 @@ from brandlink.binio import (
     write_artifact,
 )
 from brandlink.core import NIL, BrandEntityId, Outcome, Query, ScoredEntity, StoreTag
-from brandlink.linear import score_vector
+from brandlink.linear import score_vector, stack_layers
 from brandlink.ptfilter import (
     PT_CONFIDENCE_THRESHOLD,
     FilterMode,
@@ -271,11 +271,27 @@ class TestPtBaseline:
         weights = np.zeros((CFG.dim + 1, 3))
         weights[vec.indices, 1] = weights[vec.indices, 2] = 1.0
         weights[CFG.dim] = [-1.0, 0.5, 0.5]
-        weights = sp.csc_matrix(weights)
+        weights = stack_layers([sp.csc_matrix(weights)], CFG.dim + 1)
         model = LinearPtPredictor((SOCK, SHOE, TOY), weights, CFG)
         assert model.predict(Query("red shoes", US)) == SHOE
         swapped = LinearPtPredictor((SOCK, TOY, SHOE), weights, CFG)
         assert swapped.predict(Query("red shoes", US)) == TOY
+
+    @pytest.mark.parametrize(
+        "shape, layout",
+        [
+            ((CFG.dim + 1, 3), "csr"),  # one column more than types
+            ((CFG.dim + 1, 1), "csr"),  # one column fewer
+            ((CFG.dim, 2), "csr"),  # no bias row
+            ((CFG.dim + 2, 2), "csr"),
+            ((CFG.dim + 1, 2), "csc"),  # a feature-order matrix, likely
+        ],
+    )
+    def test_weights_checked_at_construction(self, shape, layout):
+        # Each would raise, or mis-score, only at the first query.
+        weights = sp.random(*shape, density=1e-3, format=layout, random_state=0)
+        with pytest.raises(ValueError, match="pt weights"):
+            LinearPtPredictor((SOCK, SHOE), weights, CFG)
 
     def test_predict_allocates_no_dense_vector(self, trained):
         rows, _ = trained

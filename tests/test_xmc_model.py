@@ -20,8 +20,8 @@ from brandlink.binio import (
 )
 from brandlink.core import NIL, BrandEntityId, BrandMention, Query, StoreTag
 from brandlink.text import FeaturizerConfig, SparseVector, featurize_corpus, normalize, vectorize
+from brandlink import linear
 from brandlink.linear import score_vector
-from brandlink.xmc import model as xmc_model
 from brandlink.xmc.model import BeamParams, XmcModel, beam_predict, m2e_match, q2e_predict
 from brandlink.xmc.serialize import MODEL_KIND, MODEL_VERSION, load_model, save_model
 from brandlink.xmc.train import train
@@ -166,7 +166,8 @@ def random_model(seed: int):
     block *= rng.random(block.shape) < 0.6
     weights = np.zeros((CFG.dim + 1, sum(sizes)))
     weights[features] = block
-    model = XmcModel(labels, tree, sp.csr_matrix(weights), CFG)
+    stack = linear.stack_layers([sp.csr_matrix(weights)], CFG.dim + 1)
+    model = XmcModel(labels, tree, stack, CFG)
     vectors = []
     for _ in range(4):
         rows = np.sort(rng.choice(features[:-1], size=int(rng.integers(1, 7)), replace=False))
@@ -427,10 +428,23 @@ class TestBeamAgainstOracle:
         vec = vectorize("nike", CFG)
         weights = np.zeros((CFG.dim + 1, 4))
         weights[CFG.dim] = [5.0, -5.0, 1.0, 1.0]
-        model = XmcModel(labels, tree, sp.csr_matrix(weights), CFG)
+        blocks = [sp.csr_matrix(weights[:, :2]), sp.csr_matrix(weights[:, 2:])]
+        model = XmcModel(labels, tree, blocks, CFG)
         assert beam_predict(model, vec, BeamParams(beam_size=1)) == []
         both = beam_predict(model, vec, BeamParams(beam_size=2))
         assert [c.entity.id for c in both] == ["A", "B"]
+
+    @pytest.mark.parametrize("layout", ["coo", "csc"])
+    def test_single_matrix_must_be_the_stored_csr_stack(self, layout):
+        # One matrix is the stored stack, kept as it is; in another layout
+        # it is most likely a stack in feature order, which would mis-score.
+        tree = LabelTree(2, (2,), (), np.array([0, 1]))
+        labels = (BrandEntityId("A"), BrandEntityId("B"))
+        weights = sp.random(CFG.dim + 1, 2, density=1e-3, format=layout, random_state=0)
+        with pytest.raises(ValueError, match="stored CSR stack"):
+            XmcModel(labels, tree, weights, CFG)
+        stack = weights.tocsr()
+        assert XmcModel(labels, tree, stack, CFG).weights is stack
 
     def test_beam_allocates_no_dense_vector(self):
         wide = FeaturizerConfig(dim=2**20)
@@ -497,18 +511,18 @@ class TestStackLayers:
         want = sp.hstack(blocks).tocsr()
         want.sort_indices()
         want = want[::-1]
-        got = xmc_model._stack_layers(blocks, 2**16 + 1)
+        got = linear.stack_layers(blocks, 2**16 + 1)
         assert got.shape == want.shape
         assert got.indices.dtype == np.int32
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
     def test_slices_within_a_layer_keep_the_column_order(self, monkeypatch):
-        monkeypatch.setattr(xmc_model, "_STACK_SLICE_NNZ", 7)
+        monkeypatch.setattr(linear, "_STACK_SLICE_NNZ", 7)
         rng = np.random.default_rng(12)
         blocks = self.blocks(rng, widths=(30, 1, 90), density=0.001)
         want = sp.hstack(blocks).tocsr()[::-1]
-        got = xmc_model._stack_layers(blocks, 2**16 + 1)
+        got = linear.stack_layers(blocks, 2**16 + 1)
         assert got.has_sorted_indices or got.nnz == 0
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
@@ -521,7 +535,7 @@ class TestStackLayers:
         result_bytes = 12 * nnz + 4 * (2**16 + 2)
         tracemalloc.start()
         try:
-            stacked = xmc_model._stack_layers(blocks, 2**16 + 1)
+            stacked = linear.stack_layers(blocks, 2**16 + 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
