@@ -3,7 +3,9 @@
 Every stage of the engine speaks in terms of the types defined here:
 queries, brand entities, detected mentions, scored candidates, and link
 results.  The module also owns the canonical JSON-lines record shapes so
-that files written by one tool are readable by every other.
+that files written by one tool are readable by every other.  An entity is
+its id alone, and the NIL sentinel is the entity whose id is ``NIL_ID``,
+so every reader builds entities from stored ids with ``BrandEntityId``.
 """
 from __future__ import annotations
 
@@ -50,27 +52,21 @@ class Query:
 
 @dataclass(frozen=True, slots=True)
 class BrandEntityId:
-    """Catalog identifier of a brand entity, or the NIL sentinel."""
+    """Catalog identifier of a brand entity; the id ``NIL_ID`` is NIL's."""
 
     id: str
-    is_nil: bool = False
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("entity id must be non-empty")
-        if self.is_nil != (self.id == NIL_ID):
-            raise ValueError(f"is_nil is reserved for the {NIL_ID!r} sentinel")
+        if not isinstance(self.id, str) or not self.id:
+            raise ValueError("entity id must be a non-empty string")
+
+    @property
+    def is_nil(self) -> bool:
+        return self.id == NIL_ID
 
 
-# The single NIL value; there is exactly one per label space.
-NIL = BrandEntityId(NIL_ID, is_nil=True)
-
-
-def entity_from_id(raw: str) -> BrandEntityId:
-    """Construct an entity id from its serialized string form."""
-    if raw == NIL_ID:
-        return NIL
-    return BrandEntityId(raw)
+# The NIL value; label spaces hold it at most once, as they hold every id.
+NIL = BrandEntityId(NIL_ID)
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,7 +236,7 @@ def labeled_query_from_record(record: dict) -> LabeledQuery:
     return LabeledQuery(
         query=query_from_record(record["query"]),
         brand_names=tuple(record["brand_names"]),
-        entities=tuple(entity_from_id(e) for e in record["entities"]),
+        entities=tuple(BrandEntityId(e) for e in record["entities"]),
         source=Source(record["source"]),
     )
 
@@ -250,7 +246,7 @@ def _scored_to_record(scored: ScoredEntity) -> dict:
 
 
 def _scored_from_record(record: dict) -> ScoredEntity:
-    return ScoredEntity(entity_from_id(record["entity"]), record["score"])
+    return ScoredEntity(BrandEntityId(record["entity"]), record["score"])
 
 
 def link_result_to_record(result: LinkResult) -> dict:

@@ -30,7 +30,6 @@ from .core import (
     Query,
     Source,
     StoreTag,
-    entity_from_id,
     labeled_query_to_record,
     query_from_record,
     read_jsonl,
@@ -80,7 +79,7 @@ def augment_b2e(
     skipped = 0
     for store, surface, entity_id in rows:
         try:
-            entity = entity_from_id(entity_id)
+            entity = BrandEntityId(entity_id)
         except ValueError:
             skipped += 1
             continue
@@ -359,7 +358,7 @@ def gen_synthetic_corpus(spec: CorpusSpec, out_dir: str | Path) -> dict:
     write_associations_tsv(
         PtAssociations(
             {
-                entity_from_id(entity.entity_id): frozenset(map(ProductType, entity.pts))
+                BrandEntityId(entity.entity_id): frozenset(map(ProductType, entity.pts))
                 for entity in entities
             }
         ),
@@ -406,7 +405,7 @@ def gen_synthetic_corpus(spec: CorpusSpec, out_dir: str | Path) -> dict:
         entity = rng.choice(entities)
         text, surface, pt = branded_text(entity)
         gold = tuple(
-            entity_from_id(e) for e in sorted(surface_owners[surface])
+            BrandEntityId(e) for e in sorted(surface_owners[surface])
         )
         sl_records.append(labeled(text, (surface,), gold))
         pt_rows.append({"text": text, "store": _STORE.code, "pt": pt})
@@ -466,7 +465,7 @@ def gen_synthetic_corpus(spec: CorpusSpec, out_dir: str | Path) -> dict:
             if surface in unambiguous:
                 break
         test_records.append(
-            labeled(text, (surface,), (entity_from_id(entity.entity_id),), pt)
+            labeled(text, (surface,), (BrandEntityId(entity.entity_id),), pt)
         )
     write_jsonl(out / "test.jsonl", test_records)
 
@@ -479,7 +478,7 @@ def gen_synthetic_corpus(spec: CorpusSpec, out_dir: str | Path) -> dict:
             pt = rng.choice(entity.pts)
             text = f"{surface} {_pt_phrase(rng, pt_table[pt])}"
             shared_records.append(
-                labeled(text, (surface,), (entity_from_id(entity.entity_id),), pt)
+                labeled(text, (surface,), (BrandEntityId(entity.entity_id),), pt)
             )
     write_jsonl(out / "test_shared.jsonl", shared_records)
 
@@ -494,7 +493,7 @@ def gen_synthetic_corpus(spec: CorpusSpec, out_dir: str | Path) -> dict:
         pt = rng.choice(entity.pts)
         text = f"{cand} {_pt_phrase(rng, pt_table[pt])}"
         variant_records.append(
-            labeled(text, (cand,), (entity_from_id(entity.entity_id),), pt)
+            labeled(text, (cand,), (BrandEntityId(entity.entity_id),), pt)
         )
     write_jsonl(out / "test_variants.jsonl", variant_records)
 

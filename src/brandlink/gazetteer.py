@@ -12,14 +12,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol
 
-from .binio import read_artifact, write_artifact
+from .binio import ArtifactFormatError, read_artifact, write_artifact
 from .core import (
     KEY_SEPARATOR,
+    NIL,
     BrandEntityId,
     BrandMention,
     Query,
     StoreTag,
-    entity_from_id,
     read_tsv,
 )
 from .text import normalize
@@ -94,9 +94,9 @@ def build_dictionary(
 ) -> BrandDictionary:
     """Build a dictionary from (store, surface, entity id) records.
 
-    Surfaces are normalized, duplicates are merged, and records with an
-    empty surface or an unusable entity id (empty, or the NIL sentinel)
-    are rejected and counted rather than raised.
+    Surfaces are normalized, duplicates are merged, and records that make
+    no valid :class:`SurfaceFormKey` or carry an unusable entity id (empty,
+    or the NIL sentinel) are rejected and counted rather than raised.
 
     Args:
         records: Raw dictionary rows, typically from :func:`read_b2e_tsv`.
@@ -107,19 +107,15 @@ def build_dictionary(
     accepted: dict[SurfaceFormKey, set[BrandEntityId]] = {}
     rejected = 0
     for store, surface, entity_id in records:
-        normalized = normalize(surface).text
-        if not normalized or KEY_SEPARATOR in normalized:
-            rejected += 1
-            continue
         try:
-            entity = entity_from_id(entity_id)
+            key = SurfaceFormKey(store, normalize(surface).text)
+            entity = BrandEntityId(entity_id)
         except ValueError:
             rejected += 1
             continue
         if entity.is_nil:
             rejected += 1
             continue
-        key = SurfaceFormKey(store, normalized)
         accepted.setdefault(key, set()).add(entity)
     if rejected:
         LOGGER.info("dictionary build rejected %d records", rejected)
@@ -217,12 +213,29 @@ def save_dictionary(dictionary: BrandDictionary, path: str | Path) -> None:
 
 
 def load_dictionary(path: str | Path) -> BrandDictionary:
-    """Load a snapshot written by :func:`save_dictionary`."""
+    """Load a snapshot written by :func:`save_dictionary`.
+
+    Raises:
+        ArtifactFormatError: Wrong file type or artifact kind, or an entry
+            that is not a ``[store, surface, [entity ids]]`` row with a
+            valid key not stored before and at least one id, none NIL.
+        ArtifactVersionError: Unsupported container or dictionary version.
+        ArtifactChecksumError: Corrupted payload.
+        ArtifactTruncatedError: Incomplete file.
+    """
     meta, _ = read_artifact(path, kind=_DICTIONARY_KIND, kind_version=_DICTIONARY_VERSION)
-    entries = {
-        SurfaceFormKey(StoreTag(store), surface): frozenset(
-            entity_from_id(e) for e in ids
-        )
-        for store, surface, ids in meta["entries"]
-    }
-    return BrandDictionary(entries)
+    entries: dict[SurfaceFormKey, frozenset[BrandEntityId]] = {}
+    try:
+        for store, surface, ids in meta["entries"]:
+            if not isinstance(ids, list):
+                raise ValueError("an entry is not [store, surface, [entity ids]]")
+            key = SurfaceFormKey(StoreTag(store), surface)
+            if key in entries:
+                raise ValueError(f"key {key.encoded!r} is stored twice")
+            entities = frozenset(map(BrandEntityId, ids))
+            if NIL in entities:
+                raise ValueError(f"key {key.encoded!r} maps to the NIL entity")
+            entries[key] = entities
+        return BrandDictionary(entries)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactFormatError(f"{path}: inconsistent dictionary: {exc}") from exc

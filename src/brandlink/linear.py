@@ -329,8 +329,8 @@ def stack_rows(vectors: Sequence[SparseVector], dim: int) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(len(vectors), dim))
 
 
-# Stored entries a CSC block is transposed in at a time while stacking;
-# bounds the build's temporaries whatever the size of the block.
+# Stored entries a CSC block is placed in at a time while stacking; bounds
+# the build's temporaries whatever the size of the block.
 _STACK_SLICE_NNZ = 1 << 16
 
 
@@ -338,42 +338,50 @@ def stack_layers(blocks: Sequence[sp.spmatrix], n_rows: int) -> sp.csr_matrix:
     """Blocks in feature order, the bias row last, side by side as the
     stored CSR matrix :func:`score_vector` reads.
 
-    Row counts are summed first, so every entry is written once, straight
-    into its final slot, and each block is transposed a slice of columns at
-    a time: the build holds no stacked copy beside the result.  Block row
-    ``r`` lands in stored row ``n_rows - 1 - r``, and each row lists its
-    columns in ascending order, as ``sp.hstack(blocks).tocsr()[::-1]``
+    Row counts are summed into the row pointers first, so every entry is
+    written once, straight into its final slot.  Each block is then placed
+    a slice of columns at a time, its entries put in row order by a stable
+    sort, so the temporaries follow the slice's entry count, not the row
+    count, and the build holds no stacked copy beside the result.  Block
+    row ``r`` lands in stored row ``n_rows - 1 - r``, and each row lists
+    its columns in ascending order, as ``sp.hstack(blocks).tocsr()[::-1]``
     does.
     """
-    counts = np.zeros(n_rows, dtype=np.int64)
-    for block in blocks:
-        counts += block.getnnz(axis=1)[::-1]
-    nnz = int(counts.sum())
+    # Counted in CSC form, which sums a COO block's repeated coordinates.
+    blocks = [block.tocsc() for block in blocks]
+    nnz = sum(block.nnz for block in blocks)
     n_cols = sum(block.shape[1] for block in blocks)
     fits = max(nnz, n_rows + 1, n_cols) <= np.iinfo(np.int32).max
     index_dtype = np.int32 if fits else np.int64
+    # Block row r's count goes to indptr[n_rows - r], the end of its stored
+    # row, so the running sum gives every stored row's bounds.
     indptr = np.zeros(n_rows + 1, dtype=index_dtype)
-    np.cumsum(counts, out=indptr[1:])
-    del counts
+    for block in blocks:
+        indptr[:0:-1] += block.getnnz(axis=1)
+    np.cumsum(indptr, out=indptr)
     indices = np.empty(nnz, dtype=index_dtype)
     data = np.empty(nnz, dtype=np.float64)
     # Next free slot of each block row r, in its stored row n_rows - 1 - r.
     fill = indptr[-2::-1].copy()
     col = 0
     for block in blocks:
-        block = block.tocsc()
         bounds = block.indptr
         targets = np.arange(_STACK_SLICE_NNZ, bounds[-1], _STACK_SLICE_NNZ)
         cuts = np.searchsorted(bounds, targets)
         cuts = np.unique(np.concatenate(([0], cuts, [block.shape[1]])))
         for start, stop in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-            piece = block[:, start:stop].tocsr()
-            per_row = np.diff(piece.indptr)
-            dest = np.repeat(fill - piece.indptr[:-1], per_row)
-            dest += np.arange(piece.nnz, dtype=dest.dtype)
-            indices[dest] = piece.indices + (col + start)
-            data[dest] = piece.data
-            fill += per_row
+            lo, hi = bounds[start], bounds[stop]
+            # Stable, so each row keeps the column order of the slice.
+            order = np.argsort(block.indices[lo:hi], kind="stable")
+            rows = block.indices[lo:hi][order]
+            first = np.flatnonzero(np.diff(rows, prepend=-1))
+            per_row = np.diff(first, append=len(rows))
+            dest = np.repeat(fill[rows[first]] - first, per_row)
+            dest += np.arange(len(rows), dtype=dest.dtype)
+            columns = np.arange(col + start, col + stop, dtype=index_dtype)
+            indices[dest] = np.repeat(columns, np.diff(bounds[start : stop + 1]))[order]
+            data[dest] = block.data[lo:hi][order]
+            fill[rows[first]] += per_row
         col += block.shape[1]
     return sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
 

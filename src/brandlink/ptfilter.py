@@ -34,7 +34,6 @@ from .core import (
     ScoredEntity,
     StoreTag,
     TraceRecord,
-    entity_from_id,
     read_jsonl,
     read_tsv,
 )
@@ -291,7 +290,7 @@ def load_pt_predictor(path: str | Path) -> LinearPtPredictor:
 def read_associations_tsv(path: str | Path) -> Iterator[tuple[BrandEntityId, ProductType]]:
     """Read (entity, product type) pairs from a headered TSV file."""
     for _, (entity_id, code) in read_tsv(path, _ASSOC_HEADER):
-        yield entity_from_id(entity_id), ProductType(code)
+        yield BrandEntityId(entity_id), ProductType(code)
 
 
 def write_associations_tsv(associations: PtAssociations, path: str | Path) -> None:

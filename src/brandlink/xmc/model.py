@@ -1,16 +1,17 @@
 """Trained ranker model and level-wise beam inference.
 
 A model holds one sparse weight matrix with one column per tree node, the
-layers stacked column-wise from the root down, stored as the CSR matrix
-:mod:`brandlink.linear` writes and reads; that module alone knows its row
-order.  Training builds the stack from ``fit_sparse_ova``'s triplets, and
-a loaded model serves it as a view over its artifact.  Inference scores
-every node with one :func:`brandlink.linear.score_vector` call, which
-sums each column's terms in ascending feature order, then walks the
-layers keeping the ``beam_size`` best partial paths; a path's score is
-the product of sigmoid-transformed node margins, so leaf scores stay in
-(0, 1).  Each layer reads only the columns under the surviving beam,
-through child position arrays built once with the model.
+layers stacked column-wise from the root down at the tree's ``offsets``,
+stored as the CSR matrix :mod:`brandlink.linear` writes and reads; that
+module alone knows its row order.  Training builds the stack from
+``fit_sparse_ova``'s triplets, and a loaded model serves it as a view over
+its artifact.  Inference scores every node with one
+:func:`brandlink.linear.score_vector` call, which sums each column's terms
+in ascending feature order, then walks the layers keeping the
+``beam_size`` best partial paths; a path's score is the product of
+sigmoid-transformed node margins, so leaf scores stay in (0, 1).  Each
+layer reads only the columns under the surviving beam, through child
+position arrays built once with the model.
 """
 from __future__ import annotations
 
@@ -52,8 +53,9 @@ class XmcModel:
     itself, a CSR matrix such as training and loading produce, which is
     kept as it is.  A single matrix in another layout is refused, so a
     stack in feature order cannot be mis-read.  ``weights`` is the stack,
-    of shape ``(featurizer.dim + 1, sum(tree.layer_sizes))``.  Layer ``l``
-    owns columns ``layer_offsets[l]:layer_offsets[l + 1]``.
+    of shape ``(featurizer.dim + 1, tree.offsets[-1])``.  Layer ``l``
+    owns columns ``tree.offsets[l]:tree.offsets[l + 1]``.  ``labels`` are
+    unique, NIL among them at most once, and as many as the tree's.
     """
 
     labels: tuple[BrandEntityId, ...]
@@ -62,7 +64,6 @@ class XmcModel:
     featurizer: FeaturizerConfig
     stats: dict = field(default_factory=dict, repr=False)
     weights: sp.csr_matrix = field(init=False, repr=False)
-    layer_offsets: np.ndarray = field(init=False, repr=False)
     # Derived for beam search: per node of every non-final layer, in stack
     # column order, its children's stack columns (read-only views) and
     # their count; the rank of each label index by label id, for ties.
@@ -71,42 +72,36 @@ class XmcModel:
     _id_rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, layer_weights) -> None:
-        sizes = self.tree.layer_sizes
         expected_rows = self.featurizer.dim + 1
         if not sp.issparse(layer_weights):
             if len(layer_weights) != self.tree.n_layers:
                 raise ValueError("one weight matrix per tree layer expected")
             for layer, weights in enumerate(layer_weights):
-                if weights.shape != (expected_rows, sizes[layer]):
+                if weights.shape != (expected_rows, self.tree.layer_sizes[layer]):
                     raise ValueError(f"layer {layer} weight shape mismatch")
             self.weights = stack_layers(layer_weights, expected_rows)
         elif layer_weights.format == "csr":
             self.weights = layer_weights
         else:
             raise ValueError("a single weight matrix must be the stored CSR stack")
-        if self.weights.shape != (expected_rows, sum(sizes)):
+        if self.weights.shape != (expected_rows, self.tree.offsets[-1]):
             raise ValueError("stacked weight shape mismatch")
         if len(self.labels) != self.tree.n_labels:
             raise ValueError("label count must match the tree")
-        self.layer_offsets = np.cumsum((0, *sizes))
-        columns = np.arange(self.layer_offsets[-1], dtype=np.int64)
+        if len({label.id for label in self.labels}) != len(self.labels):
+            raise ValueError("label ids must be unique")
+        offsets = self.tree.offsets
+        columns = np.arange(offsets[-1], dtype=np.int64)
         columns.setflags(write=False)
         self._children = tuple(
             child
-            for layer, indptr in enumerate(self.tree.children_indptr)
-            for child in np.split(
-                columns[self.layer_offsets[layer + 1] : self.layer_offsets[layer + 2]],
-                indptr[1:-1],
-            )
+            for indptr, lo, hi in zip(self.tree.children_indptr, offsets[1:], offsets[2:])
+            for child in np.split(columns[lo:hi], indptr[1:-1])
         )
         self._fanout = np.array([len(child) for child in self._children], dtype=np.int64)
         by_id = sorted(range(len(self.labels)), key=lambda i: self.labels[i].id)
         self._id_rank = np.empty(len(by_id), dtype=np.int64)
         self._id_rank[by_id] = np.arange(len(by_id))
-
-    @property
-    def n_labels(self) -> int:
-        return len(self.labels)
 
     def _repr_pretty_(self, printer, cycle) -> None:
         # Pretty-printers that walk the dataclass fields would read the
@@ -135,7 +130,7 @@ def beam_predict(
     if x.dim != model.featurizer.dim:
         raise ValueError("input dimension does not match the model featurizer")
     margins = score_vector(model.weights, x)
-    offsets = model.layer_offsets
+    offsets = model.tree.offsets
 
     # A path's cost is minus its log-score, the sum of its nodes'
     # -log(sigmoid(margin)) = log(1 + exp(-margin)).  Beam nodes are stack

@@ -1,9 +1,11 @@
 """Binary save/load for trained ranker models.
 
 One artifact file holds the featurizer configuration (idf table included),
-the tree topology, and the model's stacked node weights as the CSR
-matrix the model holds, in the row order :mod:`brandlink.linear` writes
-and in the dtypes the scorer reads (``xmc-model`` format version 3).
+the tree topology (its indptr and label order arrays, and in the metadata
+the layer sizes they imply, which the loader checks against them), and
+the model's stacked node weights as the CSR matrix the model holds, in
+the row order :mod:`brandlink.linear` writes and in the dtypes the scorer
+reads (``xmc-model`` format version 3).
 Loading verifies container magic, version, payload checksum and the
 structure of every array, then hands the weights to the model as they
 are stored: they and the idf table are read-only views over the
@@ -18,7 +20,7 @@ import numpy as np
 
 from ..binio import ArtifactFormatError, csr_blobs, csr_from_blobs
 from ..binio import read_artifact, write_artifact
-from ..core import entity_from_id
+from ..core import BrandEntityId
 from ..text import featurizer_from_meta, featurizer_to_meta
 from .model import SCORE_TRANSFORM, XmcModel
 from .tree import LabelTree
@@ -58,19 +60,18 @@ def load_model(path: str | Path) -> XmcModel:
         if meta["score_transform"] != SCORE_TRANSFORM:
             raise ValueError(f"unsupported score transform {meta['score_transform']!r}")
         config = featurizer_from_meta(meta["featurizer"], blobs)
-        layer_sizes = tuple(int(s) for s in meta["layer_sizes"])
         tree = LabelTree(
-            n_labels=layer_sizes[-1],
-            layer_sizes=layer_sizes,
             children_indptr=tuple(
                 blobs[f"tree/indptr{i}"].astype(np.int64, copy=False)
-                for i in range(len(layer_sizes) - 1)
+                for i in range(len(meta["layer_sizes"]) - 1)
             ),
             label_order=blobs["tree/label_order"].astype(np.int64, copy=False),
         )
-        weights = csr_from_blobs(path, blobs, "weights", (config.dim + 1, sum(layer_sizes)))
+        if list(tree.layer_sizes) != meta["layer_sizes"]:
+            raise ValueError(f"layer sizes {meta['layer_sizes']} disagree with the tree")
+        weights = csr_from_blobs(path, blobs, "weights", (config.dim + 1, tree.offsets[-1]))
         return XmcModel(
-            labels=tuple(entity_from_id(raw) for raw in meta["labels"]),
+            labels=tuple(BrandEntityId(raw) for raw in meta["labels"]),
             tree=tree,
             layer_weights=weights,
             featurizer=config,

@@ -93,7 +93,6 @@ def train(
         "skipped_zero_vectors": skipped_zero,
         "default_columns": [],
     }
-    offsets = np.cumsum((0, *tree.layer_sizes))
     rows_out: list[np.ndarray] = []
     cols_out: list[np.ndarray] = []
     vals_out: list[np.ndarray] = []
@@ -118,7 +117,7 @@ def train(
                 prune=DEFAULT_PRUNE,
             )
             rows_out.append(r)
-            cols_out.append(c + (offsets[layer] + col_start))
+            cols_out.append(c + (tree.offsets[layer] + col_start))
             vals_out.append(v)
             n_defaults += n_default
             nnz += len(v)
@@ -140,7 +139,7 @@ def train(
             np.concatenate(vals_out),
             (np.concatenate(rows_out), np.concatenate(cols_out)),
         ),
-        shape=(dim + 1, offsets[-1]),
+        shape=(dim + 1, tree.offsets[-1]),
     ).tocsr()
     return XmcModel(
         labels=space.labels,

@@ -42,8 +42,6 @@ class LabelSpace:
             raise ValueError("labels and feature rows must align")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("label ids must be unique")
-        if sum(1 for label in self.labels if label.is_nil) > 1:
-            raise ValueError("at most one NIL label")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -103,28 +101,33 @@ class LabelTree:
     before the last, ``children_indptr[l][j]:children_indptr[l][j + 1]`` is
     the contiguous range of layer ``l + 1`` positions under its node ``j``.
     Final-layer position ``p`` corresponds to label index
-    ``label_order[p]``.
+    ``label_order[p]``.  Only these arrays are given; the layer sizes, and
+    the ``offsets`` at which each layer's columns start in a stack of all
+    layers, are derived from them.
     """
 
-    n_labels: int
-    layer_sizes: tuple[int, ...]
     children_indptr: tuple[np.ndarray, ...] = field(repr=False)
     label_order: np.ndarray = field(repr=False)
+    layer_sizes: tuple[int, ...] = field(init=False)
+    offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.layer_sizes[-1] != self.n_labels:
-            raise ValueError("final layer must span all labels")
-        if len(self.children_indptr) != len(self.layer_sizes) - 1:
-            raise ValueError("one indptr per non-final layer expected")
         for l, indptr in enumerate(self.children_indptr):
-            if len(indptr) - 1 != self.layer_sizes[l]:
-                raise ValueError(f"indptr {l} does not cover its layer")
-            if int(indptr[-1]) != self.layer_sizes[l + 1]:
-                raise ValueError(f"indptr {l} does not span the next layer")
-            if int(indptr[0]) != 0 or np.any(np.diff(indptr) < 0):
+            if len(indptr) == 0 or int(indptr[0]) != 0 or np.any(np.diff(indptr) < 0):
                 raise ValueError(f"indptr {l} must rise from 0")
+        # Each indptr covers the layer the previous one ends at, and the
+        # last ends at the label count.
+        sizes = (*(len(indptr) - 1 for indptr in self.children_indptr), self.n_labels)
+        if [int(indptr[-1]) for indptr in self.children_indptr] != list(sizes[1:]):
+            raise ValueError("each indptr must end at the size of the next layer")
         if not np.array_equal(np.sort(self.label_order), np.arange(self.n_labels)):
             raise ValueError("label_order must be a permutation of the labels")
+        object.__setattr__(self, "layer_sizes", sizes)
+        object.__setattr__(self, "offsets", np.cumsum((0, *sizes)))
+
+    @property
+    def n_labels(self) -> int:
+        return len(self.label_order)
 
     @property
     def n_layers(self) -> int:
@@ -264,33 +267,18 @@ def build_tree(
         split_counts.append(counts)
         groups = next_groups
 
-    layer_sizes: list[int] = []
-    indptrs: list[np.ndarray] = []
-    for level, counts in enumerate(split_counts):
-        layer_sizes.append(int(sum(counts)))
-        if level > 0:
-            indptrs.append(
-                np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-            )
-    # Root's own indptr (the first split) is implicit: layer 0 is scored in
-    # full.  The last stored indptr maps leaf clusters to label positions.
-    label_order = (
-        np.concatenate([np.sort(g) for g in groups]).astype(np.int64)
-        if groups
-        else np.empty(0, dtype=np.int64)
-    )
+    # The root's own indptr (the first split) is implicit: layer 0 is scored
+    # in full.  Each later split, then the leaf clusters' label counts, make
+    # one indptr each; the last maps leaf clusters to label positions.
     if split_counts:
-        leaf_sizes = [len(g) for g in groups]
-        indptrs.append(np.concatenate(([0], np.cumsum(leaf_sizes))).astype(np.int64))
-    layer_sizes.append(n)
-
-    tree = LabelTree(
-        n_labels=n,
-        layer_sizes=tuple(layer_sizes),
-        children_indptr=tuple(indptrs),
-        label_order=label_order,
+        split_counts.append([len(g) for g in groups])
+    indptrs = tuple(
+        np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        for counts in split_counts[1:]
     )
+    label_order = np.concatenate([np.sort(g) for g in groups]).astype(np.int64)
+    tree = LabelTree(children_indptr=indptrs, label_order=label_order)
     LOGGER.info(
-        "built label tree: %d labels, layers %s", n, "/".join(map(str, layer_sizes))
+        "built label tree: %d labels, layers %s", n, "/".join(map(str, tree.layer_sizes))
     )
     return tree

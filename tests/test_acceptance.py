@@ -21,7 +21,6 @@ from brandlink.core import (
     Query,
     Source,
     StoreTag,
-    entity_from_id,
     labeled_query_from_record,
     labeled_query_to_record,
     read_jsonl,
@@ -104,7 +103,7 @@ def _exhaustive_scores(model, weights, vec) -> dict:
     tree = model.tree
     logs = None
     for layer in range(tree.n_layers):
-        lo, hi = model.layer_offsets[layer], model.layer_offsets[layer + 1]
+        lo, hi = tree.offsets[layer], tree.offsets[layer + 1]
         margins = np.asarray(weights[:, lo:hi].T @ dense).ravel()
         layer_logs = -np.logaddexp(0.0, -margins)
         if logs is None:
@@ -235,6 +234,7 @@ def assoc5k(corpus5k):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_1_beam_matches_exhaustive(work):
     corpus = work / "corpus1k"
     _cli(
@@ -443,7 +443,7 @@ def test_criterion_3_lexical_round_trip(work):
             example = LabeledQuery(
                 query=query,
                 brand_names=(surface,),
-                entities=(entity_from_id(next(iter(ids))),),
+                entities=(BrandEntityId(next(iter(ids))),),
                 source=Source.SL,
             )
             unambiguous_pairs.append((example, result))
@@ -523,6 +523,7 @@ def test_criterion_4_pt_disambiguation(corpus5k, dict5k, pt5k, assoc5k):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_5_fusion_dominance(corpus5k, dict5k, q2e5k):
     _, dictionary = dict5k
     model, _ = q2e5k
@@ -576,6 +577,7 @@ def test_criterion_5_fusion_dominance(corpus5k, dict5k, q2e5k):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_6_false_alarm_ordering(corpus5k, dict5k, m2e5k, q2e5k):
     _, dictionary = dict5k
     q2e_model, _ = q2e5k
@@ -616,6 +618,7 @@ def test_criterion_6_false_alarm_ordering(corpus5k, dict5k, m2e5k, q2e5k):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_7_q2e_sanity(corpus5k, q2e5k):
     model, train_seconds = q2e5k
     config = LinkerConfig(q2e=model)
@@ -658,6 +661,7 @@ def test_criterion_7_q2e_sanity(corpus5k, q2e5k):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_8_scaling(work):
     out = work / "bench.json"
     _cli(

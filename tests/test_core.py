@@ -19,7 +19,6 @@ from brandlink.core import (
     Source,
     StoreTag,
     TraceRecord,
-    entity_from_id,
     labeled_query_from_record,
     labeled_query_to_record,
     link_result_from_record,
@@ -48,14 +47,14 @@ def test_query_permits_empty_text():
 def test_nil_is_the_only_nil():
     assert NIL.is_nil
     assert NIL.id == NIL_ID
-    with pytest.raises(ValueError):
-        BrandEntityId("E1", is_nil=True)
-    with pytest.raises(ValueError):
-        BrandEntityId(NIL_ID, is_nil=False)
+    assert BrandEntityId(NIL_ID) == NIL
+    assert BrandEntityId(NIL_ID).is_nil
+    assert not BrandEntityId("E1").is_nil
+    assert len({NIL, BrandEntityId(NIL_ID)}) == 1
     with pytest.raises(ValueError):
         BrandEntityId("")
-    assert entity_from_id(NIL_ID) is NIL
-    assert entity_from_id("E1") == BrandEntityId("E1")
+    with pytest.raises(ValueError):
+        BrandEntityId(7)
 
 
 def test_mention_span_must_match_surface():

@@ -49,8 +49,6 @@ def fixed_weights(n_cols: int) -> sp.csr_matrix:
 def test_xmc_model_bytes(tmp_path):
     labels = (NIL, BrandEntityId("E1"), BrandEntityId("E2"), BrandEntityId("E3"))
     tree = LabelTree(
-        n_labels=4,
-        layer_sizes=(2, 4),
         children_indptr=(np.array([0, 2, 4], dtype=np.int64),),
         label_order=np.array([2, 0, 3, 1], dtype=np.int64),
     )

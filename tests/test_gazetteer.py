@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from brandlink.binio import ArtifactFormatError, write_artifact
 from brandlink.core import (
     NIL_ID,
     BrandEntityId,
@@ -152,6 +153,45 @@ class TestSerialization:
         save_dictionary(d(("us", "nike", "E1"), ("us", "puma", "E2")), a)
         save_dictionary(d(("us", "puma", "E2"), ("us", "nike", "E1")), b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "meta",
+        [
+            {"n_entries": 1},
+            {"entries": [["us", "nike"]]},
+            {"entries": [["us", "nike", "E1"]]},
+            {"entries": [["us", "nike", [7]]]},
+            {"entries": ["usnike"]},
+            {"entries": [["us", "", ["E1"]]]},
+            {"entries": [["us", "ni\x1fke", ["E1"]]]},
+            {"entries": [["", "nike", ["E1"]]]},
+            {"entries": [["us", "nike", []]]},
+            {"entries": [["us", "nike", [""]]]},
+            {"entries": [["us", "nike", ["E1", NIL_ID]]]},
+            {"entries": [["us", "nike", ["E1"]], ["us", "nike", ["E2"]]]},
+        ],
+        ids=[
+            "no-entries",
+            "row-of-two",
+            "ids-not-a-list",
+            "id-not-a-string",
+            "row-a-string",
+            "empty-surface",
+            "separator-surface",
+            "empty-store",
+            "no-ids",
+            "empty-id",
+            "nil-id",
+            "key-twice",
+        ],
+    )
+    def test_crafted_entries_rejected(self, tmp_path, meta):
+        # Written through write_artifact, so the checksum is valid and only
+        # the loader's entry checks stand between the rows and detection.
+        path = tmp_path / "dict.blaf"
+        write_artifact(path, "brand-dictionary", 1, meta, {})
+        with pytest.raises(ArtifactFormatError):
+            load_dictionary(path)
 
 
 class TestB2eTsv:

@@ -18,14 +18,14 @@ from brandlink.binio import (
     read_artifact,
     write_artifact,
 )
-from brandlink.core import NIL, BrandEntityId, BrandMention, Query, StoreTag
+from brandlink.core import NIL, NIL_ID, BrandEntityId, BrandMention, Query, StoreTag
 from brandlink.text import FeaturizerConfig, SparseVector, featurize_corpus, normalize, vectorize
 from brandlink import linear
 from brandlink.linear import score_vector
 from brandlink.xmc.model import BeamParams, XmcModel, beam_predict, m2e_match, q2e_predict
 from brandlink.xmc.serialize import MODEL_KIND, MODEL_VERSION, load_model, save_model
 from brandlink.xmc.train import train
-from brandlink.xmc.tree import LabelTree, aggregate_label_features, build_tree
+from brandlink.xmc.tree import LabelSpace, LabelTree, aggregate_label_features, build_tree
 
 CFG = FeaturizerConfig(dim=2**16)
 US = StoreTag("us")
@@ -53,7 +53,7 @@ def memory_owner(array):
 def layer_weights(model, layer):
     """The columns of one tree layer, sliced from the model's stack in
     feature order (the stack is stored bottom-up)."""
-    lo, hi = model.layer_offsets[layer], model.layer_offsets[layer + 1]
+    lo, hi = model.tree.offsets[layer], model.tree.offsets[layer + 1]
     return model.weights[::-1][:, lo:hi]
 
 
@@ -123,7 +123,7 @@ def reference_beam_predict(model, x, params):
             children = np.repeat(indptr[nodes] - ends + counts, counts) + np.arange(
                 counts.sum()
             )
-            layer_margins = margins[children + model.layer_offsets[layer]]
+            layer_margins = margins[children + model.tree.offsets[layer]]
             logs = np.repeat(path_logs, counts) - np.logaddexp(0.0, -layer_margins)
         else:
             children = nodes
@@ -159,7 +159,7 @@ def random_model(seed: int):
         indptrs.append(np.concatenate(([0], np.cumsum(fanout))).astype(np.int64))
         sizes.append(int(fanout.sum()))
     n_labels = sizes[-1]
-    tree = LabelTree(n_labels, tuple(sizes), tuple(indptrs), rng.permutation(n_labels))
+    tree = LabelTree(tuple(indptrs), rng.permutation(n_labels))
     labels = tuple(BrandEntityId(f"L{i:02d}") for i in rng.permutation(n_labels))
     features = np.append(rng.choice(CFG.dim, size=6, replace=False), CFG.dim)
     block = rng.integers(-2, 3, size=(len(features), sum(sizes))).astype(np.float64)
@@ -208,7 +208,7 @@ class TestTrain:
     def test_stack_equals_one_built_from_layer_slices(self, fixture, request):
         model = request.getfixturevalue(fixture)
         model = model[0] if isinstance(model, tuple) else model
-        offsets = model.layer_offsets.tolist()
+        offsets = model.tree.offsets.tolist()
         logical = model.weights[::-1]
         blocks = [logical[:, a:b] for a, b in zip(offsets[:-1], offsets[1:])]
         rebuilt = XmcModel(model.labels, model.tree, blocks, model.featurizer)
@@ -369,7 +369,7 @@ class TestBeamAgainstOracle:
             for layer in range(model.tree.n_layers):
                 weights = layer_weights(model, layer)
                 want = weights.T @ dense
-                got = stacked[model.layer_offsets[layer] : model.layer_offsets[layer + 1]]
+                got = stacked[model.tree.offsets[layer] : model.tree.offsets[layer + 1]]
                 assert np.array_equal(got, want)
                 width = weights.shape[1]
                 for _ in range(3):
@@ -404,7 +404,7 @@ class TestBeamAgainstOracle:
     def test_childless_internal_nodes(self):
         # Nodes 1 and 3 of layer 0 and node 2 of layer 1 have no children.
         indptrs = (np.array([0, 2, 2, 4, 4]), np.array([0, 1, 3, 3, 5]))
-        tree = LabelTree(5, (4, 4, 5), indptrs, np.array([4, 0, 3, 1, 2]))
+        tree = LabelTree(indptrs, np.array([4, 0, 3, 1, 2]))
         labels = tuple(BrandEntityId(f"E{i}") for i in range(5))
         rng = np.random.default_rng(5)
         vec = vectorize("nike air", CFG)
@@ -423,7 +423,7 @@ class TestBeamAgainstOracle:
 
     def test_only_childless_survivors_yield_nothing(self):
         # Node 0 wins layer 0 but has no children; a beam of one keeps it alone.
-        tree = LabelTree(2, (2, 2), (np.array([0, 0, 2]),), np.array([0, 1]))
+        tree = LabelTree((np.array([0, 0, 2]),), np.array([0, 1]))
         labels = (BrandEntityId("A"), BrandEntityId("B"))
         vec = vectorize("nike", CFG)
         weights = np.zeros((CFG.dim + 1, 4))
@@ -438,7 +438,7 @@ class TestBeamAgainstOracle:
     def test_single_matrix_must_be_the_stored_csr_stack(self, layout):
         # One matrix is the stored stack, kept as it is; in another layout
         # it is most likely a stack in feature order, which would mis-score.
-        tree = LabelTree(2, (2,), (), np.array([0, 1]))
+        tree = LabelTree((), np.array([0, 1]))
         labels = (BrandEntityId("A"), BrandEntityId("B"))
         weights = sp.random(CFG.dim + 1, 2, density=1e-3, format=layout, random_state=0)
         with pytest.raises(ValueError, match="stored CSR stack"):
@@ -471,7 +471,7 @@ class TestBeamAgainstOracle:
         # Label indices, tree positions and ids all disagree in order; the
         # three labels share one weight column, so their scores tie.
         labels = tuple(BrandEntityId(i) for i in ("B", "C", "A"))
-        tree = LabelTree(3, (3,), (), np.array([1, 2, 0]))
+        tree = LabelTree((), np.array([1, 2, 0]))
         vec = vectorize("nike", CFG)
         weights = np.zeros((CFG.dim + 1, 3))
         weights[vec.indices] = 1.0
@@ -527,6 +527,16 @@ class TestStackLayers:
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
+    def test_duplicate_coo_entries_are_summed(self):
+        # A COO block may store one coordinate twice.  Its CSC form sums
+        # them; counted before that, a slot of the result stays unwritten.
+        block = sp.coo_matrix(([1.0, 2.0, 5.0], ([0, 0, 3], [0, 0, 1])), shape=(5, 2))
+        got = linear.stack_layers([block], 5)
+        want = block.tocsr()[::-1]
+        assert got.nnz == 2
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
     def test_build_from_csc_layers_holds_no_stacked_copy(self):
         # A stacked CSC copy beside the CSR result would double the peak.
         rng = np.random.default_rng(13)
@@ -541,6 +551,30 @@ class TestStackLayers:
             tracemalloc.stop()
         assert stacked.nnz == nnz > 1_000_000
         assert peak < 1.5 * result_bytes
+
+    def test_temporaries_follow_the_slices_not_the_row_count(self, monkeypatch):
+        # At the 2^20 + 1 rows of the default featurizer, a small stack of
+        # many slices may hold only the row pointers and fill pointers (4
+        # bytes a row each) and one block's row counts (8) at a time; an
+        # array of the row count per slice would take the peak past that.
+        monkeypatch.setattr(linear, "_STACK_SLICE_NNZ", 64)
+        n_rows = 2**20 + 1
+        rng = np.random.default_rng(14)
+        blocks = [
+            sp.random(n_rows, w, density=2e-4, format="csc", random_state=rng)
+            for w in (3, 16, 40)
+        ]
+        tracemalloc.start()
+        try:
+            stacked = linear.stack_layers(blocks, n_rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stacked.nnz > 100 * linear._STACK_SLICE_NNZ
+        assert peak < 16 * n_rows
+        want = sp.hstack(blocks).tocsr()[::-1]
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(stacked, name), getattr(want, name))
 
 
 def test_hypothesis_prints_a_model():
@@ -736,6 +770,74 @@ class TestSerialization:
         write_artifact(path, MODEL_KIND, MODEL_VERSION, meta, blobs)
         with pytest.raises(ArtifactFormatError):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda sizes: [sizes[0] + 1, *sizes[1:]],
+            lambda sizes: [*sizes[:-1], sizes[-1] - 1],
+            lambda sizes: sizes[1:],
+            lambda sizes: [*sizes, sizes[-1]],
+        ],
+        ids=["first-layer-larger", "label-layer-smaller", "layer-dropped", "layer-added"],
+    )
+    def test_stored_layer_sizes_must_match_the_tree(self, fifty_label_model, tmp_path, edit):
+        # The tree's sizes are derived from its indptr arrays; the sizes the
+        # metadata repeats must agree with them, or the file is not one
+        # save_model wrote.
+        model, _ = fifty_label_model
+        path = tmp_path / "m.blaf"
+        save_model(model, path)
+        meta, blobs = read_artifact(path, MODEL_KIND, MODEL_VERSION)
+        assert meta["layer_sizes"] == list(model.tree.layer_sizes)
+        crafted = dict(meta, layer_sizes=edit(meta["layer_sizes"]))
+        write_artifact(path, MODEL_KIND, MODEL_VERSION, crafted, blobs)
+        with pytest.raises(ArtifactFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize("source, target", [(1, 2), (0, 1)], ids=["entity", "nil"])
+    def test_duplicate_labels_rejected(self, q2e_model, tmp_path, source, target):
+        # A repeated label would let beam search return one entity twice,
+        # and a second NIL is a repeated label like any other.
+        path = tmp_path / "m.blaf"
+        save_model(q2e_model, path)
+        meta, blobs = read_artifact(path, MODEL_KIND, MODEL_VERSION)
+        assert meta["labels"] == [NIL_ID, "E1", "E2"]
+        labels = list(meta["labels"])
+        labels[target] = labels[source]
+        write_artifact(path, MODEL_KIND, MODEL_VERSION, dict(meta, labels=labels), blobs)
+        with pytest.raises(ArtifactFormatError, match="unique"):
+            load_model(path)
+        repeated = tuple(BrandEntityId(label) for label in labels)
+        with pytest.raises(ValueError, match="unique"):
+            XmcModel(repeated, q2e_model.tree, q2e_model.weights, q2e_model.featurizer)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_labels=st.integers(2, 40),
+        branching=st.integers(2, 5),
+        max_leaf=st.integers(1, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_built_tree_round_trips(
+        self, tmp_path_factory, n_labels, branching, max_leaf, seed
+    ):
+        labels = tuple(BrandEntityId(f"L{i:02d}") for i in range(n_labels))
+        features = sp.random(
+            n_labels, CFG.dim, density=8 / CFG.dim, format="csr", random_state=seed
+        )
+        tree = build_tree(LabelSpace(labels, features), branching, max_leaf, seed)
+        assert (tree.n_layers == 1) == (n_labels <= max_leaf)
+        empty = sp.csr_matrix((CFG.dim + 1, tree.offsets[-1]))
+        path = tmp_path_factory.mktemp("tree") / "m.blaf"
+        save_model(XmcModel(labels, tree, empty, CFG), path)
+        loaded = load_model(path).tree
+        assert loaded.layer_sizes == tree.layer_sizes
+        assert np.array_equal(loaded.offsets, tree.offsets)
+        assert np.array_equal(loaded.label_order, tree.label_order)
+        assert len(loaded.children_indptr) == len(tree.children_indptr)
+        for got, want in zip(loaded.children_indptr, tree.children_indptr):
+            assert np.array_equal(got, want)
 
     def test_other_score_transform_rejected(self, fifty_label_model, tmp_path):
         # Beam search only computes sigmoid path scores; a model that

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from brandlink.core import BrandEntityId
 from brandlink.text import FeaturizerConfig, SparseVector, featurize_corpus, normalize, vectorize
-from brandlink.xmc.tree import LabelSpace, aggregate_label_features, build_tree
+from brandlink.xmc.tree import LabelSpace, LabelTree, aggregate_label_features, build_tree
 
 CFG = FeaturizerConfig(dim=2**16)
 
@@ -220,3 +220,36 @@ class TestBuildTree:
             build_tree(space, branching=1)
         with pytest.raises(ValueError):
             build_tree(space, max_leaf=0)
+
+
+class TestLabelTree:
+    def test_sizes_and_offsets_derived_from_the_arrays(self):
+        indptrs = (np.array([0, 2, 3]), np.array([0, 1, 3, 5]))
+        tree = LabelTree(indptrs, np.array([4, 0, 3, 1, 2]))
+        assert tree.layer_sizes == (2, 3, 5)
+        assert tree.offsets.tolist() == [0, 2, 5, 10]
+        assert (tree.n_labels, tree.n_layers) == (5, 3)
+        assert LabelTree((), np.array([1, 0])).layer_sizes == (2,)
+
+    @pytest.mark.parametrize(
+        "indptrs, label_order",
+        [
+            ((np.array([0, 2, 4]),), np.arange(5)),
+            ((np.array([0, 2, 3]), np.array([0, 1, 3, 4, 5])), np.arange(5)),
+            ((np.array([], dtype=np.int64),), np.arange(2)),
+            ((np.array([1, 2]),), np.arange(2)),
+            ((np.array([0, 2, 1, 2]),), np.arange(2)),
+            ((), np.array([0, 0, 1])),
+        ],
+        ids=[
+            "last-ends-short-of-the-labels",
+            "indptr-covers-another-layer-size",
+            "empty-indptr",
+            "indptr-not-from-zero",
+            "indptr-decreasing",
+            "order-not-a-permutation",
+        ],
+    )
+    def test_arrays_that_do_not_chain_rejected(self, indptrs, label_order):
+        with pytest.raises(ValueError):
+            LabelTree(indptrs, label_order)
