@@ -159,11 +159,6 @@ class LinkResult:
     def no_prediction(cls, trace: Iterable[TraceRecord] = ()) -> LinkResult:
         return cls(outcome=Outcome.NO_PREDICTION, trace=tuple(trace))
 
-    def with_trace_prefix(self, records: Iterable[TraceRecord]) -> LinkResult:
-        """Return a copy with ``records`` prepended to the trace."""
-        trace = tuple(records) + self.trace
-        return LinkResult(self.outcome, self.best, trace)
-
 
 class Source(str, enum.Enum):
     """Provenance of a labeled query."""

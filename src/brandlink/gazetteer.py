@@ -22,7 +22,7 @@ from .core import (
     StoreTag,
     read_tsv,
 )
-from .text import normalize
+from .text import _fold_char, normalize
 
 LOGGER = logging.getLogger(__name__)
 
@@ -218,7 +218,8 @@ def load_dictionary(path: str | Path) -> BrandDictionary:
     Raises:
         ArtifactFormatError: Wrong file type or artifact kind, or an entry
             that is not a ``[store, surface, [entity ids]]`` row with a
-            valid key not stored before and at least one id, none NIL.
+            valid key not stored before, a surface in normalized form
+            (which alone can be detected), and at least one id, none NIL.
         ArtifactVersionError: Unsupported container or dictionary version.
         ArtifactChecksumError: Corrupted payload.
         ArtifactTruncatedError: Incomplete file.
@@ -232,10 +233,20 @@ def load_dictionary(path: str | Path) -> BrandDictionary:
             key = SurfaceFormKey(StoreTag(store), surface)
             if key in entries:
                 raise ValueError(f"key {key.encoded!r} is stored twice")
+            if " ".join(surface.split()) != surface:
+                raise ValueError(f"key {key.encoded!r} is not normalized")
             entities = frozenset(map(BrandEntityId, ids))
             if NIL in entities:
                 raise ValueError(f"key {key.encoded!r} maps to the NIL entity")
             entries[key] = entities
+        # A surface that passed the spacing check is normalized exactly when
+        # each of its characters folds to itself; checking each distinct
+        # character once is far cheaper than normalizing every surface.
+        chars = set("".join(key.surface for key in entries))
+        unfolded = {ch for ch in chars if _fold_char(ch) != ch}
+        if unfolded:
+            key = next(k for k in entries if not unfolded.isdisjoint(k.surface))
+            raise ValueError(f"key {key.encoded!r} is not normalized")
         return BrandDictionary(entries)
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactFormatError(f"{path}: inconsistent dictionary: {exc}") from exc

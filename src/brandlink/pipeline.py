@@ -5,6 +5,11 @@ exact dictionary lookup or the mention-to-entity model.  End-to-end
 linking maps the whole query straight to a ranked entity list, NIL
 included.  Fusion runs both and gives the two-stage branch priority.
 
+Both linkers narrow their candidates with the product-type filter and
+then decide here: two-stage answers only when exactly one candidate
+survives, end-to-end answers with its best survivor.  Either way a
+surviving NIL is the Nil outcome.
+
 Every linker is a pure function of its configuration and query: all
 failure modes come back as LinkResult outcomes, never as exceptions, and
 repeated calls return identical results.
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .core import LinkResult, Outcome, Query, ScoredEntity, TraceRecord
 from .gazetteer import BrandDictionary, MentionDetector, lexical_match
-from .ptfilter import FilterMode, PtAssociations, PtPredictor, filter_candidates
+from .ptfilter import PtAssociations, PtPredictor, filter_candidates
 from .xmc import BeamParams, XmcModel, m2e_match, q2e_predict
 
 # Exact dictionary hits carry full confidence.
@@ -62,17 +67,29 @@ class LinkerConfig:
             raise ValueError("fusion needs both a matcher path and a q2e model")
 
 
-def _predict_pt(config: LinkerConfig, query: Query):
-    if config.pt_predictor is None:
-        return None
-    return config.pt_predictor.predict(query)
+def _filter(
+    config: LinkerConfig, query: Query, candidates: list[ScoredEntity], trace: list[TraceRecord]
+) -> list[ScoredEntity]:
+    """The candidates the query's product type keeps; extends ``trace``."""
+    pt_q = None if config.pt_predictor is None else config.pt_predictor.predict(query)
+    survivors, records = filter_candidates(candidates, pt_q, config.associations)
+    trace += records
+    return survivors
+
+
+def _answer(survivor: ScoredEntity, trace: list[TraceRecord]) -> LinkResult:
+    """Answer with one survivor: Single, or Nil for the NIL entity."""
+    if survivor.entity.is_nil:
+        return LinkResult.nil(trace)
+    return LinkResult.single(survivor.entity, survivor.score, trace)
 
 
 def link_two_stage(config: LinkerConfig, query: Query) -> LinkResult:
     """Detect a mention, resolve it to candidates, filter by product type.
 
     A stage-1 miss (no mention found) short-circuits to NoPrediction; the
-    trace names which stage gave up.
+    trace names which stage gave up.  Only a lone survivor is an answer:
+    none or several abstain.
     """
     if config.matcher is None or config.detector is None:
         raise ValueError("two-stage linking needs a detector and a matcher")
@@ -95,24 +112,26 @@ def link_two_stage(config: LinkerConfig, query: Query) -> LinkResult:
     if not candidates:
         trace.append(TraceRecord("match", "no candidates"))
         return LinkResult.no_prediction(trace)
-    result = filter_candidates(
-        candidates, _predict_pt(config, query), config.associations, FilterMode.TWO_STAGE
-    )
-    return result.with_trace_prefix(trace)
+    survivors = _filter(config, query, candidates, trace)
+    if len(survivors) == 1:
+        return _answer(survivors[0], trace)
+    trace.append(TraceRecord("filter", f"{len(survivors)} survivors; abstaining"))
+    return LinkResult.no_prediction(trace)
 
 
 def link_end_to_end(config: LinkerConfig, query: Query) -> LinkResult:
-    """Rank entities for the whole query, then filter by product type."""
+    """Rank entities for the whole query, filter by product type, take the best."""
     if config.q2e is None:
         raise ValueError("end-to-end linking needs a q2e model")
     candidates = q2e_predict(config.q2e, query, config.q2e_params)
     trace = [TraceRecord("q2e", f"{len(candidates)} candidates")]
     if not candidates:
         return LinkResult.no_prediction(trace)
-    result = filter_candidates(
-        candidates, _predict_pt(config, query), config.associations, FilterMode.END_TO_END
-    )
-    return result.with_trace_prefix(trace)
+    survivors = _filter(config, query, candidates, trace)
+    if not survivors:
+        return LinkResult.no_prediction(trace)
+    # Candidates arrive by descending score, ties by ascending id.
+    return _answer(survivors[0], trace)
 
 
 def _relabel(prefix: str, result: LinkResult) -> list[TraceRecord]:

@@ -2,8 +2,10 @@
 
 A candidate is dropped when its mined product-type set is known and does
 not contain the query's predicted product type; candidates without mined
-associations always survive.  Filtering never invents candidates, it only
-narrows the given list and maps what remains to a terminal decision.
+associations always survive.  Filtering never invents or reorders
+candidates, it only narrows the given list and traces what it dropped;
+deciding an outcome from the survivors is left to each linker in
+:mod:`brandlink.pipeline`.
 
 The PT predictor answers only when its best sigmoid score reaches the
 fixed ``PT_CONFIDENCE_THRESHOLD``.  Its weights are one CSR matrix in
@@ -16,7 +18,6 @@ table, as read-only views over the artifact's aligned payload buffer.
 """
 from __future__ import annotations
 
-import enum
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +30,6 @@ from .binio import ArtifactFormatError, csr_blobs, csr_from_blobs
 from .binio import read_artifact, write_artifact
 from .core import (
     BrandEntityId,
-    LinkResult,
     Query,
     ScoredEntity,
     StoreTag,
@@ -62,13 +62,6 @@ class ProductType:
     def __post_init__(self) -> None:
         if not self.code:
             raise ValueError("product type code must be non-empty")
-
-
-class FilterMode(enum.Enum):
-    """How surviving candidates map to a terminal decision."""
-
-    TWO_STAGE = "two_stage"
-    END_TO_END = "end_to_end"
 
 
 @dataclass(frozen=True)
@@ -110,69 +103,37 @@ def filter_candidates(
     candidates: list[ScoredEntity],
     pt_q: ProductType | None,
     associations: PtAssociations,
-    mode: FilterMode,
-) -> LinkResult:
-    """Narrow candidates by product type and decide the outcome.
+) -> tuple[list[ScoredEntity], list[TraceRecord]]:
+    """Narrow candidates by product type.
 
     With a query product type, candidates whose mined PT set is known and
     lacks it are dropped; candidates with no mined set (NIL included) are
     kept.  Without one, the candidate list passes through unfiltered.
 
-    TwoStage keeps a prediction only when exactly one candidate survives;
-    EndToEnd takes the best survivor, mapping a winning NIL to the Nil
-    outcome.  Removing a non-surviving candidate from the input can never
-    change the outcome.
-
     Args:
-        candidates: Scored candidates sorted by descending score.
+        candidates: Scored candidates.
         pt_q: Predicted product type of the query, if any.
         associations: Mined PT sets per entity.
-        mode: Decision rule.
 
     Returns:
-        The terminal result with per-candidate filter decisions traced.
+        The survivors in input order, and the filter's trace: one record
+        per dropped candidate, then one summary record.
     """
-    trace: list[TraceRecord] = []
     if pt_q is None:
-        survivors = list(candidates)
-        trace.append(TraceRecord("filter", "no query product type; kept all"))
-    else:
-        survivors = []
-        for candidate in candidates:
-            known = associations.get(candidate.entity)
-            if known is not None and pt_q not in known:
-                trace.append(
-                    TraceRecord(
-                        "filter",
-                        f"dropped {candidate.entity.id}: {pt_q.code} not in its pt set",
-                    )
-                )
-                continue
+        return list(candidates), [TraceRecord("filter", "no query product type; kept all")]
+    survivors: list[ScoredEntity] = []
+    trace: list[TraceRecord] = []
+    for candidate in candidates:
+        known = associations.get(candidate.entity)
+        if known is not None and pt_q not in known:
+            detail = f"dropped {candidate.entity.id}: {pt_q.code} not in its pt set"
+            trace.append(TraceRecord("filter", detail))
+        else:
             survivors.append(candidate)
-        trace.append(
-            TraceRecord(
-                "filter",
-                f"pt={pt_q.code}: kept {len(survivors)} of {len(candidates)}",
-            )
-        )
-
-    if mode is FilterMode.TWO_STAGE:
-        if len(survivors) == 1:
-            survivor = survivors[0]
-            if survivor.entity.is_nil:
-                return LinkResult.nil(trace)
-            return LinkResult.single(survivor.entity, survivor.score, trace)
-        trace.append(
-            TraceRecord("filter", f"{len(survivors)} survivors; abstaining")
-        )
-        return LinkResult.no_prediction(trace)
-
-    if not survivors:
-        return LinkResult.no_prediction(trace)
-    best = sorted(survivors, key=lambda s: (-s.score, s.entity.id))[0]
-    if best.entity.is_nil:
-        return LinkResult.nil(trace)
-    return LinkResult.single(best.entity, best.score, trace)
+    trace.append(
+        TraceRecord("filter", f"pt={pt_q.code}: kept {len(survivors)} of {len(candidates)}")
+    )
+    return survivors, trace
 
 
 class PtPredictor(Protocol):

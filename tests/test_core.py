@@ -100,12 +100,6 @@ class TestLinkResult:
         with pytest.raises(ValueError):
             LinkResult(outcome=Outcome.SINGLE)
 
-    def test_trace_prefix_prepends(self):
-        result = LinkResult.nil([TraceRecord("filter", "kept 0")])
-        out = result.with_trace_prefix([TraceRecord("detector", "none")])
-        assert [t.stage for t in out.trace] == ["detector", "filter"]
-        assert out.outcome is result.outcome
-
 
 class TestLabeledQuery:
     def test_branded_forbids_nil_label(self):

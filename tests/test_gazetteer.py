@@ -1,6 +1,10 @@
 """Dictionary build, exact matching, trie detection, artifact round-trip."""
+import re
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brandlink.binio import ArtifactFormatError, write_artifact
@@ -21,6 +25,7 @@ from brandlink.gazetteer import (
     save_dictionary,
     trie_detect,
 )
+from brandlink.text import normalize
 
 US = StoreTag("us")
 DE = StoreTag("de")
@@ -192,6 +197,54 @@ class TestSerialization:
         write_artifact(path, "brand-dictionary", 1, meta, {})
         with pytest.raises(ArtifactFormatError):
             load_dictionary(path)
+
+    @pytest.mark.parametrize(
+        "surface", ["NIKE", "nike  air", " nike", "nike\tair", "\ufb01la", "ｎｉｋｅ"]
+    )
+    def test_unnormalized_surface_rejected(self, tmp_path, surface):
+        # Detection walks the normalized query, so such a surface could
+        # never be found; the error names the key among valid ones.
+        path = tmp_path / "dict.blaf"
+        entries = [["us", "adidas", ["E2"]], ["us", surface, ["E1"]], ["us", "zara", ["E3"]]]
+        write_artifact(path, "brand-dictionary", 1, {"entries": entries}, {})
+        with pytest.raises(ArtifactFormatError, match=re.escape(repr(f"us\x1f{surface}"))):
+            load_dictionary(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        surface=st.text(
+            st.one_of(
+                st.sampled_from("ab \t\u3000\u00a0\u1680\x1c\x85"),
+                st.characters(
+                    categories=["Lu", "Mn", "Zs", "Cc", "Cf"], exclude_characters="\x1f"
+                ),
+                st.characters(exclude_characters="\x1f"),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_loads_exactly_the_normalized_surfaces(self, surface):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "dict.blaf"
+            meta = {"entries": [["us", surface, ["E1"]]]}
+            try:
+                write_artifact(path, "brand-dictionary", 1, meta, {})
+            except UnicodeEncodeError:  # a lone surrogate has no UTF-8
+                return
+            if normalize(surface).text == surface:
+                assert len(load_dictionary(path)) == 1
+            else:
+                with pytest.raises(ArtifactFormatError, match="not normalized"):
+                    load_dictionary(path)
+
+    def test_normalized_surfaces_load(self, tmp_path):
+        surfaces = ["nike air", "café", "日本", "h&m", "a-b"]
+        assert all(normalize(s).text == s for s in surfaces)
+        path = tmp_path / "dict.blaf"
+        entries = [["us", s, ["E1"]] for s in surfaces]
+        write_artifact(path, "brand-dictionary", 1, {"entries": entries}, {})
+        assert len(load_dictionary(path)) == len(surfaces)
 
 
 class TestB2eTsv:

@@ -99,6 +99,23 @@ def lexical_config(dictionary, **kw):
     )
 
 
+class FixedPt:
+    """Predicts one product type for every query."""
+
+    def __init__(self, pt):
+        self.pt = pt
+
+    def predict(self, query):
+        return self.pt
+
+
+# "ab" is E1's and E2's surface; only E1 is mined with chargers.
+CHARGER = dict(
+    pt_predictor=FixedPt(ProductType("charger")),
+    associations=mine_associations([(E1, ProductType("charger")), (E2, ProductType("toy"))]),
+)
+
+
 class TestTwoStageLexical:
     def test_unambiguous_surface_links(self, dictionary):
         result = link_two_stage(lexical_config(dictionary), Query("nike shoes", US))
@@ -113,16 +130,7 @@ class TestTwoStageLexical:
         assert "none" in result.trace[0].detail
 
     def test_shared_surface_resolved_by_pt(self, dictionary):
-        assoc = mine_associations(
-            [(E1, ProductType("charger")), (E2, ProductType("toy"))]
-        )
-
-        class FixedPt:
-            def predict(self, query):
-                return ProductType("charger")
-
-        config = lexical_config(dictionary, pt_predictor=FixedPt(), associations=assoc)
-        result = link_two_stage(config, Query("ab charger", US))
+        result = link_two_stage(lexical_config(dictionary, **CHARGER), Query("ab charger", US))
         assert result.outcome is Outcome.SINGLE
         assert result.best.entity == E1
 
@@ -261,6 +269,90 @@ class TestFused:
                 matcher=LexicalMatcher(dictionary),
                 fusion=True,
             )
+
+
+@pytest.mark.parametrize(
+    "mode, text, outcome, best, trace",
+    [
+        ("lexical", "red shoes", Outcome.NO_PREDICTION, None, [("detector", "none")]),
+        (
+            "lexical+pt",
+            "ab charger",
+            Outcome.SINGLE,
+            E1,
+            [
+                ("detector", "mention 'ab' at (0, 2)"),
+                ("match", "lexical: 2 candidates"),
+                ("filter", "dropped E2: charger not in its pt set"),
+                ("filter", "pt=charger: kept 1 of 2"),
+            ],
+        ),
+        (
+            "lexical",
+            "ab charger",
+            Outcome.NO_PREDICTION,
+            None,
+            [
+                ("detector", "mention 'ab' at (0, 2)"),
+                ("match", "lexical: 2 candidates"),
+                ("filter", "no query product type; kept all"),
+                ("filter", "2 survivors; abstaining"),
+            ],
+        ),
+        (
+            "q2e",
+            "usb cable",
+            Outcome.NIL,
+            None,
+            [("q2e", "3 candidates"), ("filter", "no query product type; kept all")],
+        ),
+        (
+            "fused",
+            "nike shoes",
+            Outcome.SINGLE,
+            E1,
+            [
+                ("two_stage/detector", "mention 'nike' at (0, 4)"),
+                ("two_stage/match", "lexical: 1 candidates"),
+                ("two_stage/filter", "no query product type; kept all"),
+                ("q2e/q2e", "3 candidates"),
+                ("q2e/filter", "no query product type; kept all"),
+                ("fusion", "two-stage branch wins"),
+            ],
+        ),
+        (
+            "fused",
+            "nikee shoes",
+            Outcome.SINGLE,
+            E1,
+            [
+                ("two_stage/detector", "none"),
+                ("q2e/q2e", "3 candidates"),
+                ("q2e/filter", "no query product type; kept all"),
+                ("fusion", "q2e branch answers"),
+            ],
+        ),
+    ],
+    ids=[
+        "detector-miss",
+        "single-after-pt-drop",
+        "two-survivors-abstain",
+        "q2e-nil",
+        "fused-two-stage-resolves",
+        "fused-q2e-answers",
+    ],
+)
+def test_trace_and_outcome_pinned(dictionary, q2e_model, mode, text, outcome, best, trace):
+    link, config = {
+        "lexical": (link_two_stage, lexical_config(dictionary)),
+        "lexical+pt": (link_two_stage, lexical_config(dictionary, **CHARGER)),
+        "q2e": (link_end_to_end, LinkerConfig(q2e=q2e_model)),
+        "fused": (link_fused, lexical_config(dictionary, q2e=q2e_model, fusion=True)),
+    }[mode]
+    result = link(config, Query(text, US))
+    assert [(t.stage, t.detail) for t in result.trace] == trace
+    assert result.outcome is outcome
+    assert (None if result.best is None else result.best.entity) == best
 
 
 def test_threads_sharing_loaded_models_match_sequential(dictionary, tmp_path):

@@ -1,5 +1,6 @@
 """Association mining, candidate filtering, and the PT baseline model."""
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
+from brandlink import pipeline
 from brandlink.binio import (
     ArtifactFormatError,
     ArtifactVersionError,
@@ -15,10 +17,11 @@ from brandlink.binio import (
     write_artifact,
 )
 from brandlink.core import NIL, BrandEntityId, Outcome, Query, ScoredEntity, StoreTag
+from brandlink.gazetteer import TrieDetector, build_dictionary
 from brandlink.linear import score_vector, stack_layers
+from brandlink.pipeline import LexicalMatcher, LinkerConfig, link_end_to_end, link_two_stage
 from brandlink.ptfilter import (
     PT_CONFIDENCE_THRESHOLD,
-    FilterMode,
     LinearPtPredictor,
     ProductType,
     PtAssociations,
@@ -72,85 +75,155 @@ class TestMineAssociations:
         assert len(assoc) == 1
 
 
+class FixedPt:
+    """Predicts one product type, or none, for every query."""
+
+    def __init__(self, pt):
+        self.pt = pt
+
+    def predict(self, query):
+        return self.pt
+
+
+def two_stage(entities, pt_q, assoc):
+    """link_two_stage on a query whose one surface names ``entities``."""
+    dictionary = build_dictionary([(US, "ab", e.id) for e in entities])
+    config = LinkerConfig(
+        detector=TrieDetector(dictionary),
+        matcher=LexicalMatcher(dictionary),
+        pt_predictor=FixedPt(pt_q),
+        associations=assoc,
+    )
+    return link_two_stage(config, Query("ab", US))
+
+
+def end_to_end(candidates, pt_q, assoc):
+    """link_end_to_end with q2e ranking exactly ``candidates``."""
+    config = LinkerConfig(q2e=object(), pt_predictor=FixedPt(pt_q), associations=assoc)
+    with mock.patch.object(pipeline, "q2e_predict", lambda *_: list(candidates)):
+        return link_end_to_end(config, Query("ab", US))
+
+
+class TestFilterCandidates:
+    def test_drops_known_mismatches_in_input_order(self):
+        assoc = mine_associations([(E1, TOY), (E2, SHOE), (E3, SOCK)])
+        candidates = cands((E1, 0.9), (NIL, 0.8), (E3, 0.7), (E2, 0.6))
+        survivors, trace = filter_candidates(candidates, SHOE, assoc)
+        assert survivors == [candidates[1], candidates[3]]
+        assert [(t.stage, t.detail) for t in trace] == [
+            ("filter", "dropped E1: shoe not in its pt set"),
+            ("filter", "dropped E3: shoe not in its pt set"),
+            ("filter", "pt=shoe: kept 2 of 4"),
+        ]
+
+    def test_order_is_kept_not_restored(self):
+        candidates = cands((E1, 0.2), (E2, 0.9))
+        survivors, _ = filter_candidates(candidates, SHOE, PtAssociations.empty())
+        assert survivors == candidates
+
+    def test_absent_pt_keeps_a_copy_of_all(self):
+        candidates = cands((E1, 1.0), (E2, 1.0))
+        survivors, trace = filter_candidates(candidates, None, mine_associations([(E1, TOY)]))
+        assert survivors == candidates and survivors is not candidates
+        assert [(t.stage, t.detail) for t in trace] == [
+            ("filter", "no query product type; kept all")
+        ]
+
+    def test_no_candidates(self):
+        survivors, trace = filter_candidates([], SHOE, PtAssociations.empty())
+        assert survivors == []
+        assert [t.detail for t in trace] == ["pt=shoe: kept 0 of 0"]
+
+
 class TestFilterTwoStage:
     def test_pt_narrows_to_single(self):
         assoc = mine_associations([(E1, SHOE), (E2, TOY)])
-        result = filter_candidates(
-            cands((E1, 1.0), (E2, 1.0)), SHOE, assoc, FilterMode.TWO_STAGE
-        )
+        result = two_stage([E1, E2], SHOE, assoc)
         assert result.outcome is Outcome.SINGLE
         assert result.best.entity == E1
 
     def test_both_match_means_no_prediction(self):
         assoc = mine_associations([(E1, SHOE), (E2, SHOE)])
-        result = filter_candidates(
-            cands((E1, 1.0), (E2, 1.0)), SHOE, assoc, FilterMode.TWO_STAGE
-        )
+        result = two_stage([E1, E2], SHOE, assoc)
         assert result.outcome is Outcome.NO_PREDICTION
+        assert result.trace[-1].detail == "2 survivors; abstaining"
 
     def test_zero_survivors_means_no_prediction(self):
         assoc = mine_associations([(E1, TOY), (E2, TOY)])
-        result = filter_candidates(
-            cands((E1, 1.0), (E2, 1.0)), SHOE, assoc, FilterMode.TWO_STAGE
-        )
+        result = two_stage([E1, E2], SHOE, assoc)
         assert result.outcome is Outcome.NO_PREDICTION
+        assert result.trace[-1].detail == "0 survivors; abstaining"
 
     def test_unknown_pt_set_is_kept(self):
         assoc = mine_associations([(E2, TOY)])
-        result = filter_candidates(
-            cands((E1, 1.0), (E2, 1.0)), SHOE, assoc, FilterMode.TWO_STAGE
-        )
+        result = two_stage([E1, E2], SHOE, assoc)
         assert result.outcome is Outcome.SINGLE
         assert result.best.entity == E1
 
     def test_absent_pt_skips_filtering(self):
         assoc = mine_associations([(E1, SHOE), (E2, TOY)])
-        result = filter_candidates(
-            cands((E1, 1.0)), None, assoc, FilterMode.TWO_STAGE
-        )
+        result = two_stage([E1], None, assoc)
         assert result.outcome is Outcome.SINGLE
-        two = filter_candidates(
-            cands((E1, 1.0), (E2, 1.0)), None, assoc, FilterMode.TWO_STAGE
-        )
+        two = two_stage([E1, E2], None, assoc)
         assert two.outcome is Outcome.NO_PREDICTION
 
 
 class TestFilterEndToEnd:
     def test_highest_survivor_wins(self):
         assoc = mine_associations([(E1, SHOE), (E2, SHOE)])
-        result = filter_candidates(
-            cands((E2, 0.9), (E1, 0.8)), SHOE, assoc, FilterMode.END_TO_END
-        )
+        result = end_to_end(cands((E2, 0.9), (E1, 0.8)), SHOE, assoc)
         assert result.outcome is Outcome.SINGLE
         assert result.best.entity == E2
 
     def test_nil_on_top_yields_nil(self):
         assoc = mine_associations([(E1, SHOE)])
-        result = filter_candidates(
-            cands((NIL, 0.9), (E1, 0.8)), SHOE, assoc, FilterMode.END_TO_END
-        )
+        result = end_to_end(cands((NIL, 0.9), (E1, 0.8)), SHOE, assoc)
         assert result.outcome is Outcome.NIL
 
     def test_filter_can_promote_second_candidate(self):
         assoc = mine_associations([(E1, TOY), (E2, SHOE)])
-        result = filter_candidates(
-            cands((E1, 0.9), (E2, 0.8)), SHOE, assoc, FilterMode.END_TO_END
-        )
+        result = end_to_end(cands((E1, 0.9), (E2, 0.8)), SHOE, assoc)
         assert result.outcome is Outcome.SINGLE
         assert result.best.entity == E2
 
     def test_zero_survivors_means_no_prediction(self):
         assoc = mine_associations([(E1, TOY)])
-        result = filter_candidates(
-            cands((E1, 0.9)), SHOE, assoc, FilterMode.END_TO_END
-        )
+        result = end_to_end(cands((E1, 0.9)), SHOE, assoc)
         assert result.outcome is Outcome.NO_PREDICTION
 
 
-# Property: the chosen entity always comes from the input candidates, and
-# removing a non-surviving candidate never changes the outcome.
+# Properties of both linkers over drawn candidates: they decide as the
+# reference rules below, the chosen entity always comes from the input
+# candidates, and removing a non-surviving candidate never changes the
+# outcome.
 
-_entities = st.sampled_from([E1, E2, E3, NIL])
+
+def reference_decision(candidates, pt_q, assoc, linker):
+    """(outcome, best) by the decision rules the PT filter once applied."""
+    survivors = [
+        c
+        for c in candidates
+        if pt_q is None or assoc.get(c.entity) is None or pt_q in assoc.get(c.entity)
+    ]
+    if linker == "two_stage":
+        if len(survivors) != 1:
+            return Outcome.NO_PREDICTION, None
+        best = survivors[0]
+    else:
+        if not survivors:
+            return Outcome.NO_PREDICTION, None
+        best = sorted(survivors, key=lambda s: (-s.score, s.entity.id))[0]
+    if best.entity.is_nil:
+        return Outcome.NIL, None
+    return Outcome.SINGLE, best
+
+
+def link_case(candidates, pt_q, assoc, linker):
+    if linker == "two_stage":
+        return two_stage([c.entity for c in candidates], pt_q, assoc)
+    return end_to_end(candidates, pt_q, assoc)
+
+
 _pts = st.sampled_from([SHOE, SOCK, TOY])
 
 
@@ -158,34 +231,61 @@ _pts = st.sampled_from([SHOE, SOCK, TOY])
 def filter_cases(draw):
     n = draw(st.integers(min_value=1, max_value=4))
     chosen = draw(st.permutations([E1, E2, E3, NIL]))[:n]
-    candidates = [
-        ScoredEntity(e, draw(st.floats(0.1, 1.0).map(lambda v: round(v, 3))))
-        for e in chosen
-    ]
-    candidates.sort(key=lambda c: (-c.score, c.entity.id))
+    linker = draw(st.sampled_from(["two_stage", "end_to_end"]))
+    if linker == "two_stage":
+        # What the lexical matcher makes of one surface naming ``chosen``.
+        entities = sorted((e for e in chosen if not e.is_nil), key=lambda e: e.id)
+        candidates = [ScoredEntity(e, 1.0) for e in entities]
+    else:
+        candidates = [
+            ScoredEntity(e, draw(st.floats(0.1, 1.0).map(lambda v: round(v, 3))))
+            for e in chosen
+        ]
+        # As beam search returns them.
+        candidates.sort(key=lambda c: (-c.score, c.entity.id))
     table = {}
     for entity in [E1, E2, E3]:
         if draw(st.booleans()):
             table[entity] = frozenset(draw(st.sets(_pts, min_size=1, max_size=2)))
     pt_q = draw(st.none() | _pts)
-    mode = draw(st.sampled_from(FilterMode))
-    return candidates, pt_q, PtAssociations(table), mode
+    return candidates, pt_q, PtAssociations(table), linker
+
+
+@given(filter_cases())
+def test_linkers_decide_as_the_reference_rules(case):
+    result = link_case(*case)
+    assert (result.outcome, result.best) == reference_decision(*case)
+
+
+@given(filter_cases())
+def test_survivors_are_the_kept_candidates_in_order(case):
+    candidates, pt_q, assoc, _ = case
+    survivors, trace = filter_candidates(candidates, pt_q, assoc)
+    keep = [
+        c
+        for c in candidates
+        if pt_q is None or assoc.get(c.entity) is None or pt_q in assoc.get(c.entity)
+    ]
+    assert survivors == keep
+    n_dropped = len(candidates) - len(keep)
+    assert len(trace) == n_dropped + 1
+    assert all(t.stage == "filter" for t in trace)
 
 
 @given(filter_cases())
 def test_never_invents_an_entity(case):
-    candidates, pt_q, assoc, mode = case
-    result = filter_candidates(candidates, pt_q, assoc, mode)
+    candidates = case[0]
+    result = link_case(*case)
     if result.best is not None:
         assert result.best.entity in {c.entity for c in candidates}
 
 
 @given(filter_cases())
 def test_removing_dropped_candidate_is_noop(case):
-    candidates, pt_q, assoc, mode = case
+    candidates, pt_q, assoc, linker = case
     if pt_q is None:
         return
-    result = filter_candidates(candidates, pt_q, assoc, mode)
+    result = link_case(*case)
     survivors = {
         c.entity
         for c in candidates
@@ -195,7 +295,7 @@ def test_removing_dropped_candidate_is_noop(case):
     if not dropped:
         return
     thinned = [c for c in candidates if c.entity != dropped[0].entity]
-    again = filter_candidates(thinned, pt_q, assoc, mode)
+    again = link_case(thinned, pt_q, assoc, linker)
     assert again.outcome is result.outcome
     if result.best is not None:
         assert again.best.entity == result.best.entity
