@@ -11,8 +11,8 @@ produce identical bytes.
 Reads fill one aligned payload buffer, hash it, and return read-only array
 views over it, so every blob is aligned for its dtype: numpy gathers from
 an unaligned view far more slowly.  Sparse matrices are stored row-major
-in the dtypes the scorer reads and are range-checked before scipy builds a
-matrix on the views, with no conversion or copy.
+in the dtypes the scorer reads (float32 values) and are range-checked
+before scipy builds a matrix on the views, with no conversion or copy.
 """
 from __future__ import annotations
 
@@ -26,6 +26,8 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+
+from .linear import WEIGHT_DTYPE
 
 MAGIC = b"BLAF"
 CONTAINER_VERSION = 2
@@ -222,12 +224,19 @@ def read_artifact(
 def csr_blobs(matrix: sp.spmatrix, prefix: str) -> dict[str, np.ndarray]:
     """A matrix as the ``<prefix>/data|indices|indptr`` CSR blobs it is stored as.
 
-    ``data`` is float64; ``indices`` and ``indptr`` keep scipy's shared
-    index dtype, so :func:`csr_from_blobs` serves them as they are.
+    ``data`` is :data:`brandlink.linear.WEIGHT_DTYPE`, float32.  A value
+    that is not finite once rounded to it, one beyond float32's range for
+    instance, raises ValueError, since a loader would refuse the file.
+    ``indices`` and ``indptr`` keep scipy's shared index dtype, so
+    :func:`csr_from_blobs` serves them as they are.
     """
     csr = matrix.tocsr()
+    with np.errstate(over="ignore"):
+        data = csr.data.astype(WEIGHT_DTYPE, copy=False)
+    if not np.isfinite(data).all():
+        raise ValueError(f"{prefix} has a value that is not finite as {WEIGHT_DTYPE}")
     return {
-        f"{prefix}/data": csr.data.astype(np.float64, copy=False),
+        f"{prefix}/data": data,
         f"{prefix}/indices": csr.indices,
         f"{prefix}/indptr": csr.indptr,
     }
@@ -239,7 +248,8 @@ def csr_from_blobs(
     """Serve a matrix written by :func:`csr_blobs` straight from its blob views.
 
     Nothing is converted or copied, so the blobs must already carry the
-    dtypes the scorer reads.  Raises KeyError for a missing blob and
+    dtypes the scorer reads: float32 values and one shared index dtype.
+    Raises KeyError for a missing blob and
     ArtifactFormatError for another dtype, int64 indices scipy would copy
     to int32, a structure scipy's unchecked loops must not see, or a
     non-finite value, which would mis-score every query.  The scorer
@@ -251,7 +261,7 @@ def csr_from_blobs(
     indptr = blobs[f"{prefix}/indptr"]
     n_rows, n_cols = shape
     if (
-        data.dtype != np.float64
+        data.dtype != WEIGHT_DTYPE
         or indices.dtype != indptr.dtype
         or indices.dtype not in (np.int32, np.int64)
     ):

@@ -433,11 +433,14 @@ def _bench_names(rng: random.Random, count: int) -> list[str]:
 def _centroid_model(
     n_labels: int, featurizer: FeaturizerConfig, seed: int
 ) -> XmcModel:
-    """Untrained stand-in scorer with realistic sparsity.
+    """Untrained stand-in scorer with the tree shape of a trained model.
 
     Node weights are the unit-normalized sums of their labels' surface
-    features, so inference cost matches a trained model of the same
-    shape without the training time.
+    features, built without the training time.  The stand-in matches a
+    trained model's tree, not its weight count: a trained node also
+    weighs the features of its training queries, and at 50k labels a
+    trained m2e model holds 22.6M weights against the stand-in's 3.4M
+    and takes 2.3 times its beam p50.
     """
     rng = random.Random(seed)
     names = _bench_names(rng, n_labels)

@@ -21,11 +21,15 @@ to link with never loads an optimizer.
 
 Every trained model holds its weights as one row-major (CSR) matrix
 stored bottom-up: stored row 0 is the bias row and stored row ``k`` is
-feature ``dim - k``.  This module is the only one that knows that order.
-:func:`fit_sparse_ova` writes its triplets in it, :func:`stack_layers`
-turns per-layer blocks in feature order into it, and :func:`score_vector`
-reads only the query's rows of it, where they lie, in one compiled loop.
-Models, loaders and writers hold the matrix and pass it on.
+feature ``dim - k``.  Its values are :data:`WEIGHT_DTYPE`, float32: the
+weights are most of a serving process's memory, and the solver's float64
+is kept only while training.  This module is the only one that knows
+that order and that dtype.  :func:`fit_sparse_ova` writes its triplets
+in the order, :func:`stack_triplets` and :func:`stack_layers` build the
+stored matrix from triplets or from per-layer blocks in feature order,
+and :func:`score_vector` reads only the query's rows of it, where they
+lie, in one compiled loop.  Models, loaders and writers hold the matrix
+and pass it on.
 """
 from __future__ import annotations
 
@@ -40,6 +44,10 @@ from scipy.sparse import _sparsetools
 from .text import SparseVector
 
 LOGGER = logging.getLogger(__name__)
+
+# The dtype of every stored weight value.  Margins are summed in it and
+# widened to float64 once per score.
+WEIGHT_DTYPE = np.dtype(np.float32)
 
 # Bias assigned to columns that saw no positive example: always-low score.
 DEFAULT_NEGATIVE_BIAS = -10.0
@@ -280,8 +288,9 @@ def fit_sparse_ova(
         prune: Drop trained weights with magnitude below this (bias kept).
 
     Returns:
-        COO triplets (stored rows, cols, values) in the (dim + 1)-row
-        space and the count of untrained all-negative default columns.
+        COO triplets (stored rows, cols, float64 values) in the
+        (dim + 1)-row space and the count of untrained all-negative
+        default columns.
     """
     counts = np.bincount(positive_col, minlength=n_cols)
     trained = np.flatnonzero(counts)
@@ -329,6 +338,22 @@ def stack_rows(vectors: Sequence[SparseVector], dim: int) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(len(vectors), dim))
 
 
+def stack_triplets(
+    triplets: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]], shape: tuple[int, int]
+) -> sp.csr_matrix:
+    """:func:`fit_sparse_ova`'s triplets, already in stored rows and shifted
+    to their columns, as the stored CSR matrix with :data:`WEIGHT_DTYPE`
+    values.  No coordinate may repeat."""
+    rows, cols, vals = zip(*triplets)
+    return sp.coo_matrix(
+        (
+            np.concatenate(vals, dtype=WEIGHT_DTYPE),
+            (np.concatenate(rows), np.concatenate(cols)),
+        ),
+        shape=shape,
+    ).tocsr()
+
+
 # Stored entries a CSC block is placed in at a time while stacking; bounds
 # the build's temporaries whatever the size of the block.
 _STACK_SLICE_NNZ = 1 << 16
@@ -345,7 +370,7 @@ def stack_layers(blocks: Sequence[sp.spmatrix], n_rows: int) -> sp.csr_matrix:
     count, and the build holds no stacked copy beside the result.  Block
     row ``r`` lands in stored row ``n_rows - 1 - r``, and each row lists
     its columns in ascending order, as ``sp.hstack(blocks).tocsr()[::-1]``
-    does.
+    does.  Values are rounded to :data:`WEIGHT_DTYPE` as they are placed.
     """
     # Counted in CSC form, which sums a COO block's repeated coordinates.
     blocks = [block.tocsc() for block in blocks]
@@ -360,7 +385,7 @@ def stack_layers(blocks: Sequence[sp.spmatrix], n_rows: int) -> sp.csr_matrix:
         indptr[:0:-1] += block.getnnz(axis=1)
     np.cumsum(indptr, out=indptr)
     indices = np.empty(nnz, dtype=index_dtype)
-    data = np.empty(nnz, dtype=np.float64)
+    data = np.empty(nnz, dtype=WEIGHT_DTYPE)
     # Next free slot of each block row r, in its stored row n_rows - 1 - r.
     fill = indptr[-2::-1].copy()
     col = 0
@@ -389,20 +414,24 @@ def stack_layers(blocks: Sequence[sp.spmatrix], n_rows: int) -> sp.csr_matrix:
 def score_vector(weights: sp.csr_matrix, x: SparseVector) -> np.ndarray:
     """Margins ``W.T @ [x, 1]`` of every column, read in place from x's rows.
 
-    ``weights`` holds W bottom-up: stored row 0 is the bias row and stored
-    row ``k`` is feature ``x.dim - k``, so x's features, ascending, sit at
-    strictly descending stored rows.  One compiled ``csc_matvec`` walks a
-    "column" per feature over its stored row's range of the weight arrays,
-    with x's value, and between two features a gap "column" from the end
-    of one row back to the start of the next, which is empty, with 0; the
-    bias row comes last, with 1.  The gaps stay empty only because the
+    ``weights`` holds W bottom-up, with :data:`WEIGHT_DTYPE` values:
+    stored row 0 is the bias row and stored row ``k`` is feature
+    ``x.dim - k``, so x's features, ascending, sit at strictly descending
+    stored rows.  One compiled ``csc_matvec`` walks a "column" per feature
+    over its stored row's range of the weight arrays, with x's value
+    rounded to float32, and between two features a gap "column" from the
+    end of one row back to the start of the next, which is empty, with 0;
+    the bias row comes last, with 1.  The gaps stay empty only because the
     row pointers never decrease, as in every matrix scipy builds; the
-    artifact loaders check it of a stored one.  Nothing is copied out, and
-    each margin adds its terms in ascending feature order from 0.0, the
-    order of a dense matvec, so the margins equal it bit for bit.  The
-    kernel does not bounds-check: a ``weights`` whose row count is not
-    ``x.dim + 1`` raises ValueError here, and ``x``'s own invariant keeps
-    its indices inside ``[0, x.dim)``.
+    artifact loaders check it of a stored one.  Nothing is copied out.
+    Each margin adds its float32 products in a float32 sum from 0.0, in
+    ascending feature order and the bias last, the order of a dense
+    matvec, and is widened to float64 once, so beam search and the PT
+    decision compute in float64.  The kernel does not bounds-check: a
+    ``weights`` whose row count is not ``x.dim + 1`` raises ValueError
+    here, and ``x``'s own invariant keeps its indices inside
+    ``[0, x.dim)``.  Weights of another dtype make the kernel raise
+    ValueError.
     """
     indptr = weights.indptr
     n_rows, n_cols = weights.shape
@@ -416,11 +445,18 @@ def score_vector(weights: sp.csr_matrix, x: SparseVector) -> np.ndarray:
     np.subtract(x.dim + 1, x.indices, out=rows[1:-2:2])
     rows[-2:] = 0, 1
     bounds = indptr.take(rows)
-    vals = np.zeros(2 * n + 1, dtype=np.float64)
+    vals = np.zeros(2 * n + 1, dtype=WEIGHT_DTYPE)
     vals[:-1:2] = x.values
     vals[-1] = 1.0
+    # The float32 sums fill the upper half of the margins' own bytes, and
+    # the widening copies them down, front first.  numpy's assignment
+    # reads as if from a copy of its source, and for one dimension with
+    # the source above the destination it makes none, so a score
+    # allocates only its float64 margins.
     margins = np.zeros(n_cols, dtype=np.float64)
+    sums = margins.view(WEIGHT_DTYPE)[n_cols:]
     _sparsetools.csc_matvec(
-        n_cols, 2 * n + 1, bounds, weights.indices, weights.data, vals, margins
+        n_cols, 2 * n + 1, bounds, weights.indices, weights.data, vals, sums
     )
+    margins[:] = sums
     return margins

@@ -9,12 +9,15 @@ deciding an outcome from the survivors is left to each linker in
 
 The PT predictor answers only when its best sigmoid score reaches the
 fixed ``PT_CONFIDENCE_THRESHOLD``.  Its weights are one CSR matrix in
-the row order :mod:`brandlink.linear` writes and reads: training builds
-it from ``fit_sparse_ova``'s triplets, and the predictor holds it as it
-is.  Its artifact (``pt-model`` format version 3) records the threshold,
-and a loader refuses any other; it stores the matrix as held, in the
-dtypes the scorer reads, and a loaded predictor serves it, and its idf
-table, as read-only views over the artifact's aligned payload buffer.
+the row order and the float32 value dtype :mod:`brandlink.linear`
+writes and reads: training builds it from ``fit_sparse_ova``'s
+triplets, and the predictor holds it as it is.  Its artifact
+(``pt-model`` format version 4) records the threshold, and a loader
+refuses any other; it stores the matrix as held, in the dtypes the
+scorer reads, and a loaded predictor serves it, and its idf table, as
+read-only views over the artifact's aligned payload buffer.  Product
+type codes are strings, in the artifact as in the association table
+the filter compares them with.
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ from .core import (
     read_jsonl,
     read_tsv,
 )
-from .linear import fit_sparse_ova, score_vector, stack_rows
+from .linear import WEIGHT_DTYPE, fit_sparse_ova, score_vector, stack_rows, stack_triplets
 from .text import FeaturizerConfig, SparseVector, featurize
 from .text import featurizer_from_meta, featurizer_to_meta, normalize
 from .xmc.train import DEFAULT_REG
@@ -48,7 +51,7 @@ LOGGER = logging.getLogger(__name__)
 PT_CONFIDENCE_THRESHOLD = 0.5
 
 _PT_MODEL_KIND = "pt-model"
-_PT_MODEL_VERSION = 3
+_PT_MODEL_VERSION = 4
 
 _ASSOC_HEADER = ("entity_id", "pt_code")
 
@@ -60,6 +63,8 @@ class ProductType:
     code: str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.code, str):
+            raise ValueError(f"product type code must be a string, not {self.code!r}")
         if not self.code:
             raise ValueError("product type code must be non-empty")
 
@@ -149,7 +154,8 @@ class LinearPtPredictor:
     Abstains when its best score is below ``PT_CONFIDENCE_THRESHOLD``.
     ``weights`` is the stored CSR matrix that
     :func:`brandlink.linear.score_vector` reads, one column per product
-    type; anything else is refused here rather than at the first query.
+    type, with :data:`brandlink.linear.WEIGHT_DTYPE` values; anything else
+    is refused here rather than at the first query.
     """
 
     product_types: tuple[ProductType, ...]
@@ -162,6 +168,8 @@ class LinearPtPredictor:
             raise ValueError("pt weights must be the stored CSR matrix")
         if self.weights.shape != shape:
             raise ValueError(f"pt weights have shape {self.weights.shape}, expected {shape}")
+        if self.weights.dtype != WEIGHT_DTYPE:
+            raise ValueError(f"pt weights are {self.weights.dtype}, expected {WEIGHT_DTYPE}")
 
     def predict(self, query: Query) -> ProductType | None:
         x = featurize(normalize(query.text), self.featurizer)
@@ -210,9 +218,7 @@ def train_pt_baseline(
     rows, cols, vals, _ = fit_sparse_ova(
         x, positive, len(types), featurizer.dim, reg, balanced=False
     )
-    weights = sp.coo_matrix(
-        (vals, (rows, cols)), shape=(featurizer.dim + 1, len(types))
-    ).tocsr()
+    weights = stack_triplets([(rows, cols, vals)], (featurizer.dim + 1, len(types)))
     LOGGER.info(
         "trained pt baseline: %d types over %d queries", len(types), len(vectors)
     )

@@ -3,12 +3,12 @@
 A model holds one sparse weight matrix with one column per tree node, the
 layers stacked column-wise from the root down at the tree's ``offsets``,
 stored as the CSR matrix :mod:`brandlink.linear` writes and reads; that
-module alone knows its row order.  Training builds the stack from
-``fit_sparse_ova``'s triplets, and a loaded model serves it as a view over
-its artifact.  Inference scores every node with one
-:func:`brandlink.linear.score_vector` call, which sums each column's terms
-in ascending feature order, then walks the layers keeping the
-``beam_size`` best partial paths; a path's score is the product of
+module alone knows its row order and its float32 value dtype.  Training
+builds the stack from ``fit_sparse_ova``'s triplets, and a loaded model
+serves it as a view over its artifact.  Inference scores every node with
+one :func:`brandlink.linear.score_vector` call, which sums each column's
+float32 terms in ascending feature order, then walks the layers keeping
+the ``beam_size`` best partial paths; a path's score is the product of
 sigmoid-transformed node margins, so leaf scores stay in (0, 1).  Each
 layer reads only the columns under the surviving beam, through child
 position arrays built once with the model.
@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..core import BrandEntityId, BrandMention, Query, ScoredEntity
-from ..linear import score_vector, stack_layers
+from ..linear import WEIGHT_DTYPE, score_vector, stack_layers
 from ..text import FeaturizerConfig, SparseVector, featurize, normalize
 from .tree import LabelTree
 
@@ -52,7 +52,9 @@ class XmcModel:
     :func:`brandlink.linear.stack_layers` stacks; or the stored stack
     itself, a CSR matrix such as training and loading produce, which is
     kept as it is.  A single matrix in another layout is refused, so a
-    stack in feature order cannot be mis-read.  ``weights`` is the stack,
+    stack in feature order cannot be mis-read, and so is a stack whose
+    values are not :data:`brandlink.linear.WEIGHT_DTYPE`, which the scorer
+    cannot read.  ``weights`` is the stack,
     of shape ``(featurizer.dim + 1, tree.offsets[-1])``.  Layer ``l``
     owns columns ``tree.offsets[l]:tree.offsets[l + 1]``.  ``labels`` are
     unique, NIL among them at most once, and as many as the tree's.
@@ -86,6 +88,8 @@ class XmcModel:
             raise ValueError("a single weight matrix must be the stored CSR stack")
         if self.weights.shape != (expected_rows, self.tree.offsets[-1]):
             raise ValueError("stacked weight shape mismatch")
+        if self.weights.dtype != WEIGHT_DTYPE:
+            raise ValueError(f"weights are {self.weights.dtype}, expected {WEIGHT_DTYPE}")
         if len(self.labels) != self.tree.n_labels:
             raise ValueError("label count must match the tree")
         if len({label.id for label in self.labels}) != len(self.labels):

@@ -5,7 +5,7 @@ the tree topology (its indptr and label order arrays, and in the metadata
 the layer sizes they imply, which the loader checks against them), and
 the model's stacked node weights as the CSR matrix the model holds, in
 the row order :mod:`brandlink.linear` writes and in the dtypes the scorer
-reads (``xmc-model`` format version 3).
+reads, float32 values among them (``xmc-model`` format version 4).
 Loading verifies container magic, version, payload checksum and the
 structure of every array, then hands the weights to the model as they
 are stored: they and the idf table are read-only views over the
@@ -26,11 +26,15 @@ from .model import SCORE_TRANSFORM, XmcModel
 from .tree import LabelTree
 
 MODEL_KIND = "xmc-model"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 
 def save_model(model: XmcModel, path: str | Path) -> None:
-    """Serialize a model to one binary artifact file."""
+    """Serialize a model to one binary artifact file.
+
+    Raises:
+        ValueError: A weight that is not finite as float32.
+    """
     featurizer, blobs = featurizer_to_meta(model.featurizer)
     meta = {
         "labels": [label.id for label in model.labels],

@@ -7,7 +7,7 @@ one-vs-all subproblem over exactly the inputs routed to it.  Groups are
 solved in parent order, layer by layer; each group's weight triplets,
 already in the stored rows ``fit_sparse_ova`` writes, are shifted to its
 columns of the stacked matrix, and all of them become the model's CSR
-stack in one conversion.
+stack, with float32 values, in one conversion.
 """
 from __future__ import annotations
 
@@ -15,10 +15,9 @@ import logging
 from typing import Iterable
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..core import BrandEntityId
-from ..linear import fit_sparse_ova, stack_rows
+from ..linear import fit_sparse_ova, stack_rows, stack_triplets
 from ..text import FeaturizerConfig, SparseVector
 from .model import XmcModel
 from .tree import LabelSpace, LabelTree
@@ -93,9 +92,7 @@ def train(
         "skipped_zero_vectors": skipped_zero,
         "default_columns": [],
     }
-    rows_out: list[np.ndarray] = []
-    cols_out: list[np.ndarray] = []
-    vals_out: list[np.ndarray] = []
+    triplets: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for layer in range(tree.n_layers):
         if layer:
             parents, indptr = node_of[layer - 1], tree.children_indptr[layer - 1]
@@ -116,9 +113,7 @@ def train(
                 reg,
                 prune=DEFAULT_PRUNE,
             )
-            rows_out.append(r)
-            cols_out.append(c + (tree.offsets[layer] + col_start))
-            vals_out.append(v)
+            triplets.append((r, c + (tree.offsets[layer] + col_start), v))
             n_defaults += n_default
             nnz += len(v)
         stats["default_columns"].append(n_defaults)
@@ -134,13 +129,7 @@ def train(
             "all-negative default columns per layer: %s", stats["default_columns"]
         )
 
-    weights = sp.coo_matrix(
-        (
-            np.concatenate(vals_out),
-            (np.concatenate(rows_out), np.concatenate(cols_out)),
-        ),
-        shape=(dim + 1, tree.offsets[-1]),
-    ).tocsr()
+    weights = stack_triplets(triplets, (dim + 1, tree.offsets[-1]))
     return XmcModel(
         labels=space.labels,
         tree=tree,

@@ -1,7 +1,9 @@
 """System acceptance: nine end-to-end criteria, one verdict line each.
 
-Every test prints a single PASS/FAIL line with the measured values (visible
-with -s; the -v test ids mirror the criterion numbers) and then asserts.
+Every criterion prints a single PASS/FAIL line with the measured values
+(visible with -s; the -v test ids mirror the criterion numbers) and then
+asserts.  One more test checks that the float32 weights the rankers and
+the PT predictor store link every query as float64 scoring would.
 Corpora and models are built through the public CLI so these checks walk
 the same paths operators do.
 """
@@ -11,6 +13,8 @@ import time
 import numpy as np
 import pytest
 
+import brandlink.ptfilter
+import brandlink.xmc.model
 from brandlink.cli import run as cli_run
 from brandlink.core import (
     NIL,
@@ -29,6 +33,7 @@ from brandlink.core import (
 from brandlink.data import augment_b2e
 from brandlink.evaluation import EvalCounts, false_alarm_rate, metrics, score
 from brandlink.gazetteer import TrieDetector, build_dictionary, read_b2e_tsv
+from brandlink.linear import WEIGHT_DTYPE
 from brandlink.pipeline import (
     LexicalMatcher,
     LinkerConfig,
@@ -95,16 +100,19 @@ def _exhaustive_scores(model, weights, vec) -> dict:
     """Full-path scores for every label: no beam, no pruning.
 
     ``weights`` is the model's stack in feature order, ``model.weights``
-    turned back (``[::-1]``) once by the caller.
+    turned back (``[::-1]``) once by the caller.  A dense float32 matvec
+    adds each node's float32 products in ascending feature order, the
+    bias last, as the scorer does, and its margins are widened to float64
+    as the scorer's are.
     """
-    dense = np.zeros(vec.dim + 1, dtype=np.float64)
+    dense = np.zeros(vec.dim + 1, dtype=WEIGHT_DTYPE)
     dense[vec.indices] = vec.values
     dense[vec.dim] = 1.0
     tree = model.tree
     logs = None
     for layer in range(tree.n_layers):
         lo, hi = tree.offsets[layer], tree.offsets[layer + 1]
-        margins = np.asarray(weights[:, lo:hi].T @ dense).ravel()
+        margins = (weights[:, lo:hi].T @ dense).astype(np.float64)
         layer_logs = -np.logaddexp(0.0, -margins)
         if logs is None:
             logs = layer_logs
@@ -570,6 +578,63 @@ def test_criterion_5_fusion_dominance(corpus5k, dict5k, q2e5k):
         f" C {lex_row.coverage:.2f}→{fused_row.coverage:.2f},"
         f" P {lex_row.precision:.2f} vs {fused_row.precision:.2f} (slack 2.00)",
     )
+
+
+# ---------------------------------------------------------------------------
+# float32 weights against float64 scoring.
+# ---------------------------------------------------------------------------
+
+
+def _float64_scorer(*stacks):
+    """A stand-in for ``linear.score_vector`` over the given stored stacks
+    that reads their weights, widened, with float64 query values and
+    float64 sums, adding the query's rows in ascending feature order and
+    the bias row last."""
+    logical = {id(stack): stack[::-1].astype(np.float64) for stack in stacks}
+
+    def score_vector(weights, x):
+        rows = np.append(x.indices, x.dim)
+        return logical[id(weights)][rows].T @ np.append(x.values, 1.0)
+
+    return score_vector
+
+
+@pytest.mark.slow
+def test_float32_scoring_keeps_every_outcome(
+    corpus5k, dict5k, q2e5k, pt5k, assoc5k, monkeypatch
+):
+    # float32 sums move a margin by about 1e-7 of its terms' size; no
+    # outcome or best entity of the test slice may move with them.
+    _, dictionary = dict5k
+    model, _ = q2e5k
+    examples = _load_slice(corpus5k / "test.jsonl")
+    common = dict(q2e=model, pt_predictor=pt5k, associations=assoc5k)
+    q2e = LinkerConfig(**common)
+    fused = LinkerConfig(
+        detector=TrieDetector(dictionary),
+        matcher=LexicalMatcher(dictionary),
+        fusion=True,
+        **common,
+    )
+
+    def decisions():
+        """Per query, the q2e and the fused outcome and best entity."""
+        return [
+            tuple(
+                (result.outcome, result.best and result.best.entity)
+                for result in (link_end_to_end(q2e, ex.query), link_fused(fused, ex.query))
+            )
+            for ex in examples
+        ]
+
+    served = decisions()
+    reference = _float64_scorer(model.weights, pt5k.weights)
+    monkeypatch.setattr(brandlink.xmc.model, "score_vector", reference)
+    monkeypatch.setattr(brandlink.ptfilter, "score_vector", reference)
+    exact = decisions()
+    singles = sum(q2e_decision[0] is Outcome.SINGLE for q2e_decision, _ in served)
+    assert len(examples) > 1000 and singles > len(examples) // 2
+    assert [ex.query.text for ex, a, b in zip(examples, served, exact) if a != b] == []
 
 
 # ---------------------------------------------------------------------------

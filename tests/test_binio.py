@@ -238,7 +238,7 @@ def test_blobs_are_aligned_views_of_one_buffer(tmp_path):
 
 
 def test_csr_is_served_as_views_of_its_blobs(tmp_path):
-    matrix = sp.random(100, 5, density=0.3, format="csr", random_state=0)
+    matrix = sp.random(100, 5, density=0.3, format="csr", random_state=0, dtype=np.float32)
     path = tmp_path / "w.blaf"
     write_artifact(path, "k", 1, {}, csr_blobs(matrix, "w"))
     _, blobs = read_artifact(path, "k", 1)
@@ -246,6 +246,16 @@ def test_csr_is_served_as_views_of_its_blobs(tmp_path):
     for name in ("data", "indices", "indptr"):
         assert np.shares_memory(getattr(loaded, name), blobs[f"w/{name}"])
         assert np.array_equal(getattr(loaded, name), getattr(matrix, name))
+
+
+def test_csr_values_stored_as_float32():
+    matrix = sp.csr_matrix(np.array([[0.1, 0.0], [0.0, -3e38]]))
+    blobs = csr_blobs(matrix, "w")
+    assert blobs["w/data"].dtype == np.float32
+    assert np.array_equal(blobs["w/data"], matrix.data.astype(np.float32))
+    matrix.data[-1] = -4e38  # past float32's largest magnitude
+    with pytest.raises(ValueError, match="float32"):
+        csr_blobs(matrix, "w")
 
 
 def test_int64_indices_that_fit_int32_rejected(tmp_path):

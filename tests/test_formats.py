@@ -3,9 +3,11 @@
 Each artifact is saved from fixed weights over a featurizer whose idf is
 fitted on fixed texts, so nothing here trains.  A digest changes only when
 what a format records changes; such a change must be explained and the
-digest re-pinned.  Both model formats are at version 3, which stores the
-weight rows bottom-up (the bias row first); apart from that version number
-and the row order, they record what format 2 did.
+digest re-pinned.  Both model formats are at version 4, which stores the
+weight values as float32; apart from that version number and the values'
+dtype, they record what format 3 did: the weight rows bottom-up (the bias
+row first), and otherwise what format 2 did.  The fixed weights are exact
+in float32, so the values stored are the same numbers.
 """
 import hashlib
 
@@ -37,7 +39,7 @@ def sha256(path) -> str:
 
 def fixed_weights(n_cols: int) -> sp.csr_matrix:
     """A few exact binary fractions, bias row included, in every column,
-    as the stored stack both models hold."""
+    as the stored float32 stack both models hold."""
     rows = np.array([0, 17, 4099, 65535, FEATURIZER.dim] * n_cols, dtype=np.int64)
     cols = np.repeat(np.arange(n_cols, dtype=np.int64), 5)
     vals = (np.arange(len(rows), dtype=np.float64) - 7.0) / 8.0
@@ -57,7 +59,7 @@ def test_xmc_model_bytes(tmp_path):
     )
     path = tmp_path / "m.blaf"
     save_model(model, path)
-    assert sha256(path) == "e2ea7b7c103fb001bac9314e037f5618d179d526fa1b2cbaf6f07c5d38310df6"
+    assert sha256(path) == "3671477006171454b867bbe216ffc240b432c3f30529681466f74cdb49cb426e"
 
 
 def test_pt_model_bytes(tmp_path):
@@ -68,7 +70,7 @@ def test_pt_model_bytes(tmp_path):
     )
     path = tmp_path / "pt.blaf"
     save_pt_predictor(predictor, path)
-    assert sha256(path) == "e461741ab95e57b98680e1bdf6d985dcab16f861bbfd2452b7ab5d334273c51b"
+    assert sha256(path) == "26cd421b22995b4fa9815a3dd1092a6b065e64779d99077de9b648abf00e7455"
 
 
 TRACE = (TraceRecord("detect", "mention 'nike' at (0, 4)"), TraceRecord("filter", "pt=shoe"))

@@ -11,6 +11,7 @@ from scipy.special import expit
 from brandlink.linear import (
     DEFAULT_NEGATIVE_BIAS,
     GRAD_TOL,
+    WEIGHT_DTYPE,
     fit_logistic_columns,
     fit_sparse_ova,
     score_vector,
@@ -163,6 +164,7 @@ class TestScoreRows:
         # 39 feature rows plus the bias row, stored bottom-up.
         rng = np.random.default_rng(3)
         dense = rng.normal(size=(40, 7)) * (rng.random((40, 7)) < 0.3)
+        dense = dense.astype(WEIGHT_DTYPE)
         matrix = sp.csr_matrix(dense[::-1])
         matrix.indices = matrix.indices.astype(index_dtype)
         matrix.indptr = matrix.indptr.astype(index_dtype)
@@ -174,7 +176,8 @@ class TestScoreRows:
         x = SparseVector(
             np.array([0, 3, 4, 17, 38]), np.array([0.25, -1.5, 2.0, 0.125, 1.0]), 39
         )
-        dense = np.zeros(40)
+        # Exact in float32, so the dense float32 matvec is the reference.
+        dense = np.zeros(40, dtype=WEIGHT_DTYPE)
         dense[x.indices] = x.values
         dense[39] = 1.0
         assert np.array_equal(score_vector(matrix, x), matrix[::-1].T @ dense)
@@ -204,10 +207,10 @@ class TestScoreRows:
         dim = draw(st.integers(1, 24))
         n_cols = draw(st.integers(1, 5))
         finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
-        cells = st.one_of(st.just(0.0), finite)
+        cells = st.one_of(st.just(0.0), st.floats(-1e6, 1e6, width=32))
         dense = np.array(
             draw(st.lists(cells, min_size=(dim + 1) * n_cols, max_size=(dim + 1) * n_cols)),
-            dtype=np.float64,
+            dtype=WEIGHT_DTYPE,
         ).reshape(dim + 1, n_cols)
         if draw(st.booleans()):
             dense[draw(st.integers(0, dim))] = 0.0  # an empty row
@@ -225,23 +228,25 @@ class TestScoreRows:
         stored = sp.csr_matrix(dense[::-1])
         stored.indices = stored.indices.astype(index_dtype)
         stored.indptr = stored.indptr.astype(index_dtype)
-        vector = np.zeros(x.dim + 1)
+        # x rounded to float32, then W.T @ [x, 1] as float32 products
+        # added in a float32 sum from 0.0, row by row in ascending order,
+        # the zero terms included and the bias row last, and widened.
+        vector = np.zeros(x.dim + 1, dtype=WEIGHT_DTYPE)
         vector[x.indices] = x.values
         vector[x.dim] = 1.0
-        # W.T @ [x, 1], every row added in ascending order from 0.0, the
-        # zero terms included.
-        want = np.zeros(dense.shape[1])
+        want = np.zeros(dense.shape[1], dtype=WEIGHT_DTYPE)
         for row in range(x.dim + 1):
             want = want + dense[row] * vector[row]
         got = score_vector(stored, x)
         assert got.dtype == np.float64
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == want.astype(np.float64).tobytes()
 
     @pytest.mark.parametrize("nnz", [0, 1, 60], ids=["zero", "one-feature", "q2e-query"])
     def test_allocates_per_feature_and_column_not_per_term(self, nnz):
         # A q2e-sized score: 2k columns over 2**20 buckets, the query's rows
-        # holding 45k terms.  A copy of those terms would take 540 kB; the
-        # bound allows the margins and a few arrays per feature, 24 kB.
+        # holding 45k terms.  A copy of those terms would take 360 kB; the
+        # bound allows the float64 margins and a few arrays per feature,
+        # 24 kB, so the float32 sums must not take memory of their own.
         dim, n_cols, per_row = 2**20, 2000, 750
         rng = np.random.default_rng(5)
         features = np.sort(rng.choice(dim, size=nnz, replace=False))
@@ -255,7 +260,8 @@ class TestScoreRows:
             [np.sort(rng.choice(n_cols, size=per_row, replace=False)) for _ in stored_rows]
         ).astype(np.int32)
         weights = sp.csr_matrix(
-            (rng.normal(size=terms), indices, indptr), shape=(dim + 1, n_cols)
+            (rng.normal(size=terms).astype(WEIGHT_DTYPE), indices, indptr),
+            shape=(dim + 1, n_cols),
         )
         x = SparseVector(features.astype(np.int64), rng.random(nnz) + 0.5, dim)
         tracemalloc.start()

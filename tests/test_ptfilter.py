@@ -18,7 +18,7 @@ from brandlink.binio import (
 )
 from brandlink.core import NIL, BrandEntityId, Outcome, Query, ScoredEntity, StoreTag
 from brandlink.gazetteer import TrieDetector, build_dictionary
-from brandlink.linear import score_vector, stack_layers
+from brandlink.linear import WEIGHT_DTYPE, score_vector, stack_layers
 from brandlink.pipeline import LexicalMatcher, LinkerConfig, link_end_to_end, link_two_stage
 from brandlink.ptfilter import (
     PT_CONFIDENCE_THRESHOLD,
@@ -359,11 +359,14 @@ class TestPtBaseline:
         rows, model = trained
         for q, _ in rows + [(Query("red lamp cable", US), None)]:
             vec = vectorize(q.text, CFG)
-            dense = np.zeros(vec.dim + 1, dtype=np.float64)
+            # A float32 matvec adds each column's float32 products in
+            # ascending feature order, the bias last, as the scorer does.
+            dense = np.zeros(vec.dim + 1, dtype=WEIGHT_DTYPE)
             dense[vec.indices] = vec.values
             dense[vec.dim] = 1.0
             got = score_vector(model.weights, vec)
-            assert np.array_equal(got, model.weights[::-1].T @ dense)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, (model.weights[::-1].T @ dense).astype(np.float64))
 
     def test_tied_types_resolve_to_lowest_index(self):
         # Columns 1 and 2 carry identical weights and beat column 0.
@@ -385,10 +388,12 @@ class TestPtBaseline:
             ((CFG.dim, 2), "csr"),  # no bias row
             ((CFG.dim + 2, 2), "csr"),
             ((CFG.dim + 1, 2), "csc"),  # a feature-order matrix, likely
+            ((CFG.dim + 1, 2), "csr"),  # float64 values
         ],
     )
     def test_weights_checked_at_construction(self, shape, layout):
-        # Each would raise, or mis-score, only at the first query.
+        # Each would raise, or mis-score, only at the first query.  The
+        # matrices hold float64 values, which only the last case reaches.
         weights = sp.random(*shape, density=1e-3, format=layout, random_state=0)
         with pytest.raises(ValueError, match="pt weights"):
             LinearPtPredictor((SOCK, SHOE), weights, CFG)
@@ -429,10 +434,10 @@ class TestPtBaseline:
         _, model = trained
         path = tmp_path / "pt.blaf"
         save_pt_predictor(model, path)
-        meta, blobs = read_artifact(path, "pt-model", 3)
+        meta, blobs = read_artifact(path, "pt-model", 4)
         blobs = dict(blobs)
         blobs[name] = edit(np.array(blobs[name]), len(model.product_types))
-        write_artifact(path, "pt-model", 3, meta, blobs)
+        write_artifact(path, "pt-model", 4, meta, blobs)
         with pytest.raises(ArtifactFormatError):
             load_pt_predictor(path)
 
@@ -442,10 +447,33 @@ class TestPtBaseline:
         _, model = trained
         path = tmp_path / "pt.blaf"
         save_pt_predictor(model, path)
-        meta, blobs = read_artifact(path, "pt-model", 3)
+        meta, blobs = read_artifact(path, "pt-model", 4)
         blobs = dict(blobs, **csr_blobs(model.weights[::-1], "weights"))
         write_artifact(path, "pt-model", 2, meta, blobs)
         with pytest.raises(ArtifactVersionError):
+            load_pt_predictor(path)
+
+    def test_format_3_rejected(self, trained, tmp_path):
+        # Format 3 stored float64 values, which the scorer does not read.
+        _, model = trained
+        path = tmp_path / "pt.blaf"
+        save_pt_predictor(model, path)
+        meta, blobs = read_artifact(path, "pt-model", 4)
+        blobs = dict(blobs, **{"weights/data": blobs["weights/data"].astype(np.float64)})
+        write_artifact(path, "pt-model", 3, meta, blobs)
+        with pytest.raises(ArtifactVersionError):
+            load_pt_predictor(path)
+
+    def test_non_string_product_types_rejected(self, trained, tmp_path):
+        # Such codes never equal a mined association's string code, so the
+        # filter would drop every candidate with a known product type set.
+        _, model = trained
+        path = tmp_path / "pt.blaf"
+        save_pt_predictor(model, path)
+        meta, blobs = read_artifact(path, "pt-model", 4)
+        codes = list(range(1, len(model.product_types) + 1))
+        write_artifact(path, "pt-model", 4, dict(meta, product_types=codes), blobs)
+        with pytest.raises(ArtifactFormatError, match="string"):
             load_pt_predictor(path)
 
     def test_load_serves_weights_as_views(self, trained, tmp_path):
@@ -475,13 +503,13 @@ class TestPtBaseline:
         _, model = trained
         path = tmp_path / "pt.blaf"
         save_pt_predictor(model, path)
-        meta, blobs = read_artifact(path, "pt-model", 3)
+        meta, blobs = read_artifact(path, "pt-model", 4)
         assert meta["threshold"] == 0.5
         if "threshold" in edit:
             crafted = dict(meta, **edit)
         else:
             crafted = dict(meta, featurizer=dict(meta["featurizer"], **edit))
-        write_artifact(path, "pt-model", 3, crafted, blobs)
+        write_artifact(path, "pt-model", 4, crafted, blobs)
         with pytest.raises(ArtifactFormatError, match="unsupported"):
             load_pt_predictor(path)
 
@@ -492,13 +520,13 @@ class TestPtBaseline:
         _, model = trained
         path = tmp_path / "pt.blaf"
         save_pt_predictor(model, path)
-        meta, blobs = read_artifact(path, "pt-model", 3)
+        meta, blobs = read_artifact(path, "pt-model", 4)
         weights = dict(blobs)
         weights["weights/data"] = np.full_like(blobs["weights/data"], bad)
         idf_meta = dict(meta, featurizer=dict(meta["featurizer"], idf_docs=1))
         idf = dict(blobs, **{"featurizer/idf": np.full(CFG.dim, bad, np.float32)})
         for crafted_meta, crafted in ((meta, weights), (idf_meta, idf)):
-            write_artifact(path, "pt-model", 3, crafted_meta, crafted)
+            write_artifact(path, "pt-model", 4, crafted_meta, crafted)
             with pytest.raises(ArtifactFormatError):
                 load_pt_predictor(path)
 

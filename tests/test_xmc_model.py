@@ -21,7 +21,7 @@ from brandlink.binio import (
 from brandlink.core import NIL, NIL_ID, BrandEntityId, BrandMention, Query, StoreTag
 from brandlink.text import FeaturizerConfig, SparseVector, featurize_corpus, normalize, vectorize
 from brandlink import linear
-from brandlink.linear import score_vector
+from brandlink.linear import WEIGHT_DTYPE, score_vector
 from brandlink.xmc.model import BeamParams, XmcModel, beam_predict, m2e_match, q2e_predict
 from brandlink.xmc.serialize import MODEL_KIND, MODEL_VERSION, load_model, save_model
 from brandlink.xmc.train import train
@@ -60,16 +60,17 @@ def layer_weights(model, layer):
 def exhaustive_scores(model, vec) -> dict:
     """Score every label by its full root-to-leaf path, no beam, no pruning.
 
-    Margins come from one dense matvec per layer over all columns; the
-    path log-score is accumulated through the parent pointers.
+    Margins come from one dense float32 matvec per layer over all columns,
+    widened to float64 as the scorer's are; the path log-score is
+    accumulated through the parent pointers.
     """
-    dense = np.zeros(vec.dim + 1, dtype=np.float64)
+    dense = np.zeros(vec.dim + 1, dtype=WEIGHT_DTYPE)
     dense[vec.indices] = vec.values
     dense[vec.dim] = 1.0
     tree = model.tree
     logs = None
     for layer in range(tree.n_layers):
-        margins = np.asarray(layer_weights(model, layer).T @ dense).ravel()
+        margins = (layer_weights(model, layer).T @ dense).astype(np.float64)
         layer_logs = -np.logaddexp(0.0, -margins)
         if logs is None:
             logs = layer_logs
@@ -91,9 +92,12 @@ def exhaustive_top(model, vec, k: int):
 
 # beam_predict and its row gather before the per-call costs were cut, kept
 # as the reference the current ones must equal bit for bit.  It reads the
-# weights in feature order, the stored stack turned back (``[::-1]``).
+# weights in feature order, the stored stack turned back (``[::-1]``), and
+# adds the float32 products of the query's rows, ascending, then the bias
+# row's, in a float32 sum that it widens to float64.
 def reference_margins(weights, x) -> np.ndarray:
-    rows, vals = np.append(x.indices, x.dim), np.append(x.values, 1.0)
+    rows = np.append(x.indices, x.dim)
+    vals = np.append(x.values, 1.0).astype(WEIGHT_DTYPE)
     indptr = weights.indptr
     rows = rows.astype(indptr.dtype, copy=False)
     picked = np.zeros(len(rows) + 1, dtype=indptr.dtype)
@@ -103,9 +107,9 @@ def reference_margins(weights, x) -> np.ndarray:
     _sparsetools.csr_row_index(
         len(rows), rows, indptr, weights.indices, weights.data, cols, terms
     )
-    margins = np.zeros(weights.shape[1], dtype=np.float64)
+    margins = np.zeros(weights.shape[1], dtype=WEIGHT_DTYPE)
     _sparsetools.csc_matvec(weights.shape[1], len(rows), picked, cols, terms, vals, margins)
-    return margins
+    return margins.astype(np.float64)
 
 
 def reference_beam_predict(model, x, params):
@@ -360,7 +364,7 @@ class TestBeamAgainstOracle:
         rng = np.random.default_rng(7)
         for text in queries[:10]:
             vec = vectorize(text, CFG)
-            dense = np.zeros(vec.dim + 1, dtype=np.float64)
+            dense = np.zeros(vec.dim + 1, dtype=WEIGHT_DTYPE)
             dense[vec.indices] = vec.values
             dense[vec.dim] = 1.0
             stacked = score_vector(model.weights, vec)
@@ -368,7 +372,7 @@ class TestBeamAgainstOracle:
             assert np.array_equal(stacked, reference_margins(model.weights[::-1], vec))
             for layer in range(model.tree.n_layers):
                 weights = layer_weights(model, layer)
-                want = weights.T @ dense
+                want = (weights.T @ dense).astype(np.float64)
                 got = stacked[model.tree.offsets[layer] : model.tree.offsets[layer + 1]]
                 assert np.array_equal(got, want)
                 width = weights.shape[1]
@@ -440,11 +444,23 @@ class TestBeamAgainstOracle:
         # it is most likely a stack in feature order, which would mis-score.
         tree = LabelTree((), np.array([0, 1]))
         labels = (BrandEntityId("A"), BrandEntityId("B"))
-        weights = sp.random(CFG.dim + 1, 2, density=1e-3, format=layout, random_state=0)
+        weights = sp.random(
+            CFG.dim + 1, 2, density=1e-3, format=layout, random_state=0, dtype=WEIGHT_DTYPE
+        )
         with pytest.raises(ValueError, match="stored CSR stack"):
             XmcModel(labels, tree, weights, CFG)
         stack = weights.tocsr()
         assert XmcModel(labels, tree, stack, CFG).weights is stack
+
+    def test_float64_stack_refused(self):
+        # The scorer sums float32 weights; with a float64 stack every
+        # score would raise, so it is refused before any query.
+        tree = LabelTree((), np.array([0, 1]))
+        labels = (BrandEntityId("A"), BrandEntityId("B"))
+        stack = sp.random(CFG.dim + 1, 2, density=1e-3, format="csr", random_state=0)
+        assert stack.dtype == np.float64
+        with pytest.raises(ValueError, match="float32"):
+            XmcModel(labels, tree, stack, CFG)
 
     def test_beam_allocates_no_dense_vector(self):
         wide = FeaturizerConfig(dim=2**20)
@@ -496,6 +512,14 @@ class TestBeamAgainstOracle:
             beam_predict(model, other, BeamParams())
 
 
+def assert_stored(got, want):
+    """``got`` is ``want``'s structure with its values rounded to float32."""
+    assert got.data.dtype == WEIGHT_DTYPE
+    for name in ("indptr", "indices"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert np.array_equal(got.data, want.data.astype(WEIGHT_DTYPE))
+
+
 class TestStackLayers:
     def blocks(self, rng, dim=2**16, widths=(3, 0, 40, 500), density=0.01):
         n_rows = dim + 1
@@ -514,8 +538,7 @@ class TestStackLayers:
         got = linear.stack_layers(blocks, 2**16 + 1)
         assert got.shape == want.shape
         assert got.indices.dtype == np.int32
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert_stored(got, want)
 
     def test_slices_within_a_layer_keep_the_column_order(self, monkeypatch):
         monkeypatch.setattr(linear, "_STACK_SLICE_NNZ", 7)
@@ -524,8 +547,7 @@ class TestStackLayers:
         want = sp.hstack(blocks).tocsr()[::-1]
         got = linear.stack_layers(blocks, 2**16 + 1)
         assert got.has_sorted_indices or got.nnz == 0
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert_stored(got, want)
 
     def test_duplicate_coo_entries_are_summed(self):
         # A COO block may store one coordinate twice.  Its CSC form sums
@@ -534,15 +556,14 @@ class TestStackLayers:
         got = linear.stack_layers([block], 5)
         want = block.tocsr()[::-1]
         assert got.nnz == 2
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert_stored(got, want)
 
     def test_build_from_csc_layers_holds_no_stacked_copy(self):
         # A stacked CSC copy beside the CSR result would double the peak.
         rng = np.random.default_rng(13)
         blocks = self.blocks(rng, widths=(16, 256, 4096), density=0.004)
         nnz = sum(b.nnz for b in blocks)
-        result_bytes = 12 * nnz + 4 * (2**16 + 2)
+        result_bytes = 8 * nnz + 4 * (2**16 + 2)
         tracemalloc.start()
         try:
             stacked = linear.stack_layers(blocks, 2**16 + 1)
@@ -573,8 +594,7 @@ class TestStackLayers:
         assert stacked.nnz > 100 * linear._STACK_SLICE_NNZ
         assert peak < 16 * n_rows
         want = sp.hstack(blocks).tocsr()[::-1]
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(stacked, name), getattr(want, name))
+        assert_stored(stacked, want)
 
 
 def test_hypothesis_prints_a_model():
@@ -707,6 +727,30 @@ class TestSerialization:
         with pytest.raises(ArtifactVersionError):
             load_model(path)
 
+    def test_format_3_rejected(self, two_brand_model, tmp_path):
+        # Format 3 stored float64 values, which the scorer does not read.
+        model, _ = two_brand_model
+        path = tmp_path / "m.blaf"
+        save_model(model, path)
+        meta, blobs = read_artifact(path, MODEL_KIND, MODEL_VERSION)
+        blobs = dict(blobs, **{"weights/data": blobs["weights/data"].astype(np.float64)})
+        write_artifact(path, MODEL_KIND, 3, meta, blobs)
+        with pytest.raises(ArtifactVersionError):
+            load_model(path)
+
+    def test_weight_that_overflows_float32_not_saved(self, tmp_path):
+        # Rounded to float32 it is infinite, and a loader refuses the file.
+        tree = LabelTree((), np.array([0, 1]))
+        labels = (BrandEntityId("A"), BrandEntityId("B"))
+        weights = np.zeros((CFG.dim + 1, 2))
+        weights[CFG.dim] = [1e39, 0.5]
+        with np.errstate(over="ignore"):
+            model = XmcModel(labels, tree, [sp.csc_matrix(weights)], CFG)
+        path = tmp_path / "m.blaf"
+        with pytest.raises(ValueError, match="float32"):
+            save_model(model, path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_weights_and_idf_rejected(self, fifty_label_model, tmp_path, bad):
         model, _ = fifty_label_model
@@ -828,7 +872,7 @@ class TestSerialization:
         )
         tree = build_tree(LabelSpace(labels, features), branching, max_leaf, seed)
         assert (tree.n_layers == 1) == (n_labels <= max_leaf)
-        empty = sp.csr_matrix((CFG.dim + 1, tree.offsets[-1]))
+        empty = sp.csr_matrix((CFG.dim + 1, tree.offsets[-1]), dtype=WEIGHT_DTYPE)
         path = tmp_path_factory.mktemp("tree") / "m.blaf"
         save_model(XmcModel(labels, tree, empty, CFG), path)
         loaded = load_model(path).tree
@@ -874,13 +918,13 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "name, dtype",
         [
-            ("weights/data", np.float32),
+            ("weights/data", np.float64),
             ("weights/indices", np.int64),
             ("weights/indptr", np.int64),
             ("weights/indices", np.float64),
             ("featurizer/idf", np.float64),
         ],
-        ids=["data-float32", "indices-wider", "indptr-wider", "indices-float", "idf-float64"],
+        ids=["data-float64", "indices-wider", "indptr-wider", "indices-float", "idf-float64"],
     )
     def test_crafted_dtype_rejected(self, idf_model, tmp_path, name, dtype):
         # The loader builds on the stored arrays as they are, so any dtype
