@@ -142,8 +142,10 @@ def read_artifact(
         over the payload buffer.
 
     Raises:
-        ArtifactFormatError: Bad magic, mismatched kind, an unaligned blob
-            or a blob whose dtype, shape and byte count disagree.
+        ArtifactFormatError: Bad magic, mismatched kind, a blob directory
+            whose shape, offset or byte count is not integers, an
+            unaligned blob or a blob whose dtype, shape and byte count
+            disagree.
         ArtifactVersionError: Unsupported container or kind version.
         ArtifactTruncatedError: File size differs from the declared payload.
         ArtifactChecksumError: Payload digest mismatch.
@@ -203,7 +205,8 @@ def read_artifact(
         try:
             name, dtype = entry["name"], np.dtype(entry["dtype"])
             shape = tuple(operator.index(n) for n in entry["shape"])
-            start, nbytes = body + int(entry["offset"]), int(entry["nbytes"])
+            start = body + operator.index(entry["offset"])
+            nbytes = operator.index(entry["nbytes"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ArtifactFormatError(f"{path}: malformed blob directory") from exc
         count = math.prod(shape)

@@ -56,6 +56,7 @@ from .gazetteer import (
     read_b2e_tsv,
     save_dictionary,
 )
+from .linear import DEFAULT_REG, stack_layers
 from .pipeline import (
     LexicalMatcher,
     LinkerConfig,
@@ -75,7 +76,6 @@ from .ptfilter import (
 )
 from .text import FeaturizerConfig, featurize_corpus, normalize, vectorize
 from .xmc import (
-    DEFAULT_REG,
     BeamParams,
     XmcModel,
     aggregate_label_features,
@@ -464,8 +464,9 @@ def _centroid_model(
     blocks = [features.T for features in layer_features]
     for block in blocks:
         block.resize(featurizer.dim + 1, block.shape[1])
+    weights = stack_layers(blocks, featurizer.dim + 1)
     return XmcModel(
-        labels=labels, tree=tree, layer_weights=blocks, featurizer=featurizer
+        labels=labels, tree=tree, layer_weights=weights, featurizer=featurizer
     )
 
 

@@ -24,12 +24,11 @@ stored bottom-up: stored row 0 is the bias row and stored row ``k`` is
 feature ``dim - k``.  Its values are :data:`WEIGHT_DTYPE`, float32: the
 weights are most of a serving process's memory, and the solver's float64
 is kept only while training.  This module is the only one that knows
-that order and that dtype.  :func:`fit_sparse_ova` writes its triplets
-in the order, :func:`stack_triplets` and :func:`stack_layers` build the
-stored matrix from triplets or from per-layer blocks in feature order,
-and :func:`score_vector` reads only the query's rows of it, where they
-lie, in one compiled loop.  Models, loaders and writers hold the matrix
-and pass it on.
+that order and that dtype, and two functions use it:
+:func:`stack_layers` writes the stored matrix from blocks in feature
+order, such as :func:`fit_sparse_ova` returns, and :func:`score_vector`
+reads only the query's rows of it, where they lie, in one compiled
+loop.  Models, loaders and writers hold the matrix and pass it on.
 """
 from __future__ import annotations
 
@@ -48,6 +47,9 @@ LOGGER = logging.getLogger(__name__)
 # The dtype of every stored weight value.  Margins are summed in it and
 # widened to float64 once per score.
 WEIGHT_DTYPE = np.dtype(np.float32)
+
+# L2 penalty of every node classifier and of the PT predictor.
+DEFAULT_REG = 1e-3
 
 # Bias assigned to columns that saw no positive example: always-low score.
 DEFAULT_NEGATIVE_BIAS = -10.0
@@ -262,17 +264,15 @@ def fit_sparse_ova(
     *,
     balanced: bool = True,
     prune: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> sp.csc_matrix:
     """Train one-vs-all columns over a shared row group, sparsely.
 
     Rows are restricted to the features they actually touch before the
-    dense solve, then weights are scattered back into the stored rows
-    :func:`score_vector` reads: feature ``r`` goes to row ``dim - r`` and
-    the constant bias feature to row 0.  When balanced,
-    positive rows are class-weighted per column (negatives over positives,
-    1 when a column has no negatives).  Columns without a single positive
-    row are not trained; they get a zero weight vector with
-    :data:`DEFAULT_NEGATIVE_BIAS` so they always score low.
+    dense solve, then weights are scattered back to their features.  When
+    balanced, positive rows are class-weighted per column (negatives over
+    positives, 1 when a column has no negatives).  Columns without a
+    single positive row are not trained; they get a zero weight vector
+    with :data:`DEFAULT_NEGATIVE_BIAS` so they always score low.
 
     Args:
         x: Rows in the full feature space, CSR of shape (n, dim), no bias.
@@ -288,15 +288,14 @@ def fit_sparse_ova(
         prune: Drop trained weights with magnitude below this (bias kept).
 
     Returns:
-        COO triplets (stored rows, cols, float64 values) in the
-        (dim + 1)-row space and the count of untrained all-negative
-        default columns.
+        The float64 weights as a CSC block of shape ``(dim + 1, n_cols)``
+        in feature order, the bias at row ``dim``, ready for
+        :func:`stack_layers`.
     """
     counts = np.bincount(positive_col, minlength=n_cols)
     trained = np.flatnonzero(counts)
-    defaults = np.flatnonzero(counts == 0)
     active = np.unique(x.indices)
-    w = np.empty((len(active) + 1, 0), dtype=np.float64)  # one column per trained column
+    fitted = np.empty((len(active) + 1, 0))
     if len(trained):
         n = x.shape[0]
         x_aug = sp.hstack(
@@ -309,17 +308,20 @@ def fit_sparse_ova(
             n_pos = counts[trained].astype(np.float64)
             n_neg = n - n_pos
             pos_weight = np.where(n_neg > 0.0, n_neg / n_pos, 1.0)
-        w = fit_logistic_columns(x_aug, y, reg, pos_weight=pos_weight)
+        fitted = fit_logistic_columns(x_aug, y, reg, pos_weight=pos_weight)
+    # Filled after the solve, so its temporaries and w never coexist.
+    w = np.zeros((len(active) + 1, n_cols))  # the bias last
+    w[:, trained] = fitted
+    w[-1, counts == 0] = DEFAULT_NEGATIVE_BIAS
     keep = np.abs(w) >= prune if prune > 0.0 else w != 0.0
     keep[-1] = True  # bias survives pruning
-    # Column by column, features ascending, after the default columns' biases.
+    # Column by column, features ascending.
     col, row = np.nonzero(keep.T)
-    rows = np.concatenate(
-        (np.zeros(len(defaults), dtype=np.int64), np.append(dim - active, 0)[row])
+    indptr = np.zeros(n_cols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(col, minlength=n_cols), out=indptr[1:])
+    return sp.csc_matrix(
+        (w[row, col], np.append(active, dim)[row], indptr), shape=(dim + 1, n_cols)
     )
-    cols = np.concatenate((defaults, trained[col]))
-    vals = np.concatenate((np.full(len(defaults), DEFAULT_NEGATIVE_BIAS), w[row, col]))
-    return rows, cols, vals, len(defaults)
 
 
 def stack_rows(vectors: Sequence[SparseVector], dim: int) -> sp.csr_matrix:
@@ -336,22 +338,6 @@ def stack_rows(vectors: Sequence[SparseVector], dim: int) -> sp.csr_matrix:
         indices = np.empty(0, dtype=np.int64)
         data = np.empty(0, dtype=np.float64)
     return sp.csr_matrix((data, indices, indptr), shape=(len(vectors), dim))
-
-
-def stack_triplets(
-    triplets: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]], shape: tuple[int, int]
-) -> sp.csr_matrix:
-    """:func:`fit_sparse_ova`'s triplets, already in stored rows and shifted
-    to their columns, as the stored CSR matrix with :data:`WEIGHT_DTYPE`
-    values.  No coordinate may repeat."""
-    rows, cols, vals = zip(*triplets)
-    return sp.coo_matrix(
-        (
-            np.concatenate(vals, dtype=WEIGHT_DTYPE),
-            (np.concatenate(rows), np.concatenate(cols)),
-        ),
-        shape=shape,
-    ).tocsr()
 
 
 # Stored entries a CSC block is placed in at a time while stacking; bounds

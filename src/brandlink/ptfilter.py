@@ -10,8 +10,8 @@ deciding an outcome from the survivors is left to each linker in
 The PT predictor answers only when its best sigmoid score reaches the
 fixed ``PT_CONFIDENCE_THRESHOLD``.  Its weights are one CSR matrix in
 the row order and the float32 value dtype :mod:`brandlink.linear`
-writes and reads: training builds it from ``fit_sparse_ova``'s
-triplets, and the predictor holds it as it is.  Its artifact
+writes and reads: training stacks ``fit_sparse_ova``'s block through
+``stack_layers``, and the predictor holds it as it is.  Its artifact
 (``pt-model`` format version 4) records the threshold, and a loader
 refuses any other; it stores the matrix as held, in the dtypes the
 scorer reads, and a loaded predictor serves it, and its idf table, as
@@ -40,10 +40,10 @@ from .core import (
     read_jsonl,
     read_tsv,
 )
-from .linear import WEIGHT_DTYPE, fit_sparse_ova, score_vector, stack_rows, stack_triplets
+from .linear import DEFAULT_REG, WEIGHT_DTYPE, fit_sparse_ova, score_vector
+from .linear import stack_layers, stack_rows
 from .text import FeaturizerConfig, SparseVector, featurize
 from .text import featurizer_from_meta, featurizer_to_meta, normalize
-from .xmc.train import DEFAULT_REG
 
 LOGGER = logging.getLogger(__name__)
 
@@ -215,10 +215,8 @@ def train_pt_baseline(
     positive = np.array([col_of[code] for code in codes], dtype=np.int64)
     # Unbalanced on purpose: the confidence threshold compares an absolute
     # sigmoid score, so the bias must keep carrying the class prior.
-    rows, cols, vals, _ = fit_sparse_ova(
-        x, positive, len(types), featurizer.dim, reg, balanced=False
-    )
-    weights = stack_triplets([(rows, cols, vals)], (featurizer.dim + 1, len(types)))
+    block = fit_sparse_ova(x, positive, len(types), featurizer.dim, reg, balanced=False)
+    weights = stack_layers([block], featurizer.dim + 1)
     LOGGER.info(
         "trained pt baseline: %d types over %d queries", len(types), len(vectors)
     )

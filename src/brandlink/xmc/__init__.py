@@ -1,7 +1,7 @@
 """Extreme multi-class ranking over the brand label space."""
 from .model import SCORE_TRANSFORM, BeamParams, XmcModel, beam_predict, m2e_match, q2e_predict
 from .serialize import MODEL_KIND, MODEL_VERSION, load_model, save_model
-from .train import DEFAULT_PRUNE, DEFAULT_REG, train
+from .train import DEFAULT_PRUNE, train
 from .tree import LabelSpace, LabelTree, aggregate_label_features, build_tree
 
 __all__ = [
@@ -21,5 +21,4 @@ __all__ = [
     "save_model",
     "train",
     "DEFAULT_PRUNE",
-    "DEFAULT_REG",
 ]

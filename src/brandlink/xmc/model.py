@@ -4,8 +4,8 @@ A model holds one sparse weight matrix with one column per tree node, the
 layers stacked column-wise from the root down at the tree's ``offsets``,
 stored as the CSR matrix :mod:`brandlink.linear` writes and reads; that
 module alone knows its row order and its float32 value dtype.  Training
-builds the stack from ``fit_sparse_ova``'s triplets, and a loaded model
-serves it as a view over its artifact.  Inference scores every node with
+builds the stack through :func:`brandlink.linear.stack_layers`, and a
+loaded model serves it as a view over its artifact.  Inference scores every node with
 one :func:`brandlink.linear.score_vector` call, which sums each column's
 float32 terms in ascending feature order, then walks the layers keeping
 the ``beam_size`` best partial paths; a path's score is the product of
@@ -54,10 +54,12 @@ class XmcModel:
     kept as it is.  A single matrix in another layout is refused, so a
     stack in feature order cannot be mis-read, and so is a stack whose
     values are not :data:`brandlink.linear.WEIGHT_DTYPE`, which the scorer
-    cannot read.  ``weights`` is the stack,
-    of shape ``(featurizer.dim + 1, tree.offsets[-1])``.  Layer ``l``
-    owns columns ``tree.offsets[l]:tree.offsets[l + 1]``.  ``labels`` are
-    unique, NIL among them at most once, and as many as the tree's.
+    cannot read.  Only perfbench's ``centroid_ranker`` still passes a
+    list; deleting the list path waits on the benchmark change of
+    ROADMAP items 1 and 6.  ``weights`` is the stack, of shape
+    ``(featurizer.dim + 1, tree.offsets[-1])``.  Layer ``l`` owns columns
+    ``tree.offsets[l]:tree.offsets[l + 1]``.  ``labels`` are unique, NIL
+    among them at most once, and as many as the tree's.
     """
 
     labels: tuple[BrandEntityId, ...]

@@ -4,10 +4,10 @@ Every tree node is a binary classifier.  An input is a positive for the
 node on its gold label's root-to-label path and a negative for that node's
 siblings under the same parent, so each parent group forms one small
 one-vs-all subproblem over exactly the inputs routed to it.  Groups are
-solved in parent order, layer by layer; each group's weight triplets,
-already in the stored rows ``fit_sparse_ova`` writes, are shifted to its
-columns of the stacked matrix, and all of them become the model's CSR
-stack, with float32 values, in one conversion.
+solved in parent order, layer by layer.  Each group's block of weights,
+in feature order, is joined to its layer's, and the layers become the
+model's stored stack, with float32 values, in one
+:func:`brandlink.linear.stack_layers` call.
 """
 from __future__ import annotations
 
@@ -15,16 +15,16 @@ import logging
 from typing import Iterable
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..core import BrandEntityId
-from ..linear import fit_sparse_ova, stack_rows, stack_triplets
+from ..linear import DEFAULT_REG, fit_sparse_ova, stack_layers, stack_rows
 from ..text import FeaturizerConfig, SparseVector
 from .model import XmcModel
 from .tree import LabelSpace, LabelTree
 
 LOGGER = logging.getLogger(__name__)
 
-DEFAULT_REG = 1e-3
 DEFAULT_PRUNE = 1e-2
 
 
@@ -92,7 +92,7 @@ def train(
         "skipped_zero_vectors": skipped_zero,
         "default_columns": [],
     }
-    triplets: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    layers: list[sp.csc_matrix] = []
     for layer in range(tree.n_layers):
         if layer:
             parents, indptr = node_of[layer - 1], tree.children_indptr[layer - 1]
@@ -101,35 +101,42 @@ def train(
             indptr = np.array([0, tree.layer_sizes[0]])
         order = np.argsort(parents, kind="stable")
         bounds = np.searchsorted(parents[order], np.arange(len(indptr)))
-        n_defaults = nnz = 0
-        for p in range(len(indptr) - 1):
-            rows = order[bounds[p] : bounds[p + 1]]
-            col_start, col_end = int(indptr[p]), int(indptr[p + 1])
-            r, c, v, n_default = fit_sparse_ova(
-                x[rows],
-                node_of[layer][rows] - col_start,
-                col_end - col_start,
-                dim,
-                reg,
-                prune=DEFAULT_PRUNE,
+        starts = indptr.tolist()
+        groups = zip(np.split(order, bounds[1:-1]), starts, starts[1:])
+        # The groups' blocks are held only until the layer joins them.
+        layers.append(
+            sp.hstack(
+                [
+                    fit_sparse_ova(
+                        x[rows],
+                        node_of[layer][rows] - lo,
+                        hi - lo,
+                        dim,
+                        reg,
+                        prune=DEFAULT_PRUNE,
+                    )
+                    for rows, lo, hi in groups
+                ],
+                format="csc",
             )
-            triplets.append((r, c + (tree.offsets[layer] + col_start), v))
-            n_defaults += n_default
-            nnz += len(v)
+        )
+        # A column no example reaches is one of fit_sparse_ova's defaults.
+        size = tree.layer_sizes[layer]
+        n_defaults = int((np.bincount(node_of[layer], minlength=size) == 0).sum())
         stats["default_columns"].append(n_defaults)
         LOGGER.info(
             "trained layer %d: %d columns, %d default, nnz %d",
             layer,
-            tree.layer_sizes[layer],
+            size,
             n_defaults,
-            nnz,
+            layers[-1].nnz,
         )
     if any(stats["default_columns"]):
         LOGGER.info(
             "all-negative default columns per layer: %s", stats["default_columns"]
         )
 
-    weights = stack_triplets(triplets, (dim + 1, tree.offsets[-1]))
+    weights = stack_layers(layers, dim + 1)
     return XmcModel(
         labels=space.labels,
         tree=tree,

@@ -153,8 +153,9 @@ def _seal(path, payload, version=CONTAINER_VERSION, payload_len=None):
     path.write_bytes(_HEADER.pack(MAGIC, version, length, digest) + payload)
 
 
-def _rewrite_directory(path, edit, align=True):
-    """Apply ``edit`` to the stored blob directory and re-seal the checksum.
+def _rewrite_directory(path, edit, align=True, blob=0):
+    """Apply ``edit`` to the stored directory entry of the ``blob``-th blob,
+    in name order, and re-seal the checksum.
 
     With ``align`` the metadata block is padded as the writer pads it;
     without it the blob area is left off the 8-byte grid.
@@ -163,7 +164,7 @@ def _rewrite_directory(path, edit, align=True):
     payload = data[_HEADER.size :]
     (meta_len,) = struct.unpack_from("<I", payload)
     document = json.loads(payload[4 : 4 + meta_len])
-    edit(document["_container"]["blobs"][0])
+    edit(document["_container"]["blobs"][blob])
     meta = json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
     while ((4 + len(meta)) % 8 == 0) != align:
         meta += b" "
@@ -189,6 +190,22 @@ def test_blob_size_must_match_shape_and_dtype(tmp_path, edit):
     path = tmp_path / "x.blaf"
     write_artifact(path, "k", 1, {}, {"w": np.arange(6, dtype=np.float64).reshape(2, 3)})
     _rewrite_directory(path, edit)
+    with pytest.raises(ArtifactFormatError):
+        read_artifact(path, "k", 1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("offset", 32.9), ("offset", 32.0), ("offset", "32"), ("nbytes", "48"), ("nbytes", 48.0)],
+    ids=["offset-fraction", "offset-float", "offset-string", "nbytes-string", "nbytes-float"],
+)
+def test_blob_offset_and_size_must_be_integers(tmp_path, field, value):
+    # Blob "b" lies at offset 32 and holds 48 bytes; each crafted entry
+    # names the same place and size in another JSON type.
+    path = tmp_path / "x.blaf"
+    blobs = {"a": np.arange(4, dtype=np.float64), "b": np.arange(6, dtype=np.float64)}
+    write_artifact(path, "k", 1, {}, blobs)
+    _rewrite_directory(path, lambda entry: entry.update({field: value}), blob=1)
     with pytest.raises(ArtifactFormatError):
         read_artifact(path, "k", 1)
 

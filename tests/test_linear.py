@@ -295,23 +295,26 @@ def make_group(dim: int = 64):
     return x, positive
 
 
+def default_columns(block):
+    """Columns holding nothing but the default bias in their bias row."""
+    only_bias = block.getnnz(axis=0) == 1
+    return np.flatnonzero(only_bias & (block[-1].toarray()[0] == DEFAULT_NEGATIVE_BIAS))
+
+
 class TestFitSparseOva:
     def test_untrained_column_gets_default_bias(self):
         x, positive = make_group()
-        rows, cols, vals, n_default = fit_sparse_ova(x, positive, 3, 64, reg=1e-2)
-        assert n_default == 1
-        default_mask = cols == 2
-        assert default_mask.sum() == 1
-        assert rows[default_mask][0] == 0  # stored bias row
-        assert vals[default_mask][0] == DEFAULT_NEGATIVE_BIAS
+        block = fit_sparse_ova(x, positive, 3, 64, reg=1e-2)
+        assert default_columns(block).tolist() == [2]
+        default = block[:, 2]
+        assert default.indices.tolist() == [64]  # the bias row
+        assert default.data[0] == DEFAULT_NEGATIVE_BIAS
 
     def test_trained_columns_rank_their_own_features(self):
         x, positive = make_group()
-        rows, cols, vals, _ = fit_sparse_ova(x, positive, 3, 64, reg=1e-2)
-        # Stored row k is feature 64 - k; turned back to feature order.
-        w = sp.coo_matrix((vals, (64 - rows, cols)), shape=(65, 3)).tocsc()
+        block = fit_sparse_ova(x, positive, 3, 64, reg=1e-2)
         x_aug = sp.hstack([x, sp.csr_matrix(np.ones((x.shape[0], 1)))], format="csr")
-        margins = (x_aug @ w).toarray()
+        margins = (x_aug @ block).toarray()
         for i, col in enumerate(positive):
             assert np.argmax(margins[i]) == col
 
@@ -325,41 +328,33 @@ class TestFitSparseOva:
             64,
             reg=1e-2,
         )
-        w_once = sp.coo_matrix((once[2], (once[0], once[1])), shape=(65, 3)).toarray()
-        w_twice = sp.coo_matrix(
-            (doubled[2], (doubled[0], doubled[1])), shape=(65, 3)
-        ).toarray()
-        assert np.allclose(w_once, w_twice, atol=1e-3)
+        assert np.allclose(once.toarray(), doubled.toarray(), atol=1e-3)
 
     def test_prune_drops_small_weights_keeps_bias(self):
         x, positive = make_group()
-        rows, cols, vals, _ = fit_sparse_ova(x, positive, 3, 64, reg=1e-2, prune=1e9)
-        trained = cols != 2
-        assert set(rows[trained]) == {0}  # the stored bias row
+        block = fit_sparse_ova(x, positive, 3, 64, reg=1e-2, prune=1e9)
+        assert set(block[:, :2].indices) == {64}  # the bias row
 
     def test_empty_group_all_defaults(self):
         x = sp.csr_matrix((0, 16))
-        rows, cols, vals, n_default = fit_sparse_ova(
-            x, np.empty(0, dtype=np.int64), 2, 16, reg=1e-2
-        )
-        assert n_default == 2
-        assert set(vals) == {DEFAULT_NEGATIVE_BIAS}
+        block = fit_sparse_ova(x, np.empty(0, dtype=np.int64), 2, 16, reg=1e-2)
+        assert default_columns(block).tolist() == [0, 1]
+        assert set(block.data) == {DEFAULT_NEGATIVE_BIAS}
 
     def test_single_all_positive_column_scores_high(self):
         x = sp.csr_matrix(np.ones((4, 1)), shape=(4, 8))
         positive = np.zeros(4, dtype=np.int64)
-        rows, cols, vals, n_default = fit_sparse_ova(x, positive, 1, 8, reg=1e-2)
-        assert n_default == 0
-        w = sp.coo_matrix((vals, (rows, cols)), shape=(9, 1)).toarray()
-        margin = float(w[8, 0] + w[0, 0])  # feature 0's stored row, then the bias
+        block = fit_sparse_ova(x, positive, 1, 8, reg=1e-2)
+        assert not len(default_columns(block))
+        w = block.toarray()
+        margin = float(w[0, 0] + w[8, 0])  # feature 0, then the bias
         assert expit(margin) > 0.9
 
 
 # fit_sparse_ova before its targets, default columns and kept weights
 # became array operations, kept as the reference the current one must
-# equal entry for entry once both are converted to CSR.  It writes rows in
-# feature order, the bias at ``dim``; ``stored`` turns them to the stored
-# rows the current one writes.
+# equal entry for entry once both are converted to CSR.  Both write rows
+# in feature order, the bias at ``dim``.
 def reference_fit_sparse_ova(x, positive_col, n_cols, dim, reg, *, balanced=True, prune=0.0):
     n = x.shape[0]
     rows_out, cols_out, vals_out = [], [], []
@@ -412,11 +407,6 @@ def reference_fit_sparse_ova(x, positive_col, n_cols, dim, reg, *, balanced=True
     return empty_i, empty_i.copy(), np.empty(0, dtype=np.float64), len(defaults)
 
 
-def stored(triplets, dim):
-    rows, cols, vals, n_default = triplets
-    return dim - rows, cols, vals, n_default
-
-
 def random_group(seed: int, dim: int):
     """Rows over ``dim`` features and a positive column per row.
 
@@ -441,24 +431,24 @@ class TestFitSparseOvaReference:
     def test_equals_reference(self, seed, dim, prune, balanced):
         x, positive, n_cols = random_group(seed, dim)
         got = fit_sparse_ova(x, positive, n_cols, dim, 1e-2, balanced=balanced, prune=prune)
-        want = stored(
-            reference_fit_sparse_ova(
-                x, positive, n_cols, dim, 1e-2, balanced=balanced, prune=prune
-            ),
-            dim,
+        want = reference_fit_sparse_ova(
+            x, positive, n_cols, dim, 1e-2, balanced=balanced, prune=prune
         )
-        assert got[3] == want[3] >= 1
+        assert len(default_columns(got)) == want[3] >= 1
         shape = (dim + 1, n_cols)
-        got_csr = sp.coo_matrix((got[2], (got[0], got[1])), shape=shape).tocsr()
+        assert got.format == "csc" and got.shape == shape and got.dtype == np.float64
+        assert got.has_canonical_format
+        got_csr = got.tocsr()
         want_csr = sp.coo_matrix((want[2], (want[0], want[1])), shape=shape).tocsr()
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got_csr, name), getattr(want_csr, name))
 
     def test_empty_group_equals_reference(self):
         x, positive = sp.csr_matrix((0, 16)), np.empty(0, dtype=np.int64)
-        got = fit_sparse_ova(x, positive, 3, 16, reg=1e-2)
-        want = stored(reference_fit_sparse_ova(x, positive, 3, 16, reg=1e-2), 16)
-        for a, b in zip(got[:3], want[:3]):
-            assert a.dtype == b.dtype
+        block = fit_sparse_ova(x, positive, 3, 16, reg=1e-2)
+        got = block.tocoo()
+        want = reference_fit_sparse_ova(x, positive, 3, 16, reg=1e-2)
+        assert got.data.dtype == want[2].dtype
+        for a, b in zip((got.row, got.col, got.data), want[:3]):
             assert np.array_equal(a, b)
-        assert got[3] == want[3] == 3
+        assert len(default_columns(block)) == want[3] == 3

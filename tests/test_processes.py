@@ -1,6 +1,6 @@
-"""Properties only a fresh interpreter shows: what linking and the text
-module import, and that trained models do not depend on the BLAS thread
-count."""
+"""Properties only a fresh interpreter shows: what linking, the text
+module and the PT filter import, and that trained models do not depend
+on the BLAS thread count."""
 import hashlib
 import json
 import os
@@ -52,6 +52,16 @@ def test_text_loads_no_other_module_of_the_package():
         "print(*(m for m in sys.modules if m.split('.')[0] in ('brandlink', 'scipy')))"
     )
     assert sorted(loaded.split()) == ["brandlink", "brandlink.text"]
+
+
+def test_ptfilter_loads_no_ranker_module():
+    # The PT predictor shares the linear solver, and its default penalty,
+    # with the ranker, but nothing of brandlink.xmc.
+    loaded = python(
+        "import sys, brandlink.ptfilter\n"
+        "print(*(m for m in sys.modules if m.startswith('brandlink.xmc')))"
+    )
+    assert loaded.split() == []
 
 
 @pytest.fixture(scope="module")

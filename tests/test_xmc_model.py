@@ -263,8 +263,44 @@ class TestTrain:
             max_leaf=100,
         )
         assert sum(model.stats["default_columns"]) >= 1
+        # Each layer's count is its columns that hold only the default bias.
+        for layer, n_defaults in enumerate(model.stats["default_columns"]):
+            block = layer_weights(model, layer).tocsc()
+            bias = block[-1].toarray()[0]
+            only_bias = (block.getnnz(axis=0) == 1) & (bias == linear.DEFAULT_NEGATIVE_BIAS)
+            assert only_bias.sum() == n_defaults
         scores = exhaustive_scores(model, vectorize("puma", CFG))
         assert scores[e3] < 1e-3
+
+    def test_peak_follows_the_stack(self):
+        # 21 groups over a (4, 16, 512) tree, each label with 32 features
+        # of its own: no group's solve holds more than a fraction of the
+        # 0.56M weights, so the stack's build sets the peak.  The per-layer
+        # blocks (12 bytes a weight) and the stored stack (8) measure 3.1
+        # times the stack's bytes; a build that holds every group's weights
+        # as COO triplets (24 bytes a weight) and a joined copy reads 6.3.
+        n_labels, pool = 512, 32
+        tree = LabelTree(
+            (np.arange(0, 17, 4), np.arange(0, n_labels + 1, 32)), np.arange(n_labels)
+        )
+        labels = tuple(BrandEntityId(f"L{i:04d}") for i in range(n_labels))
+        space = LabelSpace(labels, sp.csr_matrix((n_labels, CFG.dim)))
+        rng = np.random.default_rng(3)
+        data = []
+        for i, label in enumerate(labels):
+            for _ in range(4):
+                features = np.sort(rng.choice(pool, 12, replace=False)) + i * pool
+                data.append((SparseVector(features, np.ones(12), CFG.dim), label))
+        tracemalloc.start()
+        try:
+            model = train(data, space, tree, featurizer=CFG)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        weights = model.weights
+        stack_bytes = sum(a.nbytes for a in (weights.data, weights.indices, weights.indptr))
+        assert weights.nnz > 500_000
+        assert peak < 4 * stack_bytes
 
     def test_label_outside_space_rejected(self):
         e1, e2 = BrandEntityId("E1"), BrandEntityId("E2")
