@@ -10,9 +10,11 @@ produce identical bytes.
 
 Reads fill one aligned payload buffer, hash it, and return read-only array
 views over it, so every blob is aligned for its dtype: numpy gathers from
-an unaligned view far more slowly.  Sparse matrices are stored row-major
-in the dtypes the scorer reads (float32 values) and are range-checked
-before scipy builds a matrix on the views, with no conversion or copy.
+an unaligned view far more slowly.  A CSR matrix is stored as its three
+arrays, as they are, and served as a scipy matrix built on their views,
+with no conversion or copy.  This module knows nothing of what a model
+stores: each model checks the arrays it is handed before any query
+reads them.
 """
 from __future__ import annotations
 
@@ -26,8 +28,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-
-from .linear import WEIGHT_DTYPE
 
 MAGIC = b"BLAF"
 CONTAINER_VERSION = 2
@@ -224,24 +224,12 @@ def read_artifact(
     return meta, blobs
 
 
-def csr_blobs(matrix: sp.spmatrix, prefix: str) -> dict[str, np.ndarray]:
-    """A matrix as the ``<prefix>/data|indices|indptr`` CSR blobs it is stored as.
-
-    ``data`` is :data:`brandlink.linear.WEIGHT_DTYPE`, float32.  A value
-    that is not finite once rounded to it, one beyond float32's range for
-    instance, raises ValueError, since a loader would refuse the file.
-    ``indices`` and ``indptr`` keep scipy's shared index dtype, so
-    :func:`csr_from_blobs` serves them as they are.
-    """
-    csr = matrix.tocsr()
-    with np.errstate(over="ignore"):
-        data = csr.data.astype(WEIGHT_DTYPE, copy=False)
-    if not np.isfinite(data).all():
-        raise ValueError(f"{prefix} has a value that is not finite as {WEIGHT_DTYPE}")
+def csr_blobs(matrix: sp.csr_matrix, prefix: str) -> dict[str, np.ndarray]:
+    """A CSR matrix's arrays, as they are, as the ``<prefix>/data|indices|indptr`` blobs."""
     return {
-        f"{prefix}/data": data,
-        f"{prefix}/indices": csr.indices,
-        f"{prefix}/indptr": csr.indptr,
+        f"{prefix}/data": matrix.data,
+        f"{prefix}/indices": matrix.indices,
+        f"{prefix}/indptr": matrix.indptr,
     }
 
 
@@ -250,41 +238,23 @@ def csr_from_blobs(
 ) -> sp.csr_matrix:
     """Serve a matrix written by :func:`csr_blobs` straight from its blob views.
 
-    Nothing is converted or copied, so the blobs must already carry the
-    dtypes the scorer reads: float32 values and one shared index dtype.
-    Raises KeyError for a missing blob and
-    ArtifactFormatError for another dtype, int64 indices scipy would copy
-    to int32, a structure scipy's unchecked loops must not see, or a
-    non-finite value, which would mis-score every query.  The scorer
-    relies on the row pointers never decreasing: its gaps between two
-    rows are empty only then.
+    scipy's constructor compares only array lengths and the end row
+    pointers, raising ValueError, and reads no entry through an index; the
+    model that keeps the matrix checks the rest before any query reads it.
+    Raises KeyError for a missing blob and ArtifactFormatError where scipy
+    would serve other arrays than the blobs.
     """
     data = blobs[f"{prefix}/data"]
     indices = blobs[f"{prefix}/indices"]
     indptr = blobs[f"{prefix}/indptr"]
-    n_rows, n_cols = shape
-    if (
-        data.dtype != WEIGHT_DTYPE
-        or indices.dtype != indptr.dtype
-        or indices.dtype not in (np.int32, np.int64)
-    ):
-        raise ArtifactFormatError(f"{path}: {prefix} is not stored in the scorer's dtypes")
-    if (
-        indices.ndim != 1
-        or indptr.shape != (n_rows + 1,)
-        or indptr[0] != 0
-        or np.any(indptr[1:] < indptr[:-1])
-        or indptr[-1] != len(indices)
-        or data.shape != indices.shape
-    ):
-        raise ArtifactFormatError(f"{path}: {prefix} has a malformed indptr")
-    if not np.all(np.isfinite(data)):
-        raise ArtifactFormatError(f"{path}: {prefix} has a non-finite value")
-    if len(indices) and (indices.min() < 0 or indices.max() >= n_cols):
-        raise ArtifactFormatError(f"{path}: {prefix} has a column index out of range")
     matrix = sp.csr_matrix((data, indices, indptr), shape=shape, copy=False)
-    # scipy narrows int64 index arrays whose values fit int32 into a copy;
-    # the writers store int32 whenever it fits, so only a foreign file does.
-    if matrix.indices.dtype != indices.dtype:
-        raise ArtifactFormatError(f"{path}: {prefix} has int64 indices that fit int32")
+    # scipy copies int64 index arrays that fit int32, or two index dtypes,
+    # into one narrowest dtype, and cuts entries past the last row pointer.
+    if (matrix.indices.dtype, matrix.indptr.dtype, matrix.nnz) != (
+        indices.dtype, indptr.dtype, len(indices)
+    ):
+        raise ArtifactFormatError(
+            f"{path}: {prefix} has int64 indices that fit int32, index arrays of"
+            " two dtypes, or entries past its last row pointer"
+        )
     return matrix

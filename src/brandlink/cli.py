@@ -4,7 +4,9 @@ Eight subcommands map one-to-one onto the library operations: build-dict,
 gen-corpus, gen-weak-labels, train-xmc, train-pt, link, eval, and bench.
 Options resolve in three layers: built-in defaults, then a JSON config
 file given with --config, then explicit flags, later layers winning.
---dry-run prints the resolved configuration and stops.
+An option whose default is an int, float or bool resolves to that type
+or is a usage error.  --dry-run prints the resolved configuration and
+stops.
 
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
 Failures are reported as single-line diagnostics on stderr.
@@ -188,13 +190,13 @@ def _cmd_build_dict(config: dict) -> int:
 def _cmd_gen_corpus(config: dict) -> int:
     _require(config, "gen-corpus", "out")
     spec = CorpusSpec(
-        n_entities=int(config["entities"]),
-        surface_variants_per_entity=int(config["variants"]),
+        n_entities=config["entities"],
+        surface_variants_per_entity=config["variants"],
         languages=_as_str_tuple(config["languages"]),
-        n_branded_queries=int(config["branded"]),
-        n_nonbranded_queries=int(config["nonbranded"]),
-        pt_space_size=int(config["pt_types"]),
-        seed=int(config["seed"]),
+        n_branded_queries=config["branded"],
+        n_nonbranded_queries=config["nonbranded"],
+        pt_space_size=config["pt_types"],
+        seed=config["seed"],
     )
     manifest = gen_synthetic_corpus(spec, config["out"])
     counts = ", ".join(f"{k}={v}" for k, v in sorted(manifest["counts"].items()))
@@ -205,11 +207,8 @@ def _cmd_gen_corpus(config: dict) -> int:
 def _cmd_gen_weak_labels(config: dict) -> int:
     _require(config, "gen-weak-labels", "logs", "dict", "out")
     dictionary = load_dictionary(config["dict"])
-    labeled = gen_weak_labels(
-        read_engagement_jsonl(config["logs"]),
-        float(config["threshold"]),
-        dictionary,
-    )
+    logs = read_engagement_jsonl(config["logs"])
+    labeled = gen_weak_labels(logs, config["threshold"], dictionary)
     count = write_jsonl(
         config["out"], (labeled_query_to_record(ex) for ex in labeled)
     )
@@ -257,7 +256,7 @@ def _cmd_train_xmc(config: dict) -> int:
         raise ValueError("no usable training examples")
 
     featurizer, vectors = featurize_corpus(
-        [normalize(text) for text, _ in pairs], FeaturizerConfig(dim=int(config["dim"]))
+        [normalize(text) for text, _ in pairs], FeaturizerConfig(dim=config["dim"])
     )
     featurized = [(vec, label) for vec, (_, label) in zip(vectors, pairs)]
 
@@ -269,11 +268,11 @@ def _cmd_train_xmc(config: dict) -> int:
     space = aggregate_label_features(labels, surfaces, inputs, featurizer)
     tree = build_tree(
         space,
-        branching=int(config["branching"]),
-        max_leaf=int(config["max_leaf"]),
-        seed=int(config["seed"]),
+        branching=config["branching"],
+        max_leaf=config["max_leaf"],
+        seed=config["seed"],
     )
-    model = train(featurized, space, tree, float(config["reg"]), featurizer=featurizer)
+    model = train(featurized, space, tree, config["reg"], featurizer=featurizer)
     save_model(model, config["out"])
     print(
         f"{config['target']} model: {len(labels)} labels,"
@@ -287,11 +286,10 @@ def _cmd_train_pt(config: dict) -> int:
     _require(config, "train-pt", "train", "out")
     rows = list(read_pt_training_jsonl(config["train"]))
     featurizer, vectors = featurize_corpus(
-        [normalize(query.text) for query, _ in rows], FeaturizerConfig(dim=int(config["dim"]))
+        [normalize(query.text) for query, _ in rows], FeaturizerConfig(dim=config["dim"])
     )
-    predictor = train_pt_baseline(
-        zip(vectors, (pt for _, pt in rows)), featurizer, float(config["reg"])
-    )
+    pairs = zip(vectors, (pt for _, pt in rows))
+    predictor = train_pt_baseline(pairs, featurizer, config["reg"])
     save_pt_predictor(predictor, config["out"])
     print(
         f"pt model: {len(predictor.product_types)} types,"
@@ -306,9 +304,7 @@ def _linker_from_config(config: dict) -> tuple[LinkerConfig, str]:
         raise UsageError("--mode must be one of lexical, m2e, q2e, fused")
     if config["fused_matcher"] not in ("lexical", "m2e"):
         raise UsageError("--fused-matcher must be one of lexical, m2e")
-    params = BeamParams(
-        beam_size=int(config["beam_size"]), top_k=int(config["top_k"])
-    )
+    params = BeamParams(beam_size=config["beam_size"], top_k=config["top_k"])
     dictionary = None
     if config["dict"] is not None:
         dictionary = load_dictionary(config["dict"])
@@ -474,15 +470,15 @@ def _cmd_bench(config: dict) -> int:
     sizes = tuple(int(v) for v in _as_str_tuple(config["sizes"]))
     if not sizes:
         raise UsageError("--sizes must name at least one label count")
-    n_queries = int(config["queries"])
-    params = BeamParams(beam_size=int(config["beam_size"]))
-    featurizer = FeaturizerConfig(dim=int(config["dim"]))
+    n_queries = config["queries"]
+    params = BeamParams(beam_size=config["beam_size"])
+    featurizer = FeaturizerConfig(dim=config["dim"])
     rows = []
     for n_labels in sizes:
         build_start = time.perf_counter()
-        model = _centroid_model(n_labels, featurizer, int(config["seed"]))
+        model = _centroid_model(n_labels, featurizer, config["seed"])
         build_s = time.perf_counter() - build_start
-        rng = random.Random(int(config["seed"]) + 1)
+        rng = random.Random(config["seed"] + 1)
         names = _bench_names(rng, n_queries)
         vectors = [
             vectorize(f"{name} {rng.choice(names)}", featurizer) for name in names
@@ -601,6 +597,20 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         value = getattr(args, key)
         if value is not None:
             resolved[key] = value
+    # An int, float or bool option takes its default's type: a string, from
+    # a flag or the file, is parsed, and a JSON int is fine for a float.
+    for key, default in defaults.items():
+        kind, value = type(default), resolved[key]
+        if kind not in (bool, int, float) or type(value) is kind:
+            continue
+        parse = isinstance(value, str) and kind is not bool
+        if parse or (kind is float and type(value) is int):
+            try:
+                resolved[key] = kind(value)
+                continue
+            except ValueError:
+                pass
+        raise UsageError(f"--{key.replace('_', '-')} must be a {kind.__name__}, not {value!r}")
     return resolved
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol
+from typing import Iterable, Iterator
 
 from .binio import ArtifactFormatError, read_artifact, write_artifact
 from .core import (
@@ -163,12 +163,6 @@ def trie_detect(dictionary: BrandDictionary, query: Query) -> BrandMention | Non
     if best is None:
         return None
     return BrandMention.from_text(nt.text, best[0], best[1])
-
-
-class MentionDetector(Protocol):
-    """Anything that can point at the brand span of a query."""
-
-    def detect(self, query: Query) -> BrandMention | None: ...
 
 
 class TrieDetector:

@@ -24,11 +24,12 @@ stored bottom-up: stored row 0 is the bias row and stored row ``k`` is
 feature ``dim - k``.  Its values are :data:`WEIGHT_DTYPE`, float32: the
 weights are most of a serving process's memory, and the solver's float64
 is kept only while training.  This module is the only one that knows
-that order and that dtype, and two functions use it:
+that order and that dtype, and three functions use it:
 :func:`stack_layers` writes the stored matrix from blocks in feature
-order, such as :func:`fit_sparse_ova` returns, and :func:`score_vector`
-reads only the query's rows of it, where they lie, in one compiled
-loop.  Models, loaders and writers hold the matrix and pass it on.
+order, such as :func:`fit_sparse_ova` returns, :func:`check_stack`
+checks it for every model, and :func:`score_vector` reads only the
+query's rows of it, where they lie, in one compiled loop.  Models,
+loaders and writers hold the matrix and pass it on.
 """
 from __future__ import annotations
 
@@ -397,6 +398,36 @@ def stack_layers(blocks: Sequence[sp.spmatrix], n_rows: int) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
 
 
+def check_stack(weights: sp.spmatrix, dim: int, n_cols: int) -> None:
+    """Raise ValueError unless :func:`score_vector` can read ``weights``:
+    CSR of shape ``(dim + 1, n_cols)``, finite :data:`WEIGHT_DTYPE`
+    values, one index dtype (int32 or int64), row pointers that start at
+    0, never decrease and end at the entry count, and column indices in
+    ``[0, n_cols)``.  The scorer's compiled loop checks none of it."""
+    if not sp.issparse(weights) or weights.format != "csr":
+        raise ValueError("weights must be the stored CSR stack")
+    if weights.shape != (dim + 1, n_cols):
+        raise ValueError(f"weights have shape {weights.shape}, expected {(dim + 1, n_cols)}")
+    data, indices, indptr = weights.data, weights.indices, weights.indptr
+    if data.dtype != WEIGHT_DTYPE:
+        raise ValueError(f"weights are {data.dtype}, expected {WEIGHT_DTYPE}")
+    if indices.dtype != indptr.dtype or indices.dtype not in (np.int32, np.int64):
+        raise ValueError(f"weights have {indices.dtype} indices and {indptr.dtype} row pointers")
+    if (
+        indptr.shape != (dim + 2,)
+        or indices.ndim != 1
+        or data.shape != indices.shape
+        or indptr[0] != 0
+        or np.any(indptr[1:] < indptr[:-1])
+        or indptr[-1] != len(indices)
+    ):
+        raise ValueError("weights have malformed row pointers or array lengths")
+    if not np.isfinite(data).all():
+        raise ValueError("weights have a non-finite value")
+    if len(indices) and (indices.min() < 0 or indices.max() >= n_cols):
+        raise ValueError("weights have a column index out of range")
+
+
 def score_vector(weights: sp.csr_matrix, x: SparseVector) -> np.ndarray:
     """Margins ``W.T @ [x, 1]`` of every column, read in place from x's rows.
 
@@ -408,16 +439,16 @@ def score_vector(weights: sp.csr_matrix, x: SparseVector) -> np.ndarray:
     rounded to float32, and between two features a gap "column" from the
     end of one row back to the start of the next, which is empty, with 0;
     the bias row comes last, with 1.  The gaps stay empty only because the
-    row pointers never decrease, as in every matrix scipy builds; the
-    artifact loaders check it of a stored one.  Nothing is copied out.
+    row pointers never decrease, which :func:`check_stack` checks of every
+    model's stack.  Nothing is copied out.
     Each margin adds its float32 products in a float32 sum from 0.0, in
     ascending feature order and the bias last, the order of a dense
     matvec, and is widened to float64 once, so beam search and the PT
     decision compute in float64.  The kernel does not bounds-check: a
     ``weights`` whose row count is not ``x.dim + 1`` raises ValueError
-    here, and ``x``'s own invariant keeps its indices inside
-    ``[0, x.dim)``.  Weights of another dtype make the kernel raise
-    ValueError.
+    here, ``x``'s own invariant keeps its indices inside ``[0, x.dim)``,
+    and :func:`check_stack` keeps the column indices inside the columns.
+    Weights of another dtype make the kernel raise ValueError.
     """
     indptr = weights.indptr
     n_rows, n_cols = weights.shape

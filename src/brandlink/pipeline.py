@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import LinkResult, Outcome, Query, ScoredEntity, TraceRecord
-from .gazetteer import BrandDictionary, MentionDetector, lexical_match
+from .gazetteer import BrandDictionary, TrieDetector, lexical_match
 from .ptfilter import PtAssociations, PtPredictor, filter_candidates
 from .xmc import BeamParams, XmcModel, m2e_match, q2e_predict
 
@@ -52,7 +52,7 @@ class LinkerConfig:
     unfiltered.
     """
 
-    detector: MentionDetector | None = None
+    detector: TrieDetector | None = None
     matcher: LexicalMatcher | M2eMatcher | None = None
     q2e: XmcModel | None = None
     q2e_params: BeamParams = BeamParams()

@@ -11,10 +11,10 @@ The PT predictor answers only when its best sigmoid score reaches the
 fixed ``PT_CONFIDENCE_THRESHOLD``.  Its weights are one CSR matrix in
 the row order and the float32 value dtype :mod:`brandlink.linear`
 writes and reads: training stacks ``fit_sparse_ova``'s block through
-``stack_layers``, and the predictor holds it as it is.  Its artifact
-(``pt-model`` format version 4) records the threshold, and a loader
-refuses any other; it stores the matrix as held, in the dtypes the
-scorer reads, and a loaded predictor serves it, and its idf table, as
+``stack_layers``, and the predictor checks it with ``check_stack`` and
+holds it as it is.  Its artifact (``pt-model`` format version 4)
+records the threshold, and a loader refuses any other; it stores the
+matrix as held, and a loaded predictor serves it, and its idf table, as
 read-only views over the artifact's aligned payload buffer.  Product
 type codes are strings, in the artifact as in the association table
 the filter compares them with.
@@ -40,7 +40,7 @@ from .core import (
     read_jsonl,
     read_tsv,
 )
-from .linear import DEFAULT_REG, WEIGHT_DTYPE, fit_sparse_ova, score_vector
+from .linear import DEFAULT_REG, check_stack, fit_sparse_ova, score_vector
 from .linear import stack_layers, stack_rows
 from .text import FeaturizerConfig, SparseVector, featurize
 from .text import featurizer_from_meta, featurizer_to_meta, normalize
@@ -154,8 +154,8 @@ class LinearPtPredictor:
     Abstains when its best score is below ``PT_CONFIDENCE_THRESHOLD``.
     ``weights`` is the stored CSR matrix that
     :func:`brandlink.linear.score_vector` reads, one column per product
-    type, with :data:`brandlink.linear.WEIGHT_DTYPE` values; anything else
-    is refused here rather than at the first query.
+    type; :func:`brandlink.linear.check_stack` refuses anything else here
+    rather than at the first query.
     """
 
     product_types: tuple[ProductType, ...]
@@ -163,13 +163,10 @@ class LinearPtPredictor:
     featurizer: FeaturizerConfig
 
     def __post_init__(self) -> None:
-        shape = (self.featurizer.dim + 1, len(self.product_types))
-        if not sp.issparse(self.weights) or self.weights.format != "csr":
-            raise ValueError("pt weights must be the stored CSR matrix")
-        if self.weights.shape != shape:
-            raise ValueError(f"pt weights have shape {self.weights.shape}, expected {shape}")
-        if self.weights.dtype != WEIGHT_DTYPE:
-            raise ValueError(f"pt weights are {self.weights.dtype}, expected {WEIGHT_DTYPE}")
+        try:
+            check_stack(self.weights, self.featurizer.dim, len(self.product_types))
+        except ValueError as exc:
+            raise ValueError(f"pt {exc}") from None
 
     def predict(self, query: Query) -> ProductType | None:
         x = featurize(normalize(query.text), self.featurizer)

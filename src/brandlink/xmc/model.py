@@ -4,14 +4,15 @@ A model holds one sparse weight matrix with one column per tree node, the
 layers stacked column-wise from the root down at the tree's ``offsets``,
 stored as the CSR matrix :mod:`brandlink.linear` writes and reads; that
 module alone knows its row order and its float32 value dtype.  Training
-builds the stack through :func:`brandlink.linear.stack_layers`, and a
-loaded model serves it as a view over its artifact.  Inference scores every node with
-one :func:`brandlink.linear.score_vector` call, which sums each column's
-float32 terms in ascending feature order, then walks the layers keeping
-the ``beam_size`` best partial paths; a path's score is the product of
-sigmoid-transformed node margins, so leaf scores stay in (0, 1).  Each
-layer reads only the columns under the surviving beam, through child
-position arrays built once with the model.
+builds the stack through :func:`brandlink.linear.stack_layers`, a
+loaded model serves it as a view over its artifact, and every model
+checks it with :func:`brandlink.linear.check_stack`.  Inference scores
+every node with one :func:`brandlink.linear.score_vector` call, which
+sums each column's float32 terms in ascending feature order, then walks
+the layers keeping the ``beam_size`` best partial paths; a path's score
+is the product of sigmoid-transformed node margins, so leaf scores stay
+in (0, 1).  Each layer reads only the columns under the surviving beam,
+through child position arrays built once with the model.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..core import BrandEntityId, BrandMention, Query, ScoredEntity
-from ..linear import WEIGHT_DTYPE, score_vector, stack_layers
+from ..linear import check_stack, score_vector, stack_layers
 from ..text import FeaturizerConfig, SparseVector, featurize, normalize
 from .tree import LabelTree
 
@@ -51,12 +52,13 @@ class XmcModel:
     final row for the constant bias feature, which
     :func:`brandlink.linear.stack_layers` stacks; or the stored stack
     itself, a CSR matrix such as training and loading produce, which is
-    kept as it is.  A single matrix in another layout is refused, so a
-    stack in feature order cannot be mis-read, and so is a stack whose
-    values are not :data:`brandlink.linear.WEIGHT_DTYPE`, which the scorer
-    cannot read.  Only perfbench's ``centroid_ranker`` still passes a
-    list; deleting the list path waits on the benchmark change of
-    ROADMAP items 1 and 6.  ``weights`` is the stack, of shape
+    kept as it is.  Either way :func:`brandlink.linear.check_stack` runs
+    on the stack kept, before any query reads it: a single matrix in
+    another layout is refused, so a stack in feature order cannot be
+    mis-read, and so is one the scorer cannot read safely.  Only
+    perfbench's ``centroid_ranker`` still passes a list; deleting the
+    list path waits on the benchmark change of ROADMAP items 1 and 6.
+    ``weights`` is the stack, of shape
     ``(featurizer.dim + 1, tree.offsets[-1])``.  Layer ``l`` owns columns
     ``tree.offsets[l]:tree.offsets[l + 1]``.  ``labels`` are unique, NIL
     among them at most once, and as many as the tree's.
@@ -76,22 +78,17 @@ class XmcModel:
     _id_rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, layer_weights) -> None:
-        expected_rows = self.featurizer.dim + 1
-        if not sp.issparse(layer_weights):
+        dim = self.featurizer.dim
+        if sp.issparse(layer_weights):
+            self.weights = layer_weights
+        else:
             if len(layer_weights) != self.tree.n_layers:
                 raise ValueError("one weight matrix per tree layer expected")
             for layer, weights in enumerate(layer_weights):
-                if weights.shape != (expected_rows, self.tree.layer_sizes[layer]):
+                if weights.shape != (dim + 1, self.tree.layer_sizes[layer]):
                     raise ValueError(f"layer {layer} weight shape mismatch")
-            self.weights = stack_layers(layer_weights, expected_rows)
-        elif layer_weights.format == "csr":
-            self.weights = layer_weights
-        else:
-            raise ValueError("a single weight matrix must be the stored CSR stack")
-        if self.weights.shape != (expected_rows, self.tree.offsets[-1]):
-            raise ValueError("stacked weight shape mismatch")
-        if self.weights.dtype != WEIGHT_DTYPE:
-            raise ValueError(f"weights are {self.weights.dtype}, expected {WEIGHT_DTYPE}")
+            self.weights = stack_layers(layer_weights, dim + 1)
+        check_stack(self.weights, dim, self.tree.offsets[-1])
         if len(self.labels) != self.tree.n_labels:
             raise ValueError("label count must match the tree")
         if len({label.id for label in self.labels}) != len(self.labels):

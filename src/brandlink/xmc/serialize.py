@@ -6,11 +6,11 @@ the layer sizes they imply, which the loader checks against them), and
 the model's stacked node weights as the CSR matrix the model holds, in
 the row order :mod:`brandlink.linear` writes and in the dtypes the scorer
 reads, float32 values among them (``xmc-model`` format version 4).
-Loading verifies container magic, version, payload checksum and the
-structure of every array, then hands the weights to the model as they
-are stored: they and the idf table are read-only views over the
-artifact's aligned payload buffer, with no conversion or copy.  Identical
-models serialize to identical bytes.
+Loading verifies container magic, version and payload checksum, then
+hands the weights to the model as they are stored, and the model checks
+their structure before any query reads them: they and the idf table are
+read-only views over the artifact's aligned payload buffer, with no
+conversion or copy.  Identical models serialize to identical bytes.
 """
 from __future__ import annotations
 
@@ -30,11 +30,7 @@ MODEL_VERSION = 4
 
 
 def save_model(model: XmcModel, path: str | Path) -> None:
-    """Serialize a model to one binary artifact file.
-
-    Raises:
-        ValueError: A weight that is not finite as float32.
-    """
+    """Serialize a model to one binary artifact file."""
     featurizer, blobs = featurizer_to_meta(model.featurizer)
     meta = {
         "labels": [label.id for label in model.labels],

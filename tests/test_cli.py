@@ -74,13 +74,52 @@ class TestConfigResolution:
             == 0
         )
         resolved = json.loads(capsys.readouterr().out)
-        assert resolved["entities"] == "20"
+        assert resolved["entities"] == 20
 
     def test_unknown_config_key_is_a_usage_error(self, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"entites": 50}))
         assert run(["gen-corpus", "--config", str(config), "--dry-run"]) == 2
         assert "entites" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, key, value, want",
+        [
+            ("gen-corpus", "entities", "50", 50),
+            ("train-pt", "reg", 1, 1.0),
+        ],
+        ids=["int-from-string", "float-from-int"],
+    )
+    def test_config_values_take_the_default_type(
+        self, tmp_path, capsys, command, key, value, want
+    ):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: value}))
+        assert run([command, "--config", str(config), "--dry-run"]) == 0
+        resolved = json.loads(capsys.readouterr().out)[key]
+        assert resolved == want and type(resolved) is type(want)
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("gen-corpus", "entities", 50.7),
+            ("gen-corpus", "seed", True),
+            ("eval", "false_alarm", "no"),
+        ],
+        ids=["float-for-int", "bool-for-int", "string-for-bool"],
+    )
+    def test_config_value_of_another_type_is_a_usage_error(
+        self, tmp_path, capsys, command, key, value
+    ):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: value}))
+        assert run([command, "--config", str(config), "--dry-run"]) == 2
+        assert "--" + key.replace("_", "-") in capsys.readouterr().err
+
+    def test_unparsable_flag_is_a_usage_error(self, capsys):
+        assert run(["gen-corpus", "--entities", "1.5", "--dry-run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--entities" in err
 
     def test_boolean_flag_pair(self, capsys):
         assert run(["eval", "--false-alarm", "--dry-run"]) == 0

@@ -8,17 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from brandlink.core import BrandEntityId
 from brandlink.linear import (
     DEFAULT_NEGATIVE_BIAS,
     GRAD_TOL,
     WEIGHT_DTYPE,
+    check_stack,
     fit_logistic_columns,
     fit_sparse_ova,
     score_vector,
     stack_rows,
 )
-from brandlink.text import SparseVector
+from brandlink.ptfilter import LinearPtPredictor, ProductType
+from brandlink.text import FeaturizerConfig, SparseVector
+from brandlink.xmc.model import XmcModel
 from brandlink.xmc.train import DEFAULT_PRUNE
+from brandlink.xmc.tree import LabelTree
 
 
 def with_bias(rows: np.ndarray) -> sp.csr_matrix:
@@ -271,6 +276,62 @@ class TestScoreRows:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n_cols + 64 * (nnz + 1) + 4096
+
+
+# A stack fault as an edit in place: (array, position, new value).
+STACK_EDITS = {
+    "column-past-last": ("indices", -1, 2),
+    "column-negative": ("indices", 0, -1),
+    "indptr-decreasing": ("indptr", 1, 10**6),
+    "value-nan": ("data", 0, np.nan),
+    "value-inf": ("data", 0, np.inf),
+}
+
+
+class TestCheckStack:
+    """Every model runs ``check_stack`` on the stack it keeps, so a stack
+    built in memory meets the same checks as a loaded one before the
+    scorer's unchecked loop reads it."""
+
+    FEATURIZER = FeaturizerConfig(dim=2**16)
+
+    def stack(self):
+        return sp.random(
+            self.FEATURIZER.dim + 1, 2, density=1e-3, format="csr", random_state=0,
+            dtype=WEIGHT_DTYPE,
+        )
+
+    def models(self, weights):
+        labels = (BrandEntityId("A"), BrandEntityId("B"))
+        tree = LabelTree((), np.array([0, 1]))
+        yield lambda: XmcModel(labels, tree, weights, self.FEATURIZER)
+        types = (ProductType("shoe"), ProductType("sock"))
+        yield lambda: LinearPtPredictor(types, weights, self.FEATURIZER)
+
+    def test_well_formed_stack_kept(self):
+        weights = self.stack()
+        assert weights.indices.dtype == weights.indptr.dtype == np.int32
+        for build in self.models(weights):
+            assert build().weights is weights
+
+    @pytest.mark.parametrize(
+        "fault", [*STACK_EDITS, "indptr-not-to-nnz", "indptr-wider-than-indices"]
+    )
+    def test_malformed_stack_refused_by_every_model(self, fault):
+        weights = self.stack()
+        if fault == "indptr-not-to-nnz":  # one entry past the last row pointer
+            weights.indices = np.append(weights.indices, weights.indices[:1])
+            weights.data = np.append(weights.data, weights.data[:1])
+        elif fault == "indptr-wider-than-indices":
+            weights.indptr = weights.indptr.astype(np.int64)
+        else:
+            name, position, value = STACK_EDITS[fault]
+            getattr(weights, name)[position] = value
+        for build in self.models(weights):
+            with pytest.raises(ValueError):
+                build()
+        with pytest.raises(ValueError):
+            check_stack(weights, self.FEATURIZER.dim, 2)
 
 
 def test_reg_must_be_positive():

@@ -1,6 +1,6 @@
 """Properties only a fresh interpreter shows: what linking, the text
-module and the PT filter import, and that trained models do not depend
-on the BLAS thread count."""
+module, the PT filter and the artifact container import, and that
+trained models do not depend on the BLAS thread count."""
 import hashlib
 import json
 import os
@@ -62,6 +62,16 @@ def test_ptfilter_loads_no_ranker_module():
         "print(*(m for m in sys.modules if m.startswith('brandlink.xmc')))"
     )
     assert loaded.split() == []
+
+
+def test_binio_loads_no_other_module_of_the_package():
+    # The container stores and serves arrays; what a model's arrays must
+    # hold is checked where the model is built.
+    loaded = python(
+        "import sys, brandlink.binio\n"
+        "print(*(m for m in sys.modules if m.split('.')[0] == 'brandlink'))"
+    )
+    assert sorted(loaded.split()) == ["brandlink", "brandlink.binio"]
 
 
 @pytest.fixture(scope="module")
