@@ -178,49 +178,44 @@ def read_artifact(
     body = 4 + meta_len
     if body > payload_len:
         raise ArtifactTruncatedError(f"{path}: metadata block overruns payload")
-    try:
-        document = json.loads(payload[4:body].tobytes().decode("utf-8"))
-        container = document["_container"]
-        stored_kind = container["kind"]
-        stored_version = container["kind_version"]
-        directory = container["blobs"]
-        meta = document["meta"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ArtifactFormatError(f"{path}: malformed metadata block") from exc
-    if stored_kind != kind:
-        raise ArtifactFormatError(
-            f"{path}: artifact kind {stored_kind!r}, expected {kind!r}"
-        )
-    if stored_version != kind_version:
-        raise ArtifactVersionError(
-            f"{path}: {kind} format version {stored_version}, expected {kind_version}"
-        )
-
     # One array per blob over a memoryview, so each view's base is its own
     # size: scipy copies any index or data array it sees as a small view
     # of a much larger array.
     buffer = memoryview(payload)
     blobs: dict[str, np.ndarray] = {}
-    for entry in directory:
-        try:
+    try:
+        document = json.loads(payload[4:body].tobytes().decode("utf-8"))
+        container = document["_container"]
+        stored_kind = container["kind"]
+        stored_version = container["kind_version"]
+        meta = document["meta"]
+        if stored_kind != kind:
+            raise ArtifactFormatError(f"{path}: artifact kind {stored_kind!r}, expected {kind!r}")
+        if stored_version != kind_version:
+            raise ArtifactVersionError(
+                f"{path}: {kind} format version {stored_version}, expected {kind_version}"
+            )
+        for entry in container["blobs"]:
             name, dtype = entry["name"], np.dtype(entry["dtype"])
+            if not isinstance(name, str):
+                raise TypeError(f"blob name {name!r} is not a string")
             shape = tuple(operator.index(n) for n in entry["shape"])
             start = body + operator.index(entry["offset"])
             nbytes = operator.index(entry["nbytes"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ArtifactFormatError(f"{path}: malformed blob directory") from exc
-        count = math.prod(shape)
-        if (
-            dtype.str not in _ALLOWED_DTYPES
-            or min(shape, default=0) < 0
-            or nbytes != count * dtype.itemsize
-        ):
-            raise ArtifactFormatError(f"{path}: blob {name!r} dtype, shape and size disagree")
-        if start % _ALIGN:
-            raise ArtifactFormatError(f"{path}: blob {name!r} is not {_ALIGN}-byte aligned")
-        if start < body or start + nbytes > payload_len:
-            raise ArtifactTruncatedError(f"{path}: blob {name!r} overruns payload")
-        blobs[name] = np.frombuffer(buffer, dtype, count, start).reshape(shape)
+            count = math.prod(shape)
+            if (
+                dtype.str not in _ALLOWED_DTYPES
+                or min(shape, default=0) < 0
+                or nbytes != count * dtype.itemsize
+            ):
+                raise ArtifactFormatError(f"{path}: blob {name!r} dtype, shape and size disagree")
+            if start % _ALIGN:
+                raise ArtifactFormatError(f"{path}: blob {name!r} is not {_ALIGN}-byte aligned")
+            if start < body or start + nbytes > payload_len:
+                raise ArtifactTruncatedError(f"{path}: blob {name!r} overruns payload")
+            blobs[name] = np.frombuffer(buffer, dtype, count, start).reshape(shape)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactFormatError(f"{path}: malformed metadata or blob directory") from exc
     return meta, blobs
 
 

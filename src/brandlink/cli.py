@@ -2,11 +2,19 @@
 
 Eight subcommands map one-to-one onto the library operations: build-dict,
 gen-corpus, gen-weak-labels, train-xmc, train-pt, link, eval, and bench.
-Options resolve in three layers: built-in defaults, then a JSON config
-file given with --config, then explicit flags, later layers winning.
-An option whose default is an int, float or bool resolves to that type
-or is a usage error.  --dry-run prints the resolved configuration and
-stops.
+``_COMMANDS`` declares each one once: its help line, its handler and its
+options' defaults, a choice option as the tuple of its allowed values.
+Options resolve in three layers: built-in defaults, then a JSON object
+in a config file given with --config, then explicit flags, later layers
+winning.  A choice option must take one of its values, and an option
+whose default is an int, float or bool resolves to that type; anything
+else is a usage error, under --dry-run too.  --dry-run prints the
+resolved configuration and stops.
+
+train-xmc builds its label tree with branching 16, leaves of at most
+100 labels and clustering seed 0, and trains every node with the penalty
+``DEFAULT_REG`` (1e-3).  link searches with a beam of 10 and keeps the
+top 5.
 
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
 Failures are reported as single-line diagnostics on stderr.
@@ -28,6 +36,7 @@ import scipy.sparse as sp
 from .core import (
     BrandEntityId,
     LabeledQuery,
+    LinkResult,
     Query,
     labeled_query_from_record,
     labeled_query_to_record,
@@ -98,71 +107,15 @@ class UsageError(Exception):
 
 _DIM = FeaturizerConfig().dim
 
-_DEFAULTS: dict[str, dict] = {
-    "build-dict": {"b2e": None, "out": None},
-    "gen-corpus": {
-        "out": None,
-        "entities": 1000,
-        "variants": 3,
-        "languages": "en",
-        "branded": 5000,
-        "nonbranded": 2000,
-        "pt_types": 20,
-        "seed": 0,
-    },
-    "gen-weak-labels": {
-        "logs": None,
-        "dict": None,
-        "threshold": DEFAULT_STRENGTH_THRESHOLD,
-        "out": None,
-    },
-    "train-xmc": {
-        "train": None,
-        "dict": None,
-        "target": "q2e",
-        "out": None,
-        "dim": _DIM,
-        "reg": DEFAULT_REG,
-        "branching": 16,
-        "max_leaf": 100,
-        "seed": 0,
-    },
-    "train-pt": {"train": None, "out": None, "dim": _DIM, "reg": DEFAULT_REG},
-    "link": {
-        "queries": None,
-        "out": None,
-        "mode": "lexical",
-        "dict": None,
-        "m2e_model": None,
-        "q2e_model": None,
-        "pt_model": None,
-        "associations": None,
-        "fused_matcher": "lexical",
-        "beam_size": BeamParams().beam_size,
-        "top_k": BeamParams().top_k,
-    },
-    "eval": {
-        "gold": None,
-        "results": None,
-        "slice": "none",
-        "report": None,
-        "false_alarm": False,
-    },
-    "bench": {
-        "sizes": "5000,50000",
-        "queries": 500,
-        "beam_size": BeamParams().beam_size,
-        "dim": _DIM,
-        "seed": 0,
-        "out": None,
-    },
-}
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _require(config: dict, command: str, *keys: str) -> None:
     missing = [k for k in keys if config.get(k) is None]
     if missing:
-        raise UsageError(f"{command} requires --{', --'.join(m.replace('_', '-') for m in missing)}")
+        raise UsageError(f"{command} requires {', '.join(map(_flag, missing))}")
 
 
 def _as_str_tuple(value) -> tuple[str, ...]:
@@ -248,8 +201,6 @@ def _training_pairs(
 
 def _cmd_train_xmc(config: dict) -> int:
     _require(config, "train-xmc", "train", "dict", "out")
-    if config["target"] not in ("m2e", "q2e"):
-        raise UsageError("--target must be m2e or q2e")
     examples = _read_labeled_files(_as_str_tuple(config["train"]))
     pairs = _training_pairs(examples, config["target"])
     if not pairs:
@@ -266,13 +217,8 @@ def _cmd_train_xmc(config: dict) -> int:
     for vec, label in featurized:
         inputs.setdefault(label, []).append(vec)
     space = aggregate_label_features(labels, surfaces, inputs, featurizer)
-    tree = build_tree(
-        space,
-        branching=config["branching"],
-        max_leaf=config["max_leaf"],
-        seed=config["seed"],
-    )
-    model = train(featurized, space, tree, config["reg"], featurizer=featurizer)
+    tree = build_tree(space)
+    model = train(featurized, space, tree, featurizer=featurizer)
     save_model(model, config["out"])
     print(
         f"{config['target']} model: {len(labels)} labels,"
@@ -298,53 +244,34 @@ def _cmd_train_pt(config: dict) -> int:
     return 0
 
 
-def _linker_from_config(config: dict) -> tuple[LinkerConfig, str]:
+def _linker_from_config(config: dict) -> LinkerConfig:
     mode = config["mode"]
-    if mode not in ("lexical", "m2e", "q2e", "fused"):
-        raise UsageError("--mode must be one of lexical, m2e, q2e, fused")
-    if config["fused_matcher"] not in ("lexical", "m2e"):
-        raise UsageError("--fused-matcher must be one of lexical, m2e")
-    params = BeamParams(beam_size=config["beam_size"], top_k=config["top_k"])
-    dictionary = None
-    if config["dict"] is not None:
-        dictionary = load_dictionary(config["dict"])
-
-    matcher = None
-    detector = None
+    matcher = detector = q2e = pt_predictor = None
     matcher_kind = config["fused_matcher"] if mode == "fused" else mode
-    if matcher_kind == "lexical":
-        _require(config, "link", "dict")
-        matcher = LexicalMatcher(dictionary)
-    elif matcher_kind == "m2e":
-        _require(config, "link", "dict", "m2e_model")
-        matcher = M2eMatcher(load_model(config["m2e_model"]), params)
-    if matcher is not None:
+    if matcher_kind != "q2e":
+        _require(config, "link", "dict", *(("m2e_model",) if matcher_kind == "m2e" else ()))
+        dictionary = load_dictionary(config["dict"])
         detector = TrieDetector(dictionary)
-
-    q2e = None
+        if matcher_kind == "m2e":
+            matcher = M2eMatcher(load_model(config["m2e_model"]))
+        else:
+            matcher = LexicalMatcher(dictionary)
     if mode in ("q2e", "fused"):
         _require(config, "link", "q2e_model")
         q2e = load_model(config["q2e_model"])
-
-    pt_predictor = None
     if config["pt_model"] is not None:
         pt_predictor = load_pt_predictor(config["pt_model"])
     associations = PtAssociations.empty()
     if config["associations"] is not None:
-        associations = mine_associations(
-            read_associations_tsv(config["associations"])
-        )
-
-    linker = LinkerConfig(
+        associations = mine_associations(read_associations_tsv(config["associations"]))
+    return LinkerConfig(
         detector=detector,
         matcher=matcher,
         q2e=q2e,
-        q2e_params=params,
         pt_predictor=pt_predictor,
         associations=associations,
         fusion=(mode == "fused"),
     )
-    return linker, mode
 
 
 def _read_queries(path: str) -> list[Query]:
@@ -356,25 +283,28 @@ def _read_queries(path: str) -> list[Query]:
     return queries
 
 
+# One linker function per --mode; the first is the default.
+_LINK_FNS: dict[str, Callable[[LinkerConfig, Query], LinkResult]] = {
+    "lexical": link_two_stage,
+    "m2e": link_two_stage,
+    "q2e": link_end_to_end,
+    "fused": link_fused,
+}
+
+
 def _cmd_link(config: dict) -> int:
     _require(config, "link", "queries", "out")
-    linker, mode = _linker_from_config(config)
-
-    def run_one(query: Query):
-        if mode == "q2e":
-            return link_end_to_end(linker, query)
-        if mode == "fused":
-            return link_fused(linker, query)
-        return link_two_stage(linker, query)
-
+    linker = _linker_from_config(config)
+    link = _LINK_FNS[config["mode"]]
     queries = _read_queries(config["queries"])
     count = write_jsonl(
-        config["out"], (link_result_to_record(run_one(q)) for q in queries)
+        config["out"], (link_result_to_record(link(linker, q)) for q in queries)
     )
-    print(f"linked {count} queries ({mode}) -> {config['out']}")
+    print(f"linked {count} queries ({config['mode']}) -> {config['out']}")
     return 0
 
 
+# One slice function per --slice; the first is the default.
 _SLICE_FNS: dict[str, Callable[[LabeledQuery], str]] = {
     "none": lambda example: "all",
     "language": lambda example: example.query.language or "unknown",
@@ -384,8 +314,6 @@ _SLICE_FNS: dict[str, Callable[[LabeledQuery], str]] = {
 
 def _cmd_eval(config: dict) -> int:
     _require(config, "eval", "gold", "results")
-    if config["slice"] not in _SLICE_FNS:
-        raise UsageError("--slice must be one of none, language, store")
     gold = _read_labeled_files([config["gold"]])
     results = [link_result_from_record(r) for r in read_jsonl(config["results"])]
     if len(gold) != len(results):
@@ -426,9 +354,7 @@ def _bench_names(rng: random.Random, count: int) -> list[str]:
     return sorted(names)
 
 
-def _centroid_model(
-    n_labels: int, featurizer: FeaturizerConfig, seed: int
-) -> XmcModel:
+def _centroid_model(n_labels: int, featurizer: FeaturizerConfig) -> XmcModel:
     """Untrained stand-in scorer with the tree shape of a trained model.
 
     Node weights are the unit-normalized sums of their labels' surface
@@ -438,15 +364,14 @@ def _centroid_model(
     trained m2e model holds 22.6M weights against the stand-in's 3.4M
     and takes 2.3 times its beam p50.
     """
-    rng = random.Random(seed)
-    names = _bench_names(rng, n_labels)
+    names = _bench_names(random.Random(0), n_labels)
     labels = tuple(BrandEntityId(f"B{i:06d}") for i in range(n_labels))
     surfaces = {
         label: [names[i], names[i][: max(3, len(names[i]) // 2)]]
         for i, label in enumerate(labels)
     }
     space = aggregate_label_features(labels, surfaces, {}, featurizer)
-    tree = build_tree(space, seed=seed)
+    tree = build_tree(space)
     layer_features = [space.feature_matrix()[tree.label_order]]
     for layer in range(tree.n_layers - 1, 0, -1):
         n_nodes = tree.layer_sizes[layer]
@@ -467,18 +392,23 @@ def _centroid_model(
 
 
 def _cmd_bench(config: dict) -> int:
-    sizes = tuple(int(v) for v in _as_str_tuple(config["sizes"]))
-    if not sizes:
-        raise UsageError("--sizes must name at least one label count")
+    try:
+        sizes = tuple(int(v) for v in _as_str_tuple(config["sizes"]))
+    except ValueError:
+        sizes = ()
+    if not sizes or min(sizes) < 2:
+        raise UsageError("--sizes must list label counts of at least 2")
     n_queries = config["queries"]
+    if n_queries < 1:
+        raise UsageError("--queries must be at least 1")
     params = BeamParams(beam_size=config["beam_size"])
     featurizer = FeaturizerConfig(dim=config["dim"])
     rows = []
     for n_labels in sizes:
         build_start = time.perf_counter()
-        model = _centroid_model(n_labels, featurizer, config["seed"])
+        model = _centroid_model(n_labels, featurizer)
         build_s = time.perf_counter() - build_start
-        rng = random.Random(config["seed"] + 1)
+        rng = random.Random(1)
         names = _bench_names(rng, n_queries)
         vectors = [
             vectorize(f"{name} {rng.choice(names)}", featurizer) for name in names
@@ -519,15 +449,55 @@ def _cmd_bench(config: dict) -> int:
     return 0
 
 
-_HANDLERS: dict[str, Callable[[dict], int]] = {
-    "build-dict": _cmd_build_dict,
-    "gen-corpus": _cmd_gen_corpus,
-    "gen-weak-labels": _cmd_gen_weak_labels,
-    "train-xmc": _cmd_train_xmc,
-    "train-pt": _cmd_train_pt,
-    "link": _cmd_link,
-    "eval": _cmd_eval,
-    "bench": _cmd_bench,
+# Each subcommand once: its help line, its handler and its options'
+# defaults.  A tuple lists a choice option's allowed values, the first
+# being its default.
+_COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict]] = {
+    "build-dict": (
+        "compile a brand-to-entity TSV into a dictionary artifact",
+        _cmd_build_dict,
+        {"b2e": None, "out": None},
+    ),
+    "gen-corpus": (
+        "generate a deterministic synthetic corpus",
+        _cmd_gen_corpus,
+        {"out": None, "entities": 1000, "variants": 3, "languages": "en", "branded": 5000,
+         "nonbranded": 2000, "pt_types": 20, "seed": 0},
+    ),
+    "gen-weak-labels": (
+        "label engagement logs by token-aligned matching",
+        _cmd_gen_weak_labels,
+        {"logs": None, "dict": None, "threshold": DEFAULT_STRENGTH_THRESHOLD, "out": None},
+    ),
+    "train-xmc": (
+        "train a mention-to-entity or query-to-entity model",
+        _cmd_train_xmc,
+        {"train": None, "dict": None, "target": ("q2e", "m2e"), "out": None, "dim": _DIM},
+    ),
+    "train-pt": (
+        "train the flat product-type classifier",
+        _cmd_train_pt,
+        {"train": None, "out": None, "dim": _DIM, "reg": DEFAULT_REG},
+    ),
+    "link": (
+        "link queries with a chosen linker mode",
+        _cmd_link,
+        {"queries": None, "out": None, "mode": tuple(_LINK_FNS), "dict": None,
+         "m2e_model": None, "q2e_model": None, "pt_model": None, "associations": None,
+         "fused_matcher": ("lexical", "m2e")},
+    ),
+    "eval": (
+        "score link results against gold labels",
+        _cmd_eval,
+        {"gold": None, "results": None, "slice": tuple(_SLICE_FNS), "report": None,
+         "false_alarm": False},
+    ),
+    "bench": (
+        "measure beam inference latency across label-space sizes",
+        _cmd_bench,
+        {"sizes": "5000,50000", "queries": 500, "beam_size": BeamParams().beam_size,
+         "dim": _DIM, "out": None},
+    ),
 }
 
 
@@ -536,7 +506,7 @@ _HANDLERS: dict[str, Callable[[dict], int]] = {
 # ---------------------------------------------------------------------------
 
 
-def _add_options(parser: argparse.ArgumentParser, defaults: dict) -> None:
+def _add_options(parser: argparse.ArgumentParser, options: dict) -> None:
     parser.add_argument("--config", help="JSON file with option defaults")
     parser.add_argument(
         "--dry-run",
@@ -546,18 +516,22 @@ def _add_options(parser: argparse.ArgumentParser, defaults: dict) -> None:
     parser.add_argument(
         "--verbose", "-v", action="store_true", help="log progress lines"
     )
-    for key, default in defaults.items():
-        flag = "--" + key.replace("_", "-")
+    for key, default in options.items():
+        flag = _flag(key)
         if isinstance(default, bool):
             group = parser.add_mutually_exclusive_group()
             group.add_argument(flag, dest=key, action="store_const", const=True)
             group.add_argument(
-                "--no-" + key.replace("_", "-"),
+                "--no-" + flag[2:],
                 dest=key,
                 action="store_const",
                 const=False,
             )
             parser.set_defaults(**{key: None})
+        elif isinstance(default, tuple):
+            parser.add_argument(
+                flag, default=None, help=f"one of {', '.join(default)}; default: {default[0]}"
+            )
         else:
             parser.add_argument(flag, default=None, help=f"default: {default}")
 
@@ -569,38 +543,38 @@ def _build_parser() -> argparse.ArgumentParser:
         " linking, evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    help_lines = {
-        "build-dict": "compile a brand-to-entity TSV into a dictionary artifact",
-        "gen-corpus": "generate a deterministic synthetic corpus",
-        "gen-weak-labels": "label engagement logs by token-aligned matching",
-        "train-xmc": "train a mention-to-entity or query-to-entity model",
-        "train-pt": "train the flat product-type classifier",
-        "link": "link queries with a chosen linker mode",
-        "eval": "score link results against gold labels",
-        "bench": "measure beam inference latency across label-space sizes",
-    }
-    for command, defaults in _DEFAULTS.items():
-        _add_options(sub.add_parser(command, help=help_lines[command]), defaults)
+    for command, (help_line, _, options) in _COMMANDS.items():
+        _add_options(sub.add_parser(command, help=help_line), options)
     return parser
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    resolved = dict(defaults)
+def _resolve(args: argparse.Namespace, options: dict) -> dict:
+    resolved = {
+        key: default[0] if isinstance(default, tuple) else default
+        for key, default in options.items()
+    }
     if args.config is not None:
         with open(args.config, encoding="utf-8") as handle:
             loaded = json.load(handle)
-        unknown = sorted(set(loaded) - set(defaults))
+        if not isinstance(loaded, dict):
+            raise UsageError(f"--config file {args.config} must hold one JSON object")
+        unknown = sorted(set(loaded) - set(options))
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
         resolved.update(loaded)
-    for key in defaults:
+    for key in options:
         value = getattr(args, key)
         if value is not None:
             resolved[key] = value
-    # An int, float or bool option takes its default's type: a string, from
-    # a flag or the file, is parsed, and a JSON int is fine for a float.
-    for key, default in defaults.items():
+    # A choice option takes one of its listed values.  An int, float or
+    # bool option takes its default's type: a string, from a flag or the
+    # file, is parsed, and a JSON int is fine for a float.
+    for key, default in options.items():
         kind, value = type(default), resolved[key]
+        if kind is tuple:
+            if value not in default:
+                raise UsageError(f"{_flag(key)} must be one of {', '.join(default)}")
+            continue
         if kind not in (bool, int, float) or type(value) is kind:
             continue
         parse = isinstance(value, str) and kind is not bool
@@ -610,7 +584,7 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
                 continue
             except ValueError:
                 pass
-        raise UsageError(f"--{key.replace('_', '-')} must be a {kind.__name__}, not {value!r}")
+        raise UsageError(f"{_flag(key)} must be a {kind.__name__}, not {value!r}")
     return resolved
 
 
@@ -625,11 +599,12 @@ def run(argv: Sequence[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        config = _resolve(args, _DEFAULTS[args.command])
+        _, handler, options = _COMMANDS[args.command]
+        config = _resolve(args, options)
         if args.dry_run:
             print(json.dumps({"command": args.command} | config, sort_keys=True))
             return 0
-        return _HANDLERS[args.command](config)
+        return handler(config)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import re
 import unicodedata
 import zlib
@@ -153,7 +154,8 @@ def featurizer_from_meta(meta: dict, blobs: dict[str, np.ndarray]) -> Featurizer
 
     The idf table is served as the given blob, a view when it was read
     from an artifact, so it must already be float32.  Raises
-    ``ValueError`` on n-gram orders or a hash other than the fixed ones.
+    ``ValueError`` on n-gram orders or a hash other than the fixed ones,
+    and ``TypeError`` on a ``dim`` or ``idf_docs`` that is not an integer.
     """
     for key, value in _FIXED_META.items():
         if meta[key] != value:
@@ -163,8 +165,8 @@ def featurizer_from_meta(meta: dict, blobs: dict[str, np.ndarray]) -> Featurizer
         weights = blobs["featurizer/idf"]
         if weights.dtype != np.float32:
             raise ValueError("idf table must be float32")
-        idf = IdfTable(weights=weights, n_docs=int(meta["idf_docs"]))
-    return FeaturizerConfig(dim=int(meta["dim"]), idf=idf)
+        idf = IdfTable(weights=weights, n_docs=operator.index(meta["idf_docs"]))
+    return FeaturizerConfig(dim=operator.index(meta["dim"]), idf=idf)
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,18 +32,19 @@ def train(
     data: Iterable[tuple[SparseVector, BrandEntityId]],
     space: LabelSpace,
     tree: LabelTree,
-    reg: float = DEFAULT_REG,
     *,
     featurizer: FeaturizerConfig,
 ) -> XmcModel:
     """Train the node weights of every tree layer as one stacked matrix.
+
+    Every node classifier is fitted with the one L2 penalty
+    :data:`brandlink.linear.DEFAULT_REG` (1e-3).
 
     Args:
         data: Featurized inputs with their gold labels; every label must
             belong to ``space``.  Zero vectors are skipped with a count.
         space: The label space the tree was built over.
         tree: Output of :func:`brandlink.xmc.tree.build_tree` for ``space``.
-        reg: L2 penalty for every node classifier.
         featurizer: The configuration the inputs were featurized with;
             stored on the model for inference-time parity.
 
@@ -112,7 +113,7 @@ def train(
                         node_of[layer][rows] - lo,
                         hi - lo,
                         dim,
-                        reg,
+                        DEFAULT_REG,
                         prune=DEFAULT_PRUNE,
                     )
                     for rows, lo, hi in groups

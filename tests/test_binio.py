@@ -153,9 +153,8 @@ def _seal(path, payload, version=CONTAINER_VERSION, payload_len=None):
     path.write_bytes(_HEADER.pack(MAGIC, version, length, digest) + payload)
 
 
-def _rewrite_directory(path, edit, align=True, blob=0):
-    """Apply ``edit`` to the stored directory entry of the ``blob``-th blob,
-    in name order, and re-seal the checksum.
+def _rewrite_container(path, edit, align=True):
+    """Apply ``edit`` to the stored container block and re-seal the checksum.
 
     With ``align`` the metadata block is padded as the writer pads it;
     without it the blob area is left off the 8-byte grid.
@@ -164,11 +163,34 @@ def _rewrite_directory(path, edit, align=True, blob=0):
     payload = data[_HEADER.size :]
     (meta_len,) = struct.unpack_from("<I", payload)
     document = json.loads(payload[4 : 4 + meta_len])
-    edit(document["_container"]["blobs"][blob])
+    edit(document["_container"])
     meta = json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
     while ((4 + len(meta)) % 8 == 0) != align:
         meta += b" "
     _seal(path, struct.pack("<I", len(meta)) + meta + payload[4 + meta_len :])
+
+
+def _rewrite_directory(path, edit, align=True, blob=0):
+    """Apply ``edit`` to the stored directory entry of the ``blob``-th blob,
+    in name order, and re-seal the checksum."""
+    _rewrite_container(path, lambda container: edit(container["blobs"][blob]), align)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda container: container.update(blobs=5),
+        lambda container: container.update(blobs=None),
+        lambda container: container["blobs"][0].update(name=["x"]),
+    ],
+    ids=["blobs-number", "blobs-null", "name-list"],
+)
+def test_malformed_blob_directory_rejected(tmp_path, edit):
+    path = tmp_path / "x.blaf"
+    write_artifact(path, "k", 1, {}, {"w": np.arange(3, dtype=np.float64)})
+    _rewrite_container(path, edit)
+    with pytest.raises(ArtifactFormatError):
+        read_artifact(path, "k", 1)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Command line surface: option resolution, exit codes, workflows."""
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +41,47 @@ def test_subcommand_help_lists_options(capsys):
     out = capsys.readouterr().out
     assert "--entities" in out
     assert "--seed" in out
+
+
+# Every option each subcommand takes, 42 settable values in all.
+OPTIONS = {
+    "build-dict": {"b2e", "out"},
+    "gen-corpus": {
+        "out", "entities", "variants", "languages", "branded", "nonbranded", "pt-types", "seed",
+    },
+    "gen-weak-labels": {"logs", "dict", "threshold", "out"},
+    "train-xmc": {"train", "dict", "target", "out", "dim"},
+    "train-pt": {"train", "out", "dim", "reg"},
+    "link": {
+        "queries", "out", "mode", "dict", "m2e-model", "q2e-model", "pt-model",
+        "associations", "fused-matcher",
+    },
+    "eval": {"gold", "results", "slice", "report", "false-alarm"},
+    "bench": {"sizes", "queries", "beam-size", "dim", "out"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_subcommand_help_lists_exactly_its_options(command, capsys):
+    assert run([command, "--help"]) == 0
+    flags = set(re.findall(r"(?<![\w-])--([a-z][a-z0-9-]*)", capsys.readouterr().out))
+    negated = {"no-" + name for name in OPTIONS[command] if name == "false-alarm"}
+    assert flags == OPTIONS[command] | negated | {"help", "config", "dry-run", "verbose"}
+
+
+def _readme_commands() -> list[list[str]]:
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line.split()[1:] for line in lines if line.startswith("brandlink ")]
+
+
+def test_readme_command_lines_parse(capsys):
+    commands = _readme_commands()
+    assert len(commands) == 7
+    for argv in commands:
+        assert run([*argv, "--dry-run"]) == 0, argv
+    capsys.readouterr()
 
 
 class TestConfigResolution:
@@ -81,6 +124,55 @@ class TestConfigResolution:
         config.write_text(json.dumps({"entites": 50}))
         assert run(["gen-corpus", "--config", str(config), "--dry-run"]) == 2
         assert "entites" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document", [[1], "x"], ids=["list", "string"])
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys, document):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(document))
+        assert run(["gen-corpus", "--config", str(config), "--dry-run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "JSON object" in err
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            ("train-xmc", "reg"),
+            ("train-xmc", "branching"),
+            ("train-xmc", "max_leaf"),
+            ("train-xmc", "seed"),
+            ("link", "beam_size"),
+            ("link", "top_k"),
+            ("bench", "seed"),
+        ],
+    )
+    def test_deleted_option_is_unknown(self, tmp_path, capsys, command, key):
+        # Fixed settings: tree 16/100/seed 0, penalty 1e-3, beam 10/top 5,
+        # bench seed 0.
+        assert run([command, "--" + key.replace("_", "-"), "4", "--dry-run"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: 4}))
+        assert run([command, "--config", str(config), "--dry-run"]) == 2
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("train-xmc", "target"), ("link", "mode"), ("link", "fused_matcher"), ("eval", "slice")],
+    )
+    def test_bad_choice_is_a_usage_error(self, tmp_path, capsys, command, key):
+        flag = "--" + key.replace("_", "-")
+        assert run([command, flag, "bogus", "--dry-run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and f"{flag} must be one of" in err
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: "bogus"}))
+        assert run([command, "--config", str(config), "--dry-run"]) == 2
+        assert f"{flag} must be one of" in capsys.readouterr().err
+
+    def test_choice_defaults_to_its_first_value(self, capsys):
+        assert run(["link", "--dry-run"]) == 0
+        resolved = json.loads(capsys.readouterr().out)
+        assert (resolved["mode"], resolved["fused_matcher"]) == ("lexical", "lexical")
 
     @pytest.mark.parametrize(
         "command, key, value, want",
@@ -251,6 +343,43 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "--fused-matcher" in err
         assert not (tmp_path / "r.jsonl").exists()
+
+    def test_q2e_link_does_not_load_the_dictionary(self, tmp_path, capsys):
+        queries = tmp_path / "q.jsonl"
+        queries.write_text(json.dumps({"text": "nike shoes", "store": "us"}) + "\n")
+        code = run(
+            [
+                "link",
+                "--queries",
+                str(queries),
+                "--out",
+                str(tmp_path / "r.jsonl"),
+                "--mode",
+                "q2e",
+                "--dict",
+                str(tmp_path / "absent-dict.blaf"),
+                "--q2e-model",
+                str(tmp_path / "absent-q2e.blaf"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "absent-q2e.blaf" in err and "absent-dict.blaf" not in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--queries", "0"], "--queries"),
+            (["--queries", "-3"], "--queries"),
+            (["--sizes", "1"], "--sizes"),
+            (["--sizes", "60,x"], "--sizes"),
+        ],
+        ids=["no-queries", "negative-queries", "one-label", "not-a-number"],
+    )
+    def test_bad_bench_size_exits_2(self, capsys, argv, flag):
+        assert run(["bench", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and flag in err
 
 
 @pytest.fixture(scope="module")

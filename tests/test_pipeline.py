@@ -61,7 +61,7 @@ def toy_q2e():
     )
     tree = build_tree(space)
     return train(
-        [(vectorize(t, CFG), l) for t, l in data], space, tree, reg=1e-3, featurizer=CFG
+        [(vectorize(t, CFG), l) for t, l in data], space, tree, featurizer=CFG
     )
 
 
@@ -72,7 +72,7 @@ def toy_m2e():
     )
     tree = build_tree(space)
     return train(
-        [(vectorize(t, CFG), l) for t, l in data], space, tree, reg=1e-3, featurizer=CFG
+        [(vectorize(t, CFG), l) for t, l in data], space, tree, featurizer=CFG
     )
 
 

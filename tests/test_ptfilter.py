@@ -530,6 +530,27 @@ class TestPtBaseline:
             with pytest.raises(ArtifactFormatError):
                 load_pt_predictor(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dim", "65536"), ("dim", 65536.9), ("idf_docs", "3"), ("idf_docs", 3.5)],
+        ids=["dim-string", "dim-fraction", "idf-docs-string", "idf-docs-fraction"],
+    )
+    def test_featurizer_sizes_must_be_integers(self, trained, tmp_path, field, value):
+        # Read with int(), "65536" and 65536.9 would load as dim 65536.
+        _, model = trained
+        path = tmp_path / "pt.blaf"
+        save_pt_predictor(model, path)
+        meta, blobs = read_artifact(path, "pt-model", 4)
+        assert meta["featurizer"]["dim"] == CFG.dim
+        featurizer = dict(meta["featurizer"], idf_docs=3)
+        idf = dict(blobs, **{"featurizer/idf": np.ones(CFG.dim, np.float32)})
+        write_artifact(path, "pt-model", 4, dict(meta, featurizer=featurizer), idf)
+        assert load_pt_predictor(path).featurizer.idf.n_docs == 3
+        featurizer[field] = value
+        write_artifact(path, "pt-model", 4, dict(meta, featurizer=featurizer), idf)
+        with pytest.raises(ArtifactFormatError):
+            load_pt_predictor(path)
+
 
 class TestOraclePredictor:
     def test_replays_known_text(self):

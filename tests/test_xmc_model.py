@@ -186,7 +186,7 @@ def toy_model(surface_by_label: dict, data: list, **tree_kw):
     )
     tree = build_tree(space, **tree_kw)
     pairs = [(vectorize(text, CFG), label) for text, label in data]
-    return train(pairs, space, tree, reg=1e-3, featurizer=CFG)
+    return train(pairs, space, tree, featurizer=CFG)
 
 
 @pytest.fixture(scope="module")
@@ -311,7 +311,6 @@ class TestTrain:
                 [(vectorize("a", CFG), BrandEntityId("E9"))],
                 space,
                 tree,
-                reg=1e-3,
                 featurizer=CFG,
             )
 
@@ -355,7 +354,7 @@ def idf_model():
     )
     tree = build_tree(space, branching=2, max_leaf=2)
     pairs = [(vectorize(text, cfg), label) for text, label in data]
-    model = train(pairs, space, tree, reg=1e-3, featurizer=cfg)
+    model = train(pairs, space, tree, featurizer=cfg)
     return model, [text for text, _ in data] + ["nikee", "usb cable"]
 
 
@@ -507,7 +506,6 @@ class TestBeamAgainstOracle:
             [(vectorize(t, wide), l) for t, l in data],
             space,
             build_tree(space),
-            reg=1e-3,
             featurizer=wide,
         )
         vec = vectorize("nike shoes", wide)
@@ -969,6 +967,24 @@ class TestSerialization:
         assert blobs["weights/indices"].dtype == blobs["weights/indptr"].dtype == np.int32
         blobs = dict(blobs, **{name: blobs[name].astype(dtype)})
         write_artifact(path, MODEL_KIND, MODEL_VERSION, meta, blobs)
+        with pytest.raises(ArtifactFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dim", "65536"), ("dim", 65536.9), ("idf_docs", "3"), ("idf_docs", 3.5)],
+        ids=["dim-string", "dim-fraction", "idf-docs-string", "idf-docs-fraction"],
+    )
+    def test_featurizer_sizes_must_be_integers(self, idf_model, tmp_path, field, value):
+        # Read with int(), "65536" and 65536.9 would load as dim 65536.
+        model, _ = idf_model
+        path = tmp_path / "m.blaf"
+        save_model(model, path)
+        meta, blobs = read_artifact(path, MODEL_KIND, MODEL_VERSION)
+        assert meta["featurizer"]["dim"] == CFG.dim
+        assert meta["featurizer"]["idf_docs"] is not None
+        crafted = dict(meta, featurizer=dict(meta["featurizer"], **{field: value}))
+        write_artifact(path, MODEL_KIND, MODEL_VERSION, crafted, blobs)
         with pytest.raises(ArtifactFormatError):
             load_model(path)
 
