@@ -6,10 +6,12 @@ gen-corpus, gen-weak-labels, train-xmc, train-pt, link, eval, and bench.
 options' defaults, a choice option as the tuple of its allowed values.
 Options resolve in three layers: built-in defaults, then a JSON object
 in a config file given with --config, then explicit flags, later layers
-winning.  A choice option must take one of its values, and an option
-whose default is an int, float or bool resolves to that type; anything
-else is a usage error, under --dry-run too.  --dry-run prints the
-resolved configuration and stops.
+winning.  A choice option must take one of its values and any other
+option its default's type, a string for a None default (--train,
+--languages and --sizes also take a JSON list); anything else is a
+usage error, under --dry-run too.  So is a value the library refuses,
+raised before any input is read.  --dry-run prints the resolved
+configuration and stops.
 
 train-xmc builds its label tree with branching 16, leaves of at most
 100 labels and clustering seed 0, and trains every node with the penalty
@@ -67,7 +69,7 @@ from .gazetteer import (
     read_b2e_tsv,
     save_dictionary,
 )
-from .linear import DEFAULT_REG, stack_layers
+from .linear import DEFAULT_REG, check_reg, stack_layers
 from .pipeline import (
     LexicalMatcher,
     LinkerConfig,
@@ -124,6 +126,16 @@ def _as_str_tuple(value) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _params(build: Callable, config: dict, **fields: str):
+    """``build(field=config[key], ...)``; a value it refuses alone is a usage error."""
+    for field, key in fields.items():
+        try:
+            build(**{field: config[key]})
+        except ValueError as exc:
+            raise UsageError(f"{_flag(key)}: {exc}") from None
+    return build(**{field: config[key] for field, key in fields.items()})
+
+
 # ---------------------------------------------------------------------------
 # Subcommand bodies.
 # ---------------------------------------------------------------------------
@@ -142,14 +154,11 @@ def _cmd_build_dict(config: dict) -> int:
 
 def _cmd_gen_corpus(config: dict) -> int:
     _require(config, "gen-corpus", "out")
-    spec = CorpusSpec(
-        n_entities=config["entities"],
-        surface_variants_per_entity=config["variants"],
-        languages=_as_str_tuple(config["languages"]),
-        n_branded_queries=config["branded"],
-        n_nonbranded_queries=config["nonbranded"],
-        pt_space_size=config["pt_types"],
-        seed=config["seed"],
+    config["languages"] = _as_str_tuple(config["languages"])
+    spec = _params(
+        CorpusSpec, config, n_entities="entities", surface_variants_per_entity="variants",
+        languages="languages", n_branded_queries="branded", n_nonbranded_queries="nonbranded",
+        pt_space_size="pt_types", seed="seed",
     )
     manifest = gen_synthetic_corpus(spec, config["out"])
     counts = ", ".join(f"{k}={v}" for k, v in sorted(manifest["counts"].items()))
@@ -201,14 +210,13 @@ def _training_pairs(
 
 def _cmd_train_xmc(config: dict) -> int:
     _require(config, "train-xmc", "train", "dict", "out")
+    base = _params(FeaturizerConfig, config, dim="dim")
     examples = _read_labeled_files(_as_str_tuple(config["train"]))
     pairs = _training_pairs(examples, config["target"])
     if not pairs:
         raise ValueError("no usable training examples")
 
-    featurizer, vectors = featurize_corpus(
-        [normalize(text) for text, _ in pairs], FeaturizerConfig(dim=config["dim"])
-    )
+    featurizer, vectors = featurize_corpus([normalize(text) for text, _ in pairs], base)
     featurized = [(vec, label) for vec, (_, label) in zip(vectors, pairs)]
 
     labels = sorted({label for _, label in pairs}, key=lambda e: e.id)
@@ -230,10 +238,10 @@ def _cmd_train_xmc(config: dict) -> int:
 
 def _cmd_train_pt(config: dict) -> int:
     _require(config, "train-pt", "train", "out")
+    base = _params(FeaturizerConfig, config, dim="dim")
+    _params(check_reg, config, reg="reg")
     rows = list(read_pt_training_jsonl(config["train"]))
-    featurizer, vectors = featurize_corpus(
-        [normalize(query.text) for query, _ in rows], FeaturizerConfig(dim=config["dim"])
-    )
+    featurizer, vectors = featurize_corpus([normalize(query.text) for query, _ in rows], base)
     pairs = zip(vectors, (pt for _, pt in rows))
     predictor = train_pt_baseline(pairs, featurizer, config["reg"])
     save_pt_predictor(predictor, config["out"])
@@ -275,12 +283,7 @@ def _linker_from_config(config: dict) -> LinkerConfig:
 
 
 def _read_queries(path: str) -> list[Query]:
-    queries = []
-    for record in read_jsonl(path):
-        if "query" in record:
-            record = record["query"]
-        queries.append(query_from_record(record))
-    return queries
+    return [query_from_record(record.get("query", record)) for record in read_jsonl(path)]
 
 
 # One linker function per --mode; the first is the default.
@@ -401,8 +404,8 @@ def _cmd_bench(config: dict) -> int:
     n_queries = config["queries"]
     if n_queries < 1:
         raise UsageError("--queries must be at least 1")
-    params = BeamParams(beam_size=config["beam_size"])
-    featurizer = FeaturizerConfig(dim=config["dim"])
+    params = _params(BeamParams, config, beam_size="beam_size")
+    featurizer = _params(FeaturizerConfig, config, dim="dim")
     rows = []
     for n_labels in sizes:
         build_start = time.perf_counter()
@@ -566,16 +569,22 @@ def _resolve(args: argparse.Namespace, options: dict) -> dict:
         value = getattr(args, key)
         if value is not None:
             resolved[key] = value
-    # A choice option takes one of its listed values.  An int, float or
-    # bool option takes its default's type: a string, from a flag or the
-    # file, is parsed, and a JSON int is fine for a float.
+    # A choice option takes one of its listed values.  Any other option
+    # takes its default's type, str for a None default; --train,
+    # --languages and --sizes also take a list of ``items``.  A string for
+    # an int or float, from a flag or the file, is parsed, and a JSON int
+    # is fine for a float.
     for key, default in options.items():
         kind, value = type(default), resolved[key]
         if kind is tuple:
             if value not in default:
                 raise UsageError(f"{_flag(key)} must be one of {', '.join(default)}")
             continue
-        if kind not in (bool, int, float) or type(value) is kind:
+        kind = str if default is None else kind
+        items = {"train": str, "languages": str, "sizes": int}.get(key)
+        if type(value) is kind or (value is None and default is None) or (
+            items and type(value) is list and all(type(v) is items for v in value)
+        ):
             continue
         parse = isinstance(value, str) and kind is not bool
         if parse or (kind is float and type(value) is int):

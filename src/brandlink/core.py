@@ -30,8 +30,8 @@ class StoreTag:
     code: str
 
     def __post_init__(self) -> None:
-        if not self.code:
-            raise ValueError("store code must be non-empty")
+        if not isinstance(self.code, str) or not self.code:
+            raise ValueError("store code must be a non-empty string")
         if KEY_SEPARATOR in self.code:
             raise ValueError("store code must not contain the key separator")
 
@@ -40,14 +40,20 @@ class StoreTag:
 class Query:
     """A raw search query as issued against one store.
 
-    Text is kept verbatim; normalization happens downstream.  Queries whose
-    text normalizes to nothing flow through the linkers and come out as
-    NoPrediction, so emptiness is not rejected here.
+    Text is kept verbatim, and must be a string; normalization happens
+    downstream.  Text that normalizes to nothing flows through the linkers
+    and comes out as NoPrediction, so emptiness is not rejected here.
     """
 
     text: str
     store: StoreTag
     language: str | None = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.text, str):
+            raise ValueError("query text must be a string")
+        if self.language is not None and not isinstance(self.language, str):
+            raise ValueError("query language must be a string or None")
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,7 +3,7 @@
 Surface forms are keyed by store so stores with disjoint catalogs never see
 each other's brands; the same surface is simply duplicated under every store
 that carries it.  Detection walks a token-level trie over the normalized
-query and returns the longest token-aligned match.
+query's tokens and returns the longest token-aligned match.
 """
 from __future__ import annotations
 
@@ -134,45 +134,34 @@ def lexical_match(
     return dictionary.lookup(store, mention.surface)
 
 
-def trie_detect(dictionary: BrandDictionary, query: Query) -> BrandMention | None:
-    """Find the longest token-aligned dictionary surface in a query.
-
-    Ties on character length are broken by the leftmost start.  Returns
-    nothing when no surface of the query's store occurs token-aligned.
-    """
-    root = dictionary.store_trie(query.store)
-    if root is None:
-        return None
-    nt = normalize(query.text)
-    tokens = nt.tokens
-    spans = nt.token_spans
-    best: tuple[int, int] | None = None
-    for i in range(len(tokens)):
-        node = root
-        j = i
-        while j < len(tokens) and tokens[j] in node:
-            node = node[tokens[j]]
-            j += 1
-            if _END in node:
-                span = (spans[i][0], spans[j - 1][1])
-                if best is None or (span[1] - span[0], -span[0]) > (
-                    best[1] - best[0],
-                    -best[0],
-                ):
-                    best = span
-    if best is None:
-        return None
-    return BrandMention.from_text(nt.text, best[0], best[1])
-
-
 class TrieDetector:
-    """Dictionary-driven detector using :func:`trie_detect`."""
+    """Finds the longest token-aligned dictionary surface in a query.
+
+    Ties on character length go to the leftmost start.  A mention's span
+    is an offset into the normalized query text.
+    """
 
     def __init__(self, dictionary: BrandDictionary) -> None:
         self._dictionary = dictionary
 
     def detect(self, query: Query) -> BrandMention | None:
-        return trie_detect(self._dictionary, query)
+        root = self._dictionary.store_trie(query.store)
+        if root is None:
+            return None
+        nt = normalize(query.text)
+        best_start = best_end = start = 0
+        for i, first in enumerate(nt.tokens):
+            node, end = root, start  # walk the surfaces starting at ``first``
+            for token in nt.tokens[i:]:
+                node = node.get(token)
+                if node is None:
+                    break
+                end += len(token)
+                if _END in node and end - start > best_end - best_start:
+                    best_start, best_end = start, end
+                end += 1
+            start += len(first) + 1
+        return BrandMention.from_text(nt.text, best_start, best_end) if best_end else None
 
 
 def read_b2e_tsv(path: str | Path) -> Iterator[tuple[StoreTag, str, str]]:

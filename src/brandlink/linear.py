@@ -67,6 +67,12 @@ _SIGMA1, _SIGMA2, _SIGMA3 = 0.25, 0.5, 4.0
 _CG_TOL = 0.1
 
 
+def check_reg(reg: float) -> None:
+    """Raise ValueError unless ``reg`` is a usable L2 penalty: positive and finite."""
+    if not 0.0 < reg < float("inf"):
+        raise ValueError(f"reg must be positive and finite, not {reg!r}")
+
+
 def _sigmoid(t: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-t)) without overflow."""
     e = np.exp(-np.abs(t))
@@ -151,15 +157,14 @@ def fit_logistic_columns(
         x: Training rows, CSR of shape (n, d); the last feature column is
             expected to be the constant bias feature.
         y: Targets in {-1, +1}, shape (n, k).
-        reg: L2 penalty weight; must be positive.
+        reg: L2 penalty weight; must be positive and finite.
         pos_weight: Optional per-column loss weight for positive rows,
             shape (k,); negatives always weigh 1.
 
     Returns:
         Dense weights of shape (d, k).
     """
-    if reg <= 0.0:
-        raise ValueError("reg must be positive")
+    check_reg(reg)
     n, d = x.shape
     k = y.shape[1]
     if y.shape[0] != n:

@@ -40,7 +40,7 @@ from .core import (
     read_jsonl,
     read_tsv,
 )
-from .linear import DEFAULT_REG, check_stack, fit_sparse_ova, score_vector
+from .linear import DEFAULT_REG, check_reg, check_stack, fit_sparse_ova, score_vector
 from .linear import stack_layers, stack_rows
 from .text import FeaturizerConfig, SparseVector, featurize
 from .text import featurizer_from_meta, featurizer_to_meta, normalize
@@ -192,11 +192,12 @@ def train_pt_baseline(
             non-empty.  Zero vectors are skipped.
         featurizer: The configuration the queries were featurized with,
             shared with prediction.
-        reg: L2 penalty.
+        reg: L2 penalty; must be positive and finite.
 
     Raises:
-        ValueError: If no usable training pairs are given.
+        ValueError: If ``reg`` is not usable, or no training pair is.
     """
+    check_reg(reg)
     vectors: list[SparseVector] = []
     codes: list[str] = []
     for vec, pt in data:

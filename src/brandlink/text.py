@@ -1,8 +1,8 @@
 """Query normalization and hashed n-gram featurization.
 
 Normalization applies per-character Unicode compatibility folding plus case
-folding and collapses whitespace.  Token spans, and every mention span
-built on them, are offsets into the normalized text.
+folding and collapses whitespace.  A normalized text is its tokens joined
+by single spaces, so every mention span is an offset into that text.
 
 Featurization hashes word 1- and 2-grams and character 2- to 4-grams with
 CRC-32 (scheme ``crc32/v1``) into a TF(-IDF) vector of ``dim`` buckets
@@ -68,18 +68,10 @@ def _fold_char(ch: str) -> str:
 
 @dataclass(frozen=True)
 class NormalizedText:
-    """Normalized text with its token spans.
-
-    ``token_spans`` are [start, end) character offsets of whitespace-split
-    tokens inside ``text``, not inside the raw query.
-    """
+    """Normalized text and its tokens: ``text`` is ``" ".join(tokens)``."""
 
     text: str
-    token_spans: tuple[tuple[int, int], ...]
-
-    @property
-    def tokens(self) -> tuple[str, ...]:
-        return tuple(self.text[s:e] for s, e in self.token_spans)
+    tokens: tuple[str, ...]
 
 
 def normalize(raw: str) -> NormalizedText:
@@ -93,15 +85,10 @@ def normalize(raw: str) -> NormalizedText:
         raw: Raw query text; may be empty.
 
     Returns:
-        The normalized text with its token spans.
+        The normalized text with its tokens.
     """
-    tokens = "".join(map(_fold_char, raw)).split()
-    spans: list[tuple[int, int]] = []
-    start = 0
-    for token in tokens:
-        spans.append((start, start + len(token)))
-        start += len(token) + 1
-    return NormalizedText(text=" ".join(tokens), token_spans=tuple(spans))
+    tokens = tuple("".join(map(_fold_char, raw)).split())
+    return NormalizedText(text=" ".join(tokens), tokens=tokens)
 
 
 @dataclass(frozen=True, eq=False)

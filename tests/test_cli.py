@@ -1,13 +1,20 @@
 """Command line surface: option resolution, exit codes, workflows."""
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import brandlink
 from brandlink.cli import run
-from brandlink.core import read_jsonl
-from brandlink.gazetteer import load_dictionary
+from brandlink.core import StoreTag, read_jsonl
+from brandlink.gazetteer import build_dictionary, load_dictionary, save_dictionary
+
+SRC = Path(brandlink.__file__).resolve().parent.parent
+B2E_TSV = "store\tbrand_name\tentity_id\nus\tnike\tE1\nus\tpuma\tE2\n"
 
 
 def test_no_subcommand_is_a_usage_error(capsys):
@@ -82,6 +89,34 @@ def test_readme_command_lines_parse(capsys):
     for argv in commands:
         assert run([*argv, "--dry-run"]) == 0, argv
     capsys.readouterr()
+
+
+def test_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    snippet = text.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen-corpus", "--out", "corpus", "--entities", "60"]) == 0
+    assert run(["build-dict", "--b2e", "corpus/b2e.tsv", "--out", "dict.blaf"]) == 0
+    argv = ["train-xmc", "--train", "corpus/strong_labels.jsonl", "--dict", "dict.blaf",
+            "--target", "q2e", "--dim", "65536", "--out", "q2e.blaf"]
+    assert run(argv) == 0
+    capsys.readouterr()
+    exec(compile(snippet, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("Outcome.")
+
+
+def cli_process(argv: list[str], stdin: str = "") -> subprocess.CompletedProcess:
+    """Run the command line in a fresh interpreter, so its stdio is its own."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "brandlink.cli", *argv],
+        input=stdin,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 class TestConfigResolution:
@@ -207,6 +242,63 @@ class TestConfigResolution:
         config.write_text(json.dumps({key: value}))
         assert run([command, "--config", str(config), "--dry-run"]) == 2
         assert "--" + key.replace("_", "-") in capsys.readouterr().err
+
+    def test_integer_path_from_config_is_not_a_file_descriptor(self, tmp_path):
+        # open(0) would read the table from stdin and close it.
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"b2e": 0, "out": str(tmp_path / "dict.blaf")}))
+        done = cli_process(["build-dict", "--config", str(config)], stdin=B2E_TSV)
+        assert done.returncode == 2
+        assert done.stderr.startswith("usage error:") and "--b2e" in done.stderr
+        assert not (tmp_path / "dict.blaf").exists()
+
+    def test_integer_out_from_config_is_not_stdout(self, tmp_path):
+        b2e = tmp_path / "b2e.tsv"
+        b2e.write_text(B2E_TSV)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"b2e": str(b2e), "out": 1}))
+        done = cli_process(["build-dict", "--config", str(config)])
+        assert done.returncode == 2
+        assert done.stderr.startswith("usage error:") and "--out" in done.stderr
+        assert done.stdout == ""
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("train-xmc", "train", [5]),
+            ("train-pt", "train", ["a.jsonl", None]),
+            ("gen-corpus", "languages", 5),
+            ("gen-corpus", "languages", ["en", 5]),
+            ("bench", "sizes", ["60"]),
+            ("link", "queries", ["q.jsonl"]),
+            ("eval", "report", 2.5),
+        ],
+        ids=["int-list", "null-in-list", "int", "int-in-list", "string-sizes", "list-for-path",
+             "float-for-path"],
+    )
+    def test_bad_string_or_list_from_config_is_a_usage_error(
+        self, tmp_path, capsys, command, key, value
+    ):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: value}))
+        assert run([command, "--config", str(config), "--dry-run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--" + key in err
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("train-xmc", "train", ["a.jsonl", "b.jsonl"]),
+            ("gen-corpus", "languages", ["en", "de"]),
+            ("bench", "sizes", [60, 120]),
+            ("link", "pt_model", None),
+        ],
+    )
+    def test_string_or_list_from_config_resolves(self, tmp_path, capsys, command, key, value):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: value}))
+        assert run([command, "--config", str(config), "--dry-run"]) == 0
+        assert json.loads(capsys.readouterr().out)[key] == value
 
     def test_unparsable_flag_is_a_usage_error(self, capsys):
         assert run(["gen-corpus", "--entities", "1.5", "--dry-run"]) == 2
@@ -380,6 +472,54 @@ class TestExitCodes:
         assert run(["bench", *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and flag in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["bench", "--beam-size", "0"], "--beam-size"),
+            (["bench", "--dim", "0"], "--dim"),
+            (["gen-corpus", "--entities", "-1"], "--entities"),
+            (["gen-corpus", "--variants", "9"], "--variants"),
+            (["train-xmc", "--dict", "absent.blaf", "--dim", "1000"], "--dim"),
+            (["train-pt", "--dim", "1000"], "--dim"),
+            (["train-pt", "--reg", "0"], "--reg"),
+            (["train-pt", "--reg", "nan"], "--reg"),
+        ],
+        ids=["beam-size", "bench-dim", "entities", "variants", "xmc-dim", "pt-dim", "reg",
+             "nan-reg"],
+    )
+    def test_out_of_range_value_exits_2_before_reading_input(
+        self, tmp_path, capsys, argv, flag
+    ):
+        # The training file is absent: reading it first would exit 1.
+        paths = ["--out", str(tmp_path / "out")]
+        if argv[0].startswith("train"):
+            paths += ["--train", str(tmp_path / "absent.jsonl")]
+        assert run([*argv, *paths]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and flag in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            ({"text": 5, "store": "us"}, "text"),
+            ({"text": ["nike"], "store": "us"}, "text"),
+            ({"text": "nike", "store": 5}, "store"),
+            ({"text": "nike", "store": "us", "language": 5}, "language"),
+        ],
+        ids=["int-text", "list-text", "int-store", "int-language"],
+    )
+    def test_link_rejects_a_non_string_query_field(self, tmp_path, capsys, record, field):
+        dictionary = tmp_path / "dict.blaf"
+        save_dictionary(build_dictionary([(StoreTag("us"), "nike", "E1")]), dictionary)
+        queries = tmp_path / "q.jsonl"
+        queries.write_text(json.dumps(record) + "\n")
+        argv = ["link", "--queries", str(queries), "--dict", str(dictionary),
+                "--out", str(tmp_path / "r.jsonl")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError:") and field in err
 
 
 @pytest.fixture(scope="module")

@@ -44,6 +44,23 @@ def test_query_permits_empty_text():
     assert query.language is None
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: Query(text=b"nike shoes", store=StoreTag("us")), "text"),
+        (lambda: Query(text=None, store=StoreTag("us")), "text"),
+        (lambda: Query(text="nike", store=StoreTag("us"), language=5), "language"),
+        (lambda: StoreTag(5), "store code"),
+        (lambda: StoreTag(b"us"), "store code"),
+    ],
+    ids=["bytes-text", "no-text", "int-language", "int-store", "bytes-store"],
+)
+def test_non_string_fields_rejected(build, field):
+    # A linker given such a query would raise deep inside normalization.
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
 def test_nil_is_the_only_nil():
     assert NIL.is_nil
     assert NIL.id == NIL_ID

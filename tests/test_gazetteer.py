@@ -23,7 +23,6 @@ from brandlink.gazetteer import (
     load_dictionary,
     read_b2e_tsv,
     save_dictionary,
-    trie_detect,
 )
 from brandlink.text import normalize
 
@@ -90,41 +89,41 @@ class TestLexicalMatch:
 class TestTrieDetect:
     def test_single_candidate(self):
         dictionary = d(("us", "nike", "E1"))
-        mention = trie_detect(dictionary, Query("nike shoes", US))
+        mention = TrieDetector(dictionary).detect(Query("nike shoes", US))
         assert mention is not None
         assert mention.surface == "nike"
         assert mention.span == (0, 4)
 
     def test_longest_match_wins(self):
         dictionary = d(("us", "air", "E1"), ("us", "air max", "E2"))
-        mention = trie_detect(dictionary, Query("air max shoes", US))
+        mention = TrieDetector(dictionary).detect(Query("air max shoes", US))
         assert mention is not None
         assert mention.surface == "air max"
 
     def test_leftmost_breaks_length_ties(self):
         dictionary = d(("us", "alpha", "E1"), ("us", "gamma", "E2"))
-        mention = trie_detect(dictionary, Query("alpha then gamma", US))
+        mention = TrieDetector(dictionary).detect(Query("alpha then gamma", US))
         assert mention is not None
         assert mention.surface == "alpha"
 
     def test_absent_surface_gives_none(self):
         dictionary = d(("us", "nike", "E1"))
-        assert trie_detect(dictionary, Query("red shoes", US)) is None
+        assert TrieDetector(dictionary).detect(Query("red shoes", US)) is None
 
     def test_token_aligned_only(self):
         dictionary = d(("us", "son", "E1"))
-        assert trie_detect(dictionary, Query("sonic screwdriver", US)) is None
+        assert TrieDetector(dictionary).detect(Query("sonic screwdriver", US)) is None
 
     def test_normalization_applies_to_query(self):
         dictionary = d(("us", "nike", "E1"))
-        mention = trie_detect(dictionary, Query("Red  NIKE Shoes", US))
+        mention = TrieDetector(dictionary).detect(Query("Red  NIKE Shoes", US))
         assert mention is not None
         assert mention.surface == "nike"
 
     @given(st.permutations([("us", "air", "E1"), ("us", "air max", "E2"), ("us", "max", "E3")]))
     def test_insertion_order_irrelevant(self, records):
         dictionary = d(*records)
-        mention = trie_detect(dictionary, Query("air max", US))
+        mention = TrieDetector(dictionary).detect(Query("air max", US))
         assert mention is not None
         assert mention.surface == "air max"
 
@@ -132,16 +131,62 @@ class TestTrieDetect:
         dictionary = d(("us", "nike", "E1"), ("us", "air max", "E2"), ("de", "puma", "E3"))
         for key, entities in dictionary.entries.items():
             query = Query(key.surface, key.store)
-            mention = trie_detect(dictionary, query)
+            mention = TrieDetector(dictionary).detect(query)
             assert mention is not None
             assert mention.surface == key.surface
             assert lexical_match(dictionary, mention, key.store) == entities
 
 
-class TestDetectors:
-    def test_trie_detector_wraps_trie_detect(self):
-        dictionary = d(("us", "nike", "E1"))
-        assert TrieDetector(dictionary).detect(Query("nike shoes", US)).surface == "nike"
+# Tokens whose normalized forms differ in length from the raw ones ("ß"
+# upper-cases to "SS", "ﬁ" folds to "fi"), so a span must count characters
+# of the normalized text, and spacing runs that normalize to one space.
+TOKENS = ["a", "b", "ab", "ba", "abc", "ü", "ß", "ﬁ"]
+SPACES = [" ", "  ", "\t", "\u3000"]
+
+
+@st.composite
+def spaced_text(draw, min_words, max_words):
+    """Tokens from TOKENS in random case, with random spacing around them."""
+    words = draw(st.lists(st.sampled_from(TOKENS), min_size=min_words, max_size=max_words))
+    text = draw(st.sampled_from(["", *SPACES]))
+    for k, word in enumerate(words):
+        if k:
+            text += draw(st.sampled_from(SPACES))
+        text += word.upper() if draw(st.booleans()) else word
+    return text + draw(st.sampled_from(["", *SPACES]))
+
+
+def brute_force_detect(dictionary, query):
+    """Every token-aligned slice of the normalized query that the store's
+    dictionary holds; the longest in characters, the leftmost on ties."""
+    text = normalize(query.text).text
+    surfaces = {key.surface for key in dictionary.entries if key.store == query.store}
+    starts = [i for i in range(len(text)) if i == 0 or text[i - 1] == " "]
+    ends = [j for j in range(1, len(text) + 1) if j == len(text) or text[j] == " "]
+    best = None
+    for i in starts:
+        for j in ends:
+            if j > i and text[i:j] in surfaces and (best is None or j - i > best[1] - best[0]):
+                best = (i, j)
+    return None if best is None else BrandMention.from_text(text, *best)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    records=st.lists(
+        st.tuples(st.sampled_from(["us", "de"]), spaced_text(1, 3)), max_size=6
+    ),
+    store=st.sampled_from(["us", "de", "jp"]),
+    text=spaced_text(0, 6),
+)
+def test_detect_equals_brute_force(records, store, text):
+    dictionary = d(*((s, surface, f"E{k}") for k, (s, surface) in enumerate(records)))
+    query = Query(text, StoreTag(store))
+    mention = TrieDetector(dictionary).detect(query)
+    assert mention == brute_force_detect(dictionary, query)
+    if mention is not None:
+        start, end = mention.span
+        assert normalize(text).text[start:end] == mention.surface
 
 
 class TestSerialization:
@@ -151,7 +196,7 @@ class TestSerialization:
         save_dictionary(dictionary, path)
         loaded = load_dictionary(path)
         assert loaded.entries == dictionary.entries
-        assert trie_detect(loaded, Query("ab shoes", US)).surface == "ab"
+        assert TrieDetector(loaded).detect(Query("ab shoes", US)).surface == "ab"
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.blaf", tmp_path / "b.blaf"
