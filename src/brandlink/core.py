@@ -40,9 +40,10 @@ class StoreTag:
 class Query:
     """A raw search query as issued against one store.
 
-    Text is kept verbatim, and must be a string; normalization happens
-    downstream.  Text that normalizes to nothing flows through the linkers
-    and comes out as NoPrediction, so emptiness is not rejected here.
+    Text is kept verbatim, and must be a string, and the store a
+    ``StoreTag``; normalization happens downstream.  Text that normalizes
+    to nothing flows through the linkers and comes out as NoPrediction,
+    so emptiness is not rejected here.
     """
 
     text: str
@@ -52,6 +53,8 @@ class Query:
     def __post_init__(self) -> None:
         if not isinstance(self.text, str):
             raise ValueError("query text must be a string")
+        if not isinstance(self.store, StoreTag):
+            raise ValueError("query store must be a StoreTag")
         if self.language is not None and not isinstance(self.language, str):
             raise ValueError("query language must be a string or None")
 

@@ -3,8 +3,10 @@
 Three label sources feed training.  Catalog surface forms become pseudo
 queries verbatim.  Annotated queries are strong labels; the generator
 resolves each annotated surface to every entity that owns it.  Engagement
-logs become weak labels when the product brand name occurs token-aligned
-inside the query; nobody reviews those.
+logs become weak labels when the association strength reaches the fixed
+``STRENGTH_THRESHOLD`` and the product brand name occurs token-aligned
+inside the query; nobody reviews those.  A strength is a finite,
+non-negative int or float.
 
 The synthetic corpus generator builds a small closed universe with the
 same shape as production data: brand names with surface variants, product
@@ -18,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,7 +45,7 @@ from .text import normalize
 LOGGER = logging.getLogger(__name__)
 
 # Engagement strength at or above this counts as a strong association.
-DEFAULT_STRENGTH_THRESHOLD = 1.0
+STRENGTH_THRESHOLD = 1.0
 
 MANIFEST_NAME = "manifest.json"
 
@@ -64,8 +67,12 @@ class EngagementRecord:
     association_strength: float
 
     def __post_init__(self) -> None:
-        if self.association_strength < 0.0:
-            raise ValueError("association strength must be non-negative")
+        # A bool is not a strength, and NaN fails both comparisons.
+        strength = self.association_strength
+        if type(strength) not in (int, float) or not 0 <= strength < math.inf:
+            raise ValueError(
+                f"association_strength must be a finite number >= 0, not {strength!r}"
+            )
 
 
 def augment_b2e(
@@ -106,23 +113,21 @@ def _contains_token_run(haystack: tuple[str, ...], needle: tuple[str, ...]) -> b
 
 
 def gen_weak_labels(
-    logs: Iterable[EngagementRecord],
-    strength_threshold: float,
-    dictionary: BrandDictionary,
+    logs: Iterable[EngagementRecord], dictionary: BrandDictionary
 ) -> Iterator[LabeledQuery]:
     """Label queries from engagement logs, without human review.
 
     A log record becomes a weak label when its association strength
-    reaches the threshold, the product brand name occurs token-aligned
-    inside the query text, and the brand name matches the dictionary.
-    Everything emitted is re-checkable: the brand name is verifiably a
-    token run of its query.
+    reaches ``STRENGTH_THRESHOLD``, the product brand name occurs
+    token-aligned inside the query text, and the brand name matches the
+    dictionary.  Everything emitted is re-checkable: the brand name is
+    verifiably a token run of its query.
     """
     emitted = 0
     seen = 0
     for record in logs:
         seen += 1
-        if record.association_strength < strength_threshold:
+        if record.association_strength < STRENGTH_THRESHOLD:
             continue
         query_tokens = normalize(record.query.text).tokens
         brand = normalize(record.product_brand_name)
@@ -157,7 +162,7 @@ def engagement_from_record(record: dict) -> EngagementRecord:
     return EngagementRecord(
         query=query_from_record(record),
         product_brand_name=record["product_brand_name"],
-        association_strength=float(record["strength"]),
+        association_strength=record["strength"],
     )
 
 
@@ -443,11 +448,7 @@ def gen_synthetic_corpus(spec: CorpusSpec, out_dir: str | Path) -> dict:
         for entity in entities
         for surface in entity.surfaces
     )
-    weak = gen_weak_labels(
-        (engagement_from_record(r) for r in log_records),
-        DEFAULT_STRENGTH_THRESHOLD,
-        dictionary,
-    )
+    weak = gen_weak_labels((engagement_from_record(r) for r in log_records), dictionary)
     n_weak = write_jsonl(
         out / "weak_labels.jsonl", (labeled_query_to_record(w) for w in weak)
     )
@@ -506,7 +507,7 @@ def gen_synthetic_corpus(spec: CorpusSpec, out_dir: str | Path) -> dict:
     manifest = {
         "spec": dataclasses.asdict(spec) | {"languages": list(spec.languages)},
         "store": _STORE.code,
-        "strength_threshold": DEFAULT_STRENGTH_THRESHOLD,
+        "strength_threshold": STRENGTH_THRESHOLD,
         "counts": {
             "b2e_rows": spec.n_entities * spec.surface_variants_per_entity,
             "shared_pairs": len(shared_pairs),

@@ -1,11 +1,13 @@
-"""Scoring, false-alarm measurement, and sliced metric reports.
+"""Scoring and sliced metric reports.
 
 Four counts drive everything: T evaluated queries, L_single of them
 labeled with exactly one brand entity, P_single predictions that assert
 a single entity, and C correct among both-single pairs.  Recall divides
 C by L_single, Precision by P_single, Coverage divides P_single by T,
 and F1 combines the pair.  Counts merge associatively, so scoring can be
-sharded and folded in any order.
+sharded and folded in any order.  On gold that is all non-branded,
+Coverage is the false-alarm rate: the share of queries answered with a
+brand entity.
 """
 from __future__ import annotations
 
@@ -139,21 +141,19 @@ def metrics(counts: EvalCounts) -> MetricRow:
 def false_alarm_rate(pairs: Iterable[tuple[LabeledQuery, LinkResult]]) -> float:
     """Percentage of non-branded queries answered with a brand entity.
 
-    Every input must be gold-labeled non-branded.  Nil and NoPrediction
-    are correct behavior here; only Single is a false alarm.
+    That is the coverage of the pairs, whose gold must all be
+    non-branded.  Nil and NoPrediction are correct behavior here; only
+    Single is a false alarm.
 
     Raises:
         ValueError: On empty input or a branded gold label.
     """
-    total = alarms = 0
-    for example, result in pairs:
-        if example.is_branded:
-            raise ValueError("false-alarm input must be non-branded gold")
-        total += 1
-        alarms += result.outcome is Outcome.SINGLE
-    if total == 0:
+    pairs = list(pairs)
+    if any(example.is_branded for example, _ in pairs):
+        raise ValueError("false-alarm input must be non-branded gold")
+    if not pairs:
         raise ValueError("false-alarm rate needs at least one query")
-    return 100.0 * alarms / total
+    return metrics(score(pairs)).coverage
 
 
 def report(
@@ -193,13 +193,7 @@ def report(
         else:
             values[name] = 0.0
             missing.add(name)
-    macro = MetricRow(
-        coverage=values["coverage"],
-        recall=values["recall"],
-        precision=values["precision"],
-        f1=values["f1"],
-        undefined=frozenset(missing),
-    )
+    macro = MetricRow(**values, undefined=frozenset(missing))
     return MetricReport(overall=overall, slices=tuple(slices), macro=macro)
 
 
@@ -241,48 +235,28 @@ def report_to_json(metric_report: MetricReport) -> dict:
     }
 
 
-def _fmt(row: MetricRow, name: str) -> str:
-    rendered = f"{row.value(name):.2f}"
-    if name in row.undefined:
-        rendered += UNDEFINED_MARKER
-    return rendered
+def _metric_cells(row: MetricRow) -> list[str]:
+    """Each metric to two places, marked where its denominator was zero."""
+    return [
+        f"{row.value(name):.2f}" + (UNDEFINED_MARKER if name in row.undefined else "")
+        for name in _METRIC_NAMES
+    ]
 
 
 def render_text(metric_report: MetricReport) -> str:
     """Fixed-width table: one row per slice, then overall and macro."""
     header = ["slice", "share%", "T", "L1", "P1", "C", "Cov%", "Rec%", "Prec%", "F1%"]
     total = metric_report.overall.counts.t
-    rows = []
-    for s in (*metric_report.slices, metric_report.overall):
-        rows.append(
-            [
-                s.key,
-                f"{share_percent(s, total):.2f}",
-                str(s.counts.t),
-                str(s.counts.l_single),
-                str(s.counts.p_single),
-                str(s.counts.c),
-                _fmt(s.metrics, "coverage"),
-                _fmt(s.metrics, "recall"),
-                _fmt(s.metrics, "precision"),
-                _fmt(s.metrics, "f1"),
-            ]
-        )
-    macro = metric_report.macro
-    rows.append(
+    rows = [
         [
-            "macro",
-            "",
-            "",
-            "",
-            "",
-            "",
-            _fmt(macro, "coverage"),
-            _fmt(macro, "recall"),
-            _fmt(macro, "precision"),
-            _fmt(macro, "f1"),
+            s.key,
+            f"{share_percent(s, total):.2f}",
+            *map(str, (s.counts.t, s.counts.l_single, s.counts.p_single, s.counts.c)),
+            *_metric_cells(s.metrics),
         ]
-    )
+        for s in (*metric_report.slices, metric_report.overall)
+    ]
+    rows.append(["macro", "", "", "", "", "", *_metric_cells(metric_report.macro)])
     widths = [
         max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))
     ]

@@ -35,8 +35,8 @@ from .core import (
     BrandEntityId,
     Query,
     ScoredEntity,
-    StoreTag,
     TraceRecord,
+    query_from_record,
     read_jsonl,
     read_tsv,
 )
@@ -273,7 +273,4 @@ def read_pt_training_jsonl(
 ) -> Iterator[tuple[Query, ProductType]]:
     """Read {text, store, pt} records into (query, product type) pairs."""
     for record in read_jsonl(path):
-        yield (
-            Query(text=record["text"], store=StoreTag(record["store"])),
-            ProductType(record["pt"]),
-        )
+        yield query_from_record(record), ProductType(record["pt"])

@@ -50,20 +50,20 @@ def test_subcommand_help_lists_options(capsys):
     assert "--seed" in out
 
 
-# Every option each subcommand takes, 42 settable values in all.
+# Every option each subcommand takes, 40 settable values in all.
 OPTIONS = {
     "build-dict": {"b2e", "out"},
     "gen-corpus": {
         "out", "entities", "variants", "languages", "branded", "nonbranded", "pt-types", "seed",
     },
-    "gen-weak-labels": {"logs", "dict", "threshold", "out"},
+    "gen-weak-labels": {"logs", "dict", "out"},
     "train-xmc": {"train", "dict", "target", "out", "dim"},
     "train-pt": {"train", "out", "dim", "reg"},
     "link": {
         "queries", "out", "mode", "dict", "m2e-model", "q2e-model", "pt-model",
         "associations", "fused-matcher",
     },
-    "eval": {"gold", "results", "slice", "report", "false-alarm"},
+    "eval": {"gold", "results", "slice", "report"},
     "bench": {"sizes", "queries", "beam-size", "dim", "out"},
 }
 
@@ -72,8 +72,7 @@ OPTIONS = {
 def test_subcommand_help_lists_exactly_its_options(command, capsys):
     assert run([command, "--help"]) == 0
     flags = set(re.findall(r"(?<![\w-])--([a-z][a-z0-9-]*)", capsys.readouterr().out))
-    negated = {"no-" + name for name in OPTIONS[command] if name == "false-alarm"}
-    assert flags == OPTIONS[command] | negated | {"help", "config", "dry-run", "verbose"}
+    assert flags == OPTIONS[command] | {"help", "config", "dry-run", "verbose"}
 
 
 def _readme_commands() -> list[list[str]]:
@@ -178,11 +177,14 @@ class TestConfigResolution:
             ("link", "beam_size"),
             ("link", "top_k"),
             ("bench", "seed"),
+            ("eval", "false_alarm"),
+            ("gen-weak-labels", "threshold"),
         ],
     )
     def test_deleted_option_is_unknown(self, tmp_path, capsys, command, key):
         # Fixed settings: tree 16/100/seed 0, penalty 1e-3, beam 10/top 5,
-        # bench seed 0.
+        # bench seed 0, weak-label threshold 1.0.  The false-alarm rate is
+        # eval's overall coverage on non-branded gold.
         assert run([command, "--" + key.replace("_", "-"), "4", "--dry-run"]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         config = tmp_path / "run.json"
@@ -231,9 +233,8 @@ class TestConfigResolution:
         [
             ("gen-corpus", "entities", 50.7),
             ("gen-corpus", "seed", True),
-            ("eval", "false_alarm", "no"),
         ],
-        ids=["float-for-int", "bool-for-int", "string-for-bool"],
+        ids=["float-for-int", "bool-for-int"],
     )
     def test_config_value_of_another_type_is_a_usage_error(
         self, tmp_path, capsys, command, key, value
@@ -304,12 +305,6 @@ class TestConfigResolution:
         assert run(["gen-corpus", "--entities", "1.5", "--dry-run"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "--entities" in err
-
-    def test_boolean_flag_pair(self, capsys):
-        assert run(["eval", "--false-alarm", "--dry-run"]) == 0
-        assert json.loads(capsys.readouterr().out)["false_alarm"] is True
-        assert run(["eval", "--no-false-alarm", "--dry-run"]) == 0
-        assert json.loads(capsys.readouterr().out)["false_alarm"] is False
 
     def test_dry_run_has_no_side_effects(self, tmp_path, capsys):
         out = tmp_path / "corpus"
@@ -521,6 +516,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError:") and field in err
 
+    @pytest.mark.parametrize("strength", ["NaN", "Infinity", '"inf"', "true"])
+    def test_weak_labels_reject_a_strength_that_is_not_a_finite_number(
+        self, tmp_path, capsys, strength
+    ):
+        # Read as floats, each of these would pass the threshold and label.
+        dictionary = tmp_path / "dict.blaf"
+        save_dictionary(build_dictionary([(StoreTag("us"), "nike", "E1")]), dictionary)
+        logs = tmp_path / "logs.jsonl"
+        logs.write_text(
+            '{"text": "nike shoes", "store": "us", "product_brand_name": "nike",'
+            f' "strength": {strength}}}\n'
+        )
+        argv = ["gen-weak-labels", "--logs", str(logs), "--dict", str(dictionary),
+                "--out", str(tmp_path / "weak.jsonl")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError:") and "association_strength" in err
+        assert err.count("\n") == 1
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -675,6 +689,7 @@ class TestWorkflow:
     def test_false_alarm_eval(self, workspace, capsys):
         root, corpus = workspace
         results = root / "fa_results.jsonl"
+        report_path = root / "fa_report.json"
         assert (
             run(
                 [
@@ -698,13 +713,15 @@ class TestWorkflow:
                 str(corpus / "nonbranded.jsonl"),
                 "--results",
                 str(results),
-                "--false-alarm",
+                "--report",
+                str(report_path),
             ]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        # Generator guarantee: no brand surface inside non-branded queries.
-        assert "false_alarm_rate: 0.00" in out
+        capsys.readouterr()
+        # On non-branded gold, coverage is the false-alarm rate.  Generator
+        # guarantee: no brand surface inside non-branded queries.
+        assert json.loads(report_path.read_text())["overall"]["metrics"]["coverage"] == 0.0
 
     def test_mismatched_gold_and_results_exit_1(self, workspace, capsys):
         root, corpus = workspace

@@ -52,8 +52,9 @@ def test_query_permits_empty_text():
         (lambda: Query(text="nike", store=StoreTag("us"), language=5), "language"),
         (lambda: StoreTag(5), "store code"),
         (lambda: StoreTag(b"us"), "store code"),
+        (lambda: Query(text="nike", store="us"), "store"),
     ],
-    ids=["bytes-text", "no-text", "int-language", "int-store", "bytes-store"],
+    ids=["bytes-text", "no-text", "int-language", "int-store", "bytes-store", "str-store"],
 )
 def test_non_string_fields_rejected(build, field):
     # A linker given such a query would raise deep inside normalization.

@@ -76,8 +76,8 @@ class TestGenWeakLabels:
     def setup_method(self):
         self.dictionary = build_dictionary([(US, "nike", "E1")])
 
-    def weak(self, records, threshold=1.0):
-        return list(gen_weak_labels(records, threshold, self.dictionary))
+    def weak(self, records):
+        return list(gen_weak_labels(records, self.dictionary))
 
     def test_token_aligned_brand_emitted(self):
         out = self.weak([log("nike running shoes", "nike")])
@@ -101,8 +101,11 @@ class TestGenWeakLabels:
         assert self.weak([log("adidas shoes", "adidas")]) == []
 
     def test_negative_strength_rejected_at_construction(self):
-        with pytest.raises(ValueError):
-            log("nike shoes", "nike", strength=-1.0)
+        # NaN passes neither a `< 0` nor a `< threshold` check; a bool or a
+        # string is not a strength at all.
+        for strength in (-1.0, float("nan"), float("inf"), "1.0", True):
+            with pytest.raises(ValueError, match="association_strength"):
+                log("nike shoes", "nike", strength=strength)
 
     @given(
         st.lists(
@@ -123,7 +126,7 @@ class TestGenWeakLabels:
             [(US, "nike", "E1"), (US, "nike air", "E2"), (US, "adidas", "E3")]
         )
         records = [log(" ".join(words), brand, s) for words, brand, s in raw]
-        for labeled in gen_weak_labels(records, 1.0, dictionary):
+        for labeled in gen_weak_labels(records, dictionary):
             query_tokens = normalize(labeled.query.text).tokens
             brand_tokens = normalize(labeled.brand_names[0]).tokens
             n = len(brand_tokens)

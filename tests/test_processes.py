@@ -1,6 +1,7 @@
 """Properties only a fresh interpreter shows: what linking, the text
-module, the PT filter and the artifact container import, and that
-trained models do not depend on the BLAS thread count."""
+module, the PT filter and the artifact container import, that every
+callable the traced benchmark wraps still exists, and that trained
+models do not depend on the BLAS thread count."""
 import hashlib
 import json
 import os
@@ -14,6 +15,7 @@ import brandlink
 from brandlink.cli import run
 
 SRC = Path(brandlink.__file__).resolve().parent.parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Modules only an optimizer needs; none may load to link.
 TRAINER_MODULES = ("scipy.optimize", "scipy.special", "scipy.linalg")
@@ -72,6 +74,23 @@ def test_binio_loads_no_other_module_of_the_package():
         "print(*(m for m in sys.modules if m.split('.')[0] == 'brandlink'))"
     )
     assert sorted(loaded.split()) == ["brandlink", "brandlink.binio"]
+
+
+def test_every_benchmark_wrap_point_resolves():
+    # perfbench/tracing.py wraps the program's callables by module and
+    # attribute name; after a rename its install raises a TraceError that
+    # names each missing attribute, and the traced benchmark cannot run.
+    count = python(
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from tracing import WRAP_POINTS, Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "tracer.uninstall()\n"
+        "print(len(WRAP_POINTS))\n",
+        str(PERFBENCH),
+    )
+    assert int(count) > 0
 
 
 @pytest.fixture(scope="module")
