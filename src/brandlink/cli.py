@@ -4,14 +4,11 @@ Eight subcommands map one-to-one onto the library operations: build-dict,
 gen-corpus, gen-weak-labels, train-xmc, train-pt, link, eval, and bench.
 ``_COMMANDS`` declares each one once: its help line, its handler and its
 options' defaults, a choice option as the tuple of its allowed values.
-Options resolve in three layers: built-in defaults, then a JSON object
-in a config file given with --config, then explicit flags, later layers
-winning.  A choice option must take one of its values and any other
-option its default's type, a string for a None default (--train,
---languages and --sizes also take a JSON list); anything else is a
-usage error, under --dry-run too.  So is a value the library refuses,
-raised before any input is read.  --dry-run prints the resolved
-configuration and stops.
+Every option is a flag, and argparse parses it: a choice option must take
+one of its values and any other option parses as its default's type, a
+string for a None default.  Anything else is a one-line usage error,
+under --dry-run too.  So is a value the library refuses, raised before
+any input is read.  --dry-run prints the parsed configuration and stops.
 
 train-xmc builds its label tree with branching 16, leaves of at most
 100 labels and clustering seed 0, and trains every node with the penalty
@@ -113,10 +110,8 @@ def _require(config: dict, command: str, *keys: str) -> None:
         raise UsageError(f"{command} requires {', '.join(map(_flag, missing))}")
 
 
-def _as_str_tuple(value) -> tuple[str, ...]:
-    if isinstance(value, str):
-        return tuple(v for v in value.split(",") if v)
-    return tuple(value)
+def _as_str_tuple(value: str) -> tuple[str, ...]:
+    return tuple(v for v in value.split(",") if v)
 
 
 def _params(build: Callable, config: dict, **fields: str):
@@ -163,10 +158,10 @@ def _cmd_gen_weak_labels(config: dict) -> int:
     _require(config, "gen-weak-labels", "logs", "dict", "out")
     dictionary = load_dictionary(config["dict"])
     logs = read_engagement_jsonl(config["logs"])
-    labeled = gen_weak_labels(logs, dictionary)
-    count = write_jsonl(
-        config["out"], (labeled_query_to_record(ex) for ex in labeled)
-    )
+    # Every label is made before --out is opened: a bad log line leaves no
+    # partial file.
+    labeled = [labeled_query_to_record(ex) for ex in gen_weak_labels(logs, dictionary)]
+    count = write_jsonl(config["out"], labeled)
     print(f"weak labels: {count} -> {config['out']}")
     return 0
 
@@ -497,26 +492,32 @@ _COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict]] = {
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose parse errors are usage errors."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def _add_options(parser: argparse.ArgumentParser, options: dict) -> None:
-    parser.add_argument("--config", help="JSON file with option defaults")
     parser.add_argument(
         "--dry-run",
         action="store_true",
-        help="print the resolved configuration and exit",
+        help="print the parsed configuration and exit",
     )
     parser.add_argument(
         "--verbose", "-v", action="store_true", help="log progress lines"
     )
     for key, default in options.items():
         if isinstance(default, tuple):
-            help_line = f"one of {', '.join(default)}; default: {default[0]}"
+            spec = {"choices": default, "default": default[0]}
         else:
-            help_line = f"default: {default}"
-        parser.add_argument(_flag(key), default=None, help=help_line)
+            spec = {"type": str if default is None else type(default), "default": default}
+        parser.add_argument(_flag(key), help="default: %(default)s", **spec)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="brandlink",
         description="Brand entity linking for search queries: data, training,"
         " linking, evaluation.",
@@ -527,68 +528,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args: argparse.Namespace, options: dict) -> dict:
-    resolved = {
-        key: default[0] if isinstance(default, tuple) else default
-        for key, default in options.items()
-    }
-    if args.config is not None:
-        with open(args.config, encoding="utf-8") as handle:
-            loaded = json.load(handle)
-        if not isinstance(loaded, dict):
-            raise UsageError(f"--config file {args.config} must hold one JSON object")
-        unknown = sorted(set(loaded) - set(options))
-        if unknown:
-            raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-        resolved.update(loaded)
-    for key in options:
-        value = getattr(args, key)
-        if value is not None:
-            resolved[key] = value
-    # A choice option takes one of its listed values.  Any other option
-    # takes its default's type, str for a None default; --train,
-    # --languages and --sizes also take a list of ``items``.  A string for
-    # an int or float, from a flag or the file, is parsed, and a JSON int
-    # is fine for a float.
-    for key, default in options.items():
-        kind, value = type(default), resolved[key]
-        if kind is tuple:
-            if value not in default:
-                raise UsageError(f"{_flag(key)} must be one of {', '.join(default)}")
-            continue
-        kind = str if default is None else kind
-        items = {"train": str, "languages": str, "sizes": int}.get(key)
-        if type(value) is kind or (value is None and default is None) or (
-            items and type(value) is list and all(type(v) is items for v in value)
-        ):
-            continue
-        if isinstance(value, str) or (kind is float and type(value) is int):
-            try:
-                resolved[key] = kind(value)
-                continue
-            except ValueError:
-                pass
-        raise UsageError(f"{_flag(key)} must be a {kind.__name__}, not {value!r}")
-    return resolved
-
-
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse and execute one command; all failures become exit codes."""
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    try:
+        logging.basicConfig(
+            level=logging.INFO if args.verbose else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
         _, handler, options = _COMMANDS[args.command]
-        config = _resolve(args, options)
+        config = {key: getattr(args, key) for key in options}
         if args.dry_run:
             print(json.dumps({"command": args.command} | config, sort_keys=True))
             return 0
         return handler(config)
+    except SystemExit as exc:  # --help prints, then exits
+        return int(exc.code or 0)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -107,8 +107,9 @@ class ScoredEntity:
     score: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.score <= 1.0):
-            raise ValueError(f"score {self.score} outside (0, 1]")
+        # A bool is not a score, and NaN fails the range check.
+        if type(self.score) not in (int, float) or not 0.0 < self.score <= 1.0:
+            raise ValueError(f"score must be a number in (0, 1], not {self.score!r}")
 
 
 class Outcome(str, enum.Enum):
@@ -192,6 +193,8 @@ class LabeledQuery:
     source: Source
 
     def __post_init__(self) -> None:
+        if not all(isinstance(name, str) for name in self.brand_names):
+            raise ValueError("brand_names must be strings")
         if not self.entities:
             raise ValueError("a labeled query needs at least one entity label")
         has_nil = any(e.is_nil for e in self.entities)
@@ -208,8 +211,25 @@ class LabeledQuery:
 
 
 # ---------------------------------------------------------------------------
-# JSON-lines record shapes.
+# JSON-lines record shapes.  A reader raises ValueError, naming the field,
+# on a record of the wrong shape.
 # ---------------------------------------------------------------------------
+
+
+def _record(value: object, *fields: str) -> dict:
+    """``value``, checked to be a JSON object that holds ``fields``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"expected a JSON object, not {type(value).__name__}")
+    missing = [field for field in fields if field not in value]
+    if missing:
+        raise ValueError(f"record lacks the fields {', '.join(missing)}")
+    return value
+
+
+def _list(record: dict, field: str) -> list:
+    if type(record[field]) is not list:
+        raise ValueError(f"{field} must be a JSON list, not {type(record[field]).__name__}")
+    return record[field]
 
 
 def query_to_record(query: Query) -> dict:
@@ -220,6 +240,7 @@ def query_to_record(query: Query) -> dict:
 
 
 def query_from_record(record: dict) -> Query:
+    record = _record(record, "text", "store")
     return Query(
         text=record["text"],
         store=StoreTag(record["store"]),
@@ -237,10 +258,11 @@ def labeled_query_to_record(example: LabeledQuery) -> dict:
 
 
 def labeled_query_from_record(record: dict) -> LabeledQuery:
+    record = _record(record, "query", "brand_names", "entities", "source")
     return LabeledQuery(
         query=query_from_record(record["query"]),
-        brand_names=tuple(record["brand_names"]),
-        entities=tuple(BrandEntityId(e) for e in record["entities"]),
+        brand_names=tuple(_list(record, "brand_names")),
+        entities=tuple(BrandEntityId(e) for e in _list(record, "entities")),
         source=Source(record["source"]),
     )
 
@@ -250,6 +272,7 @@ def _scored_to_record(scored: ScoredEntity) -> dict:
 
 
 def _scored_from_record(record: dict) -> ScoredEntity:
+    record = _record(record, "entity", "score")
     return ScoredEntity(BrandEntityId(record["entity"]), record["score"])
 
 
@@ -264,15 +287,15 @@ def link_result_to_record(result: LinkResult) -> dict:
 
 
 def link_result_from_record(record: dict) -> LinkResult:
+    record = _record(record, "outcome", "candidates", "trace")
     if record["candidates"] != []:
         raise ValueError("a result record's candidates must be empty")
     best = record.get("best")
+    trace = [_record(t, "stage", "detail") for t in _list(record, "trace")]
     return LinkResult(
         outcome=Outcome(record["outcome"]),
         best=None if best is None else _scored_from_record(best),
-        trace=tuple(
-            TraceRecord(t["stage"], t["detail"]) for t in record["trace"]
-        ),
+        trace=tuple(TraceRecord(t["stage"], t["detail"]) for t in trace),
     )
 
 

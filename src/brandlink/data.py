@@ -67,6 +67,10 @@ class EngagementRecord:
     association_strength: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.product_brand_name, str):
+            raise ValueError(
+                f"product_brand_name must be a string, not {self.product_brand_name!r}"
+            )
         # A bool is not a strength, and NaN fails both comparisons.
         strength = self.association_strength
         if type(strength) not in (int, float) or not 0 <= strength < math.inf:

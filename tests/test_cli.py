@@ -9,12 +9,11 @@ from pathlib import Path
 import pytest
 
 import brandlink
-from brandlink.cli import run
+from brandlink.cli import _COMMANDS, run
 from brandlink.core import StoreTag, read_jsonl
 from brandlink.gazetteer import build_dictionary, load_dictionary, save_dictionary
 
 SRC = Path(brandlink.__file__).resolve().parent.parent
-B2E_TSV = "store\tbrand_name\tentity_id\nus\tnike\tE1\nus\tpuma\tE2\n"
 
 
 def test_no_subcommand_is_a_usage_error(capsys):
@@ -72,7 +71,19 @@ OPTIONS = {
 def test_subcommand_help_lists_exactly_its_options(command, capsys):
     assert run([command, "--help"]) == 0
     flags = set(re.findall(r"(?<![\w-])--([a-z][a-z0-9-]*)", capsys.readouterr().out))
-    assert flags == OPTIONS[command] | {"help", "config", "dry-run", "verbose"}
+    assert flags == OPTIONS[command] | {"help", "dry-run", "verbose"}
+
+
+def test_every_option_default_has_a_type_argparse_can_parse():
+    # Each flag parses as its default's type.  A bool would read
+    # "--x False" as True, so a default is None, a string, a number or the
+    # tuple of a choice option's values.
+    for command, (_, _, options) in _COMMANDS.items():
+        for key, default in options.items():
+            if isinstance(default, tuple):
+                assert default and all(type(v) is str for v in default), (command, key)
+            else:
+                assert default is None or type(default) in (str, int, float), (command, key)
 
 
 def _readme_commands() -> list[list[str]]:
@@ -126,47 +137,6 @@ class TestConfigResolution:
         assert resolved["entities"] == 1000
         assert resolved["seed"] == 0
 
-    def test_config_file_overrides_defaults(self, tmp_path, capsys):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"entities": 50, "seed": 9}))
-        assert run(["gen-corpus", "--config", str(config), "--dry-run"]) == 0
-        resolved = json.loads(capsys.readouterr().out)
-        assert resolved["entities"] == 50
-        assert resolved["seed"] == 9
-
-    def test_flags_override_config_file(self, tmp_path, capsys):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"entities": 50}))
-        assert (
-            run(
-                [
-                    "gen-corpus",
-                    "--config",
-                    str(config),
-                    "--entities",
-                    "20",
-                    "--dry-run",
-                ]
-            )
-            == 0
-        )
-        resolved = json.loads(capsys.readouterr().out)
-        assert resolved["entities"] == 20
-
-    def test_unknown_config_key_is_a_usage_error(self, tmp_path, capsys):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"entites": 50}))
-        assert run(["gen-corpus", "--config", str(config), "--dry-run"]) == 2
-        assert "entites" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("document", [[1], "x"], ids=["list", "string"])
-    def test_config_file_must_hold_an_object(self, tmp_path, capsys, document):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps(document))
-        assert run(["gen-corpus", "--config", str(config), "--dry-run"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage error:") and "JSON object" in err
-
     @pytest.mark.parametrize(
         "command, key",
         [
@@ -179,127 +149,33 @@ class TestConfigResolution:
             ("bench", "seed"),
             ("eval", "false_alarm"),
             ("gen-weak-labels", "threshold"),
+            ("gen-corpus", "config"),
         ],
     )
-    def test_deleted_option_is_unknown(self, tmp_path, capsys, command, key):
+    def test_deleted_option_is_unknown(self, capsys, command, key):
         # Fixed settings: tree 16/100/seed 0, penalty 1e-3, beam 10/top 5,
         # bench seed 0, weak-label threshold 1.0.  The false-alarm rate is
-        # eval's overall coverage on non-branded gold.
+        # eval's overall coverage on non-branded gold.  Every option is a
+        # flag: there is no config file.
         assert run([command, "--" + key.replace("_", "-"), "4", "--dry-run"]) == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({key: 4}))
-        assert run([command, "--config", str(config), "--dry-run"]) == 2
-        assert f"unknown config keys: {key}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "unrecognized arguments" in err
 
     @pytest.mark.parametrize(
         "command, key",
         [("train-xmc", "target"), ("link", "mode"), ("link", "fused_matcher"), ("eval", "slice")],
     )
-    def test_bad_choice_is_a_usage_error(self, tmp_path, capsys, command, key):
+    def test_bad_choice_is_a_usage_error(self, capsys, command, key):
         flag = "--" + key.replace("_", "-")
         assert run([command, flag, "bogus", "--dry-run"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage error:") and f"{flag} must be one of" in err
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({key: "bogus"}))
-        assert run([command, "--config", str(config), "--dry-run"]) == 2
-        assert f"{flag} must be one of" in capsys.readouterr().err
+        assert err.startswith("usage error:") and flag in err and "invalid choice" in err
+        assert err.count("\n") == 1
 
     def test_choice_defaults_to_its_first_value(self, capsys):
         assert run(["link", "--dry-run"]) == 0
         resolved = json.loads(capsys.readouterr().out)
         assert (resolved["mode"], resolved["fused_matcher"]) == ("lexical", "lexical")
-
-    @pytest.mark.parametrize(
-        "command, key, value, want",
-        [
-            ("gen-corpus", "entities", "50", 50),
-            ("train-pt", "reg", 1, 1.0),
-        ],
-        ids=["int-from-string", "float-from-int"],
-    )
-    def test_config_values_take_the_default_type(
-        self, tmp_path, capsys, command, key, value, want
-    ):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({key: value}))
-        assert run([command, "--config", str(config), "--dry-run"]) == 0
-        resolved = json.loads(capsys.readouterr().out)[key]
-        assert resolved == want and type(resolved) is type(want)
-
-    @pytest.mark.parametrize(
-        "command, key, value",
-        [
-            ("gen-corpus", "entities", 50.7),
-            ("gen-corpus", "seed", True),
-        ],
-        ids=["float-for-int", "bool-for-int"],
-    )
-    def test_config_value_of_another_type_is_a_usage_error(
-        self, tmp_path, capsys, command, key, value
-    ):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({key: value}))
-        assert run([command, "--config", str(config), "--dry-run"]) == 2
-        assert "--" + key.replace("_", "-") in capsys.readouterr().err
-
-    def test_integer_path_from_config_is_not_a_file_descriptor(self, tmp_path):
-        # open(0) would read the table from stdin and close it.
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"b2e": 0, "out": str(tmp_path / "dict.blaf")}))
-        done = cli_process(["build-dict", "--config", str(config)], stdin=B2E_TSV)
-        assert done.returncode == 2
-        assert done.stderr.startswith("usage error:") and "--b2e" in done.stderr
-        assert not (tmp_path / "dict.blaf").exists()
-
-    def test_integer_out_from_config_is_not_stdout(self, tmp_path):
-        b2e = tmp_path / "b2e.tsv"
-        b2e.write_text(B2E_TSV)
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"b2e": str(b2e), "out": 1}))
-        done = cli_process(["build-dict", "--config", str(config)])
-        assert done.returncode == 2
-        assert done.stderr.startswith("usage error:") and "--out" in done.stderr
-        assert done.stdout == ""
-
-    @pytest.mark.parametrize(
-        "command, key, value",
-        [
-            ("train-xmc", "train", [5]),
-            ("train-pt", "train", ["a.jsonl", None]),
-            ("gen-corpus", "languages", 5),
-            ("gen-corpus", "languages", ["en", 5]),
-            ("bench", "sizes", ["60"]),
-            ("link", "queries", ["q.jsonl"]),
-            ("eval", "report", 2.5),
-        ],
-        ids=["int-list", "null-in-list", "int", "int-in-list", "string-sizes", "list-for-path",
-             "float-for-path"],
-    )
-    def test_bad_string_or_list_from_config_is_a_usage_error(
-        self, tmp_path, capsys, command, key, value
-    ):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({key: value}))
-        assert run([command, "--config", str(config), "--dry-run"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage error:") and "--" + key in err
-
-    @pytest.mark.parametrize(
-        "command, key, value",
-        [
-            ("train-xmc", "train", ["a.jsonl", "b.jsonl"]),
-            ("gen-corpus", "languages", ["en", "de"]),
-            ("bench", "sizes", [60, 120]),
-            ("link", "pt_model", None),
-        ],
-    )
-    def test_string_or_list_from_config_resolves(self, tmp_path, capsys, command, key, value):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({key: value}))
-        assert run([command, "--config", str(config), "--dry-run"]) == 0
-        assert json.loads(capsys.readouterr().out)[key] == value
 
     def test_unparsable_flag_is_a_usage_error(self, capsys):
         assert run(["gen-corpus", "--entities", "1.5", "--dry-run"]) == 2
@@ -356,8 +232,9 @@ class TestExitCodes:
                 },
                 1,
             ),
+            ({"outcome": "single", "best": {"entity": "E1", "score": True}}, 1),
         ],
-        ids=["single", "ambiguous", "candidates"],
+        ids=["single", "ambiguous", "candidates", "bool-score"],
     )
     def test_eval_rejects_results_outside_the_three_outcomes(
         self, tmp_path, capsys, record, code
@@ -379,6 +256,21 @@ class TestExitCodes:
         assert run(["eval", "--gold", str(gold), "--results", str(results)]) == code
         err = capsys.readouterr().err
         assert err.startswith("error:") if code else err == ""
+
+    @pytest.mark.parametrize("field, value", [("entities", "E1"), ("brand_names", "nike")])
+    def test_eval_rejects_gold_labels_that_are_not_lists(self, tmp_path, capsys, field, value):
+        # Read as a sequence, "E1" would be the two entities E and 1.
+        record = {"query": {"text": "nike shoes", "store": "us"}, "brand_names": ["nike"],
+                  "entities": ["E1"], "source": "sl"}
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(json.dumps(record | {field: value}) + "\n")
+        results = tmp_path / "results.jsonl"
+        results.write_text(json.dumps({"outcome": "single", "best": {"entity": "E1", "score": 1.0},
+                                       "candidates": [], "trace": []}) + "\n")
+        assert run(["eval", "--gold", str(gold), "--results", str(results)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError:") and field in err
+        assert err.count("\n") == 1
 
     def test_missing_input_file_exits_1(self, tmp_path, capsys):
         code = run(
@@ -534,6 +426,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError:") and "association_strength" in err
         assert err.count("\n") == 1
+
+
+    def test_weak_labels_leave_no_partial_out(self, tmp_path, capsys):
+        dictionary = tmp_path / "dict.blaf"
+        save_dictionary(build_dictionary([(StoreTag("us"), "nike", "E1")]), dictionary)
+        logs = tmp_path / "logs.jsonl"
+        line = '{{"text": "nike shoes", "store": "us", "product_brand_name": "nike", "strength": {}}}\n'
+        logs.write_text(line.format(2) + line.format("NaN"))
+        out = tmp_path / "weak.jsonl"
+        argv = ["gen-weak-labels", "--logs", str(logs), "--dict", str(dictionary),
+                "--out", str(out)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ValueError:")
+        assert not out.exists()
+
+    def test_weak_labels_write_to_stdout(self, tmp_path):
+        dictionary = tmp_path / "dict.blaf"
+        save_dictionary(build_dictionary([(StoreTag("us"), "nike", "E1")]), dictionary)
+        logs = tmp_path / "logs.jsonl"
+        logs.write_text(
+            '{"text": "nike shoes", "store": "us", "product_brand_name": "nike", "strength": 2}\n'
+        )
+        done = cli_process(["gen-weak-labels", "--logs", str(logs), "--dict", str(dictionary),
+                            "--out", "/dev/stdout"])
+        assert done.returncode == 0, done.stderr
+        label, summary = done.stdout.splitlines()
+        assert json.loads(label)["entities"] == ["E1"]
+        assert summary == "weak labels: 1 -> /dev/stdout"
 
 
 @pytest.fixture(scope="module")

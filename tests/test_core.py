@@ -1,8 +1,9 @@
 """Domain type invariants and JSON-lines round-trips."""
 import json
+import math
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from brandlink.core import (
@@ -28,6 +29,8 @@ from brandlink.core import (
     read_jsonl,
     write_jsonl,
 )
+from brandlink.data import EngagementRecord, engagement_from_record
+from brandlink.ptfilter import read_pt_training_jsonl
 
 
 def test_store_tag_rejects_empty_and_separator():
@@ -53,8 +56,14 @@ def test_query_permits_empty_text():
         (lambda: StoreTag(5), "store code"),
         (lambda: StoreTag(b"us"), "store code"),
         (lambda: Query(text="nike", store="us"), "store"),
+        (
+            lambda: LabeledQuery(Query("nike", StoreTag("us")), (5,), (NIL,), Source.SL),
+            "brand_names",
+        ),
+        (lambda: EngagementRecord(Query("nike", StoreTag("us")), 5, 2.0), "product_brand_name"),
     ],
-    ids=["bytes-text", "no-text", "int-language", "int-store", "bytes-store", "str-store"],
+    ids=["bytes-text", "no-text", "int-language", "int-store", "bytes-store", "str-store",
+         "int-brand-name", "int-engagement-brand"],
 )
 def test_non_string_fields_rejected(build, field):
     # A linker given such a query would raise deep inside normalization.
@@ -90,7 +99,8 @@ def test_mention_span_must_match_surface():
 def test_scored_entity_range():
     entity = BrandEntityId("E1")
     assert ScoredEntity(entity, 1.0).score == 1.0
-    for bad in (0.0, -0.1, 1.5):
+    # A bool or a string is not a score at all.
+    for bad in (0.0, -0.1, 1.5, math.nan, True, "0.5"):
         with pytest.raises(ValueError):
             ScoredEntity(entity, bad)
 
@@ -213,3 +223,100 @@ def test_jsonl_skips_blank_lines(tmp_path):
     path = tmp_path / "rows.jsonl"
     path.write_text('{"a": 1}\n\n  \n{"b": 2}\n', encoding="utf-8")
     assert list(read_jsonl(path)) == [{"a": 1}, {"b": 2}]
+
+
+# Record readers meet hostile JSON.
+
+_QUERY_RECORD = {"text": "nike shoes", "store": "us", "language": "en"}
+
+# One valid record per reader.
+_READERS = {
+    "query": (query_from_record, _QUERY_RECORD),
+    "labeled-query": (
+        labeled_query_from_record,
+        {"query": _QUERY_RECORD, "brand_names": ["nike"], "entities": ["E1"], "source": "sl"},
+    ),
+    "link-result": (
+        link_result_from_record,
+        {
+            "outcome": "single",
+            "best": {"entity": "E1", "score": 0.5},
+            "candidates": [],
+            "trace": [{"stage": "detector", "detail": "mention"}],
+        },
+    ),
+    "engagement": (
+        engagement_from_record,
+        _QUERY_RECORD | {"product_brand_name": "nike", "strength": 2.0},
+    ),
+}
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**400, -(10**400), math.nan, math.inf, -math.inf, "\U0001f45f"])
+    | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["text", "store", "entity", "score", "stage", "detail"])
+        | st.text(max_size=4),
+        children,
+        max_size=3,
+    ),
+    max_leaves=6,
+)
+
+
+def _paths(value, path=()):
+    """The key path of every field and list item inside ``value``."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        items = ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    copy = list(value) if isinstance(value, list) else dict(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+@given(data=st.data())
+def test_record_reader_returns_or_raises_value_error(reader, data):
+    read, record = _READERS[reader]
+    assert read(record) is not None
+    path = data.draw(st.sampled_from(list(_paths(record))), label="path")
+    value = data.draw(_json_values, label="value")
+    try:
+        read(_replaced(record, path, value))
+    except ValueError:
+        pass
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(value=_json_values)
+def test_pt_training_reader_returns_or_raises_value_error(tmp_path, value):
+    path = tmp_path / "pt.jsonl"
+    path.write_text(json.dumps(_QUERY_RECORD | {"pt": value}) + "\n", encoding="utf-8")
+    try:
+        list(read_pt_training_jsonl(path))
+    except ValueError:
+        pass
+
+
+@pytest.mark.parametrize("field, value", [("entities", "E1"), ("brand_names", "nike")])
+def test_labeled_record_labels_must_be_lists(field, value):
+    # Read as a sequence, "E1" would be the two entities E and 1.
+    record = _READERS["labeled-query"][1] | {field: value}
+    with pytest.raises(ValueError, match=field):
+        labeled_query_from_record(record)
