@@ -16,8 +16,8 @@ train-xmc builds its label tree with branching 16, leaves of at most
 top 5.  gen-weak-labels keeps a log record whose strength reaches
 ``data.STRENGTH_THRESHOLD`` (1.0).  eval prints one report; on gold
 that is all non-branded, its overall coverage is the false-alarm rate.
-bench times each query ``BENCH_ROUNDS`` times on every size and
-reports each query's fastest call.
+bench times link's beam, each query ``BENCH_ROUNDS`` times on every
+size, and reports each query's fastest call.
 
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
 Failures are reported as single-line diagnostics on stderr.
@@ -311,10 +311,10 @@ def _cmd_eval(config: dict) -> int:
         raise ValueError(
             f"gold has {len(gold)} records, results {len(results)}; cannot pair"
         )
-    metric_report = report(_SLICE_FNS[config["slice"]], zip(gold, results))
-    sys.stdout.write(render_text(metric_report))
+    doc = report(_SLICE_FNS[config["slice"]], zip(gold, results))
+    sys.stdout.write(render_text(doc))
     if config["report"] is not None:
-        write_report_json(metric_report, config["report"])
+        write_report_json(doc, config["report"])
     return 0
 
 
@@ -384,7 +384,7 @@ def _cmd_bench(config: dict) -> int:
     n_queries = config["queries"]
     if n_queries < 1:
         raise UsageError("--queries must be at least 1")
-    params = _params(BeamParams, config, beam_size="beam_size")
+    params = BeamParams()
     featurizer = _params(FeaturizerConfig, config, dim="dim")
     models = []
     for n_labels in sizes:
@@ -481,8 +481,7 @@ _COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict]] = {
     "bench": (
         "measure beam inference latency across label-space sizes",
         _cmd_bench,
-        {"sizes": "5000,50000", "queries": 500, "beam_size": BeamParams().beam_size,
-         "dim": _DIM, "out": None},
+        {"sizes": "5000,50000", "queries": 500, "dim": _DIM, "out": None},
     ),
 }
 

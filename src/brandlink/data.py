@@ -33,6 +33,7 @@ from .core import (
     Query,
     Source,
     StoreTag,
+    _record,
     labeled_query_to_record,
     query_from_record,
     read_jsonl,
@@ -163,6 +164,7 @@ def engagement_to_record(record: EngagementRecord) -> dict:
 
 
 def engagement_from_record(record: dict) -> EngagementRecord:
+    record = _record(record, "product_brand_name", "strength")
     return EngagementRecord(
         query=query_from_record(record),
         product_brand_name=record["product_brand_name"],
@@ -198,18 +200,21 @@ class CorpusSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_entities < 2:
-            raise ValueError("need at least two entities")
-        if not 1 <= self.surface_variants_per_entity <= len(VARIANT_KINDS):
-            raise ValueError(f"variants per entity must be in 1..{len(VARIANT_KINDS)}")
-        if not self.languages:
-            raise ValueError("need at least one language")
-        if self.n_branded_queries < 1 or self.n_nonbranded_queries < 1:
-            raise ValueError("query budgets must be positive")
-        if self.pt_space_size < 2:
-            raise ValueError("need at least two product types")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        # Each count's least value; a bool or a float is not a count.
+        least = {"n_entities": 2, "surface_variants_per_entity": 1, "n_branded_queries": 1,
+                 "n_nonbranded_queries": 1, "pt_space_size": 2, "seed": 0}
+        for name, low in least.items():
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ValueError(f"{name} must be an int of at least {low}, not {value!r}")
+        if self.surface_variants_per_entity > len(VARIANT_KINDS):
+            raise ValueError(f"surface_variants_per_entity must be at most {len(VARIANT_KINDS)}")
+        # A string would be read as one language per character.
+        langs = self.languages
+        if not (type(langs) is tuple and langs and all(type(x) is str and x for x in langs)):
+            raise ValueError(
+                f"languages must be a non-empty tuple of non-empty strings, not {langs!r}"
+            )
 
 
 _STORE = StoreTag("global")

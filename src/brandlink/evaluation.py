@@ -6,13 +6,18 @@ a single entity, and C correct among both-single pairs.  Recall divides
 C by L_single, Precision by P_single, Coverage divides P_single by T,
 and F1 combines the pair.  Counts merge associatively, so scoring can be
 sharded and folded in any order.  On gold that is all non-branded,
-Coverage is the false-alarm rate: the share of queries answered with a
-brand entity.
+Coverage is the false-alarm rate, ``metrics(score(pairs)).coverage``:
+the share of queries answered with a brand entity.
+
+:func:`report` builds one document per evaluation, its shares and
+metrics already rounded to two places.  Both of ``eval``'s outputs read
+that document: :func:`render_text` prints it as a table, and
+:func:`write_report_json` dumps it as it is.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable
 
 from .core import LabeledQuery, LinkResult, Outcome
@@ -60,27 +65,6 @@ class MetricRow:
     precision: float
     f1: float
     undefined: frozenset[str] = frozenset()
-
-    def value(self, name: str) -> float:
-        if name not in _METRIC_NAMES:
-            raise KeyError(name)
-        return getattr(self, name)
-
-
-@dataclass(frozen=True, slots=True)
-class SliceReport:
-    key: str
-    counts: EvalCounts
-    metrics: MetricRow
-
-
-@dataclass(frozen=True, slots=True)
-class MetricReport:
-    """Per-slice rows ordered by descending share, plus overall and macro."""
-
-    overall: SliceReport
-    slices: tuple[SliceReport, ...]
-    macro: MetricRow
 
 
 def _is_single_gold(example: LabeledQuery) -> bool:
@@ -138,125 +122,80 @@ def metrics(counts: EvalCounts) -> MetricRow:
     )
 
 
-def false_alarm_rate(pairs: Iterable[tuple[LabeledQuery, LinkResult]]) -> float:
-    """Percentage of non-branded queries answered with a brand entity.
+def _metrics_doc(row: MetricRow) -> dict:
+    doc: dict = {name: round(getattr(row, name), 2) for name in _METRIC_NAMES}
+    doc["undefined"] = sorted(row.undefined)
+    return doc
 
-    That is the coverage of the pairs, whose gold must all be
-    non-branded.  Nil and NoPrediction are correct behavior here; only
-    Single is a false alarm.
 
-    Raises:
-        ValueError: On empty input or a branded gold label.
-    """
-    pairs = list(pairs)
-    if any(example.is_branded for example, _ in pairs):
-        raise ValueError("false-alarm input must be non-branded gold")
-    if not pairs:
-        raise ValueError("false-alarm rate needs at least one query")
-    return metrics(score(pairs)).coverage
+def _slice_doc(key: str, counts: EvalCounts, total: int) -> dict:
+    return {
+        "key": key,
+        "share": round(100.0 * counts.t / total, 2) if total else 0.0,
+        "counts": asdict(counts),
+        "metrics": _metrics_doc(metrics(counts)),
+    }
 
 
 def report(
     slice_fn: Callable[[LabeledQuery], str],
     pairs: Iterable[tuple[LabeledQuery, LinkResult]],
-) -> MetricReport:
-    """Score per slice and macro-average across slices.
+) -> dict:
+    """Score per slice and macro-average across slices, as one document.
 
     Each pair is scored once, in its slice; the overall counts are the
     sum of the slice counts.  Slices are ordered by descending share of
     the evaluated queries, ties broken by key.  The macro row averages
     each metric over the slices where it is defined; a metric defined
-    nowhere is flagged.
+    nowhere is flagged.  Shares and metrics are percentages rounded to
+    two places, macro averages taken before rounding.
     """
     by_slice: dict[str, list[tuple[LabeledQuery, LinkResult]]] = {}
     for example, result in pairs:
         by_slice.setdefault(slice_fn(example), []).append((example, result))
+    keys = sorted(by_slice, key=lambda k: (-len(by_slice[k]), k))
+    counts = {key: score(by_slice[key]) for key in keys}
+    total = sum(counts.values(), EvalCounts())
 
-    slices = []
-    for key in sorted(by_slice, key=lambda k: (-len(by_slice[k]), k)):
-        counts = score(by_slice[key])
-        slices.append(SliceReport(key=key, counts=counts, metrics=metrics(counts)))
-
-    overall_counts = sum((s.counts for s in slices), EvalCounts())
-    overall = SliceReport(
-        key="overall", counts=overall_counts, metrics=metrics(overall_counts)
-    )
-
+    rows = [metrics(c) for c in counts.values()]
     values: dict[str, float] = {}
     missing = set()
     for name in _METRIC_NAMES:
-        defined = [
-            s.metrics.value(name) for s in slices if name not in s.metrics.undefined
-        ]
+        defined = [getattr(row, name) for row in rows if name not in row.undefined]
         if defined:
             values[name] = sum(defined) / len(defined)
         else:
             values[name] = 0.0
             missing.add(name)
-    macro = MetricRow(**values, undefined=frozenset(missing))
-    return MetricReport(overall=overall, slices=tuple(slices), macro=macro)
-
-
-def _row_to_json(row: MetricRow) -> dict:
-    out: dict = {name: round(row.value(name), 2) for name in _METRIC_NAMES}
-    out["undefined"] = sorted(row.undefined)
-    return out
-
-
-def share_percent(slice_report: SliceReport, total: int) -> float:
-    """The slice's share of all evaluated queries, in percent."""
-    if total == 0:
-        return 0.0
-    return 100.0 * slice_report.counts.t / total
-
-
-def _slice_to_json(slice_report: SliceReport, total: int) -> dict:
-    counts = slice_report.counts
-    return {
-        "key": slice_report.key,
-        "share": round(share_percent(slice_report, total), 2),
-        "counts": {
-            "t": counts.t,
-            "l_single": counts.l_single,
-            "p_single": counts.p_single,
-            "c": counts.c,
-        },
-        "metrics": _row_to_json(slice_report.metrics),
-    }
-
-
-def report_to_json(metric_report: MetricReport) -> dict:
-    total = metric_report.overall.counts.t
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "overall": _slice_to_json(metric_report.overall, total),
-        "slices": [_slice_to_json(s, total) for s in metric_report.slices],
-        "macro": _row_to_json(metric_report.macro),
+        "overall": _slice_doc("overall", total, total.t),
+        "slices": [_slice_doc(key, c, total.t) for key, c in counts.items()],
+        "macro": _metrics_doc(MetricRow(**values, undefined=frozenset(missing))),
     }
 
 
-def _metric_cells(row: MetricRow) -> list[str]:
+def _metric_cells(doc: dict) -> list[str]:
     """Each metric to two places, marked where its denominator was zero."""
     return [
-        f"{row.value(name):.2f}" + (UNDEFINED_MARKER if name in row.undefined else "")
+        f"{doc[name]:.2f}" + (UNDEFINED_MARKER if name in doc["undefined"] else "")
         for name in _METRIC_NAMES
     ]
 
 
-def render_text(metric_report: MetricReport) -> str:
-    """Fixed-width table: one row per slice, then overall and macro."""
+def render_text(doc: dict) -> str:
+    """Fixed-width table of a :func:`report`: one row per slice, then overall and macro."""
     header = ["slice", "share%", "T", "L1", "P1", "C", "Cov%", "Rec%", "Prec%", "F1%"]
-    total = metric_report.overall.counts.t
     rows = [
         [
-            s.key,
-            f"{share_percent(s, total):.2f}",
-            *map(str, (s.counts.t, s.counts.l_single, s.counts.p_single, s.counts.c)),
-            *_metric_cells(s.metrics),
+            s["key"],
+            f"{s['share']:.2f}",
+            *(str(s["counts"][k]) for k in ("t", "l_single", "p_single", "c")),
+            *_metric_cells(s["metrics"]),
         ]
-        for s in (*metric_report.slices, metric_report.overall)
+        for s in (*doc["slices"], doc["overall"])
     ]
-    rows.append(["macro", "", "", "", "", "", *_metric_cells(metric_report.macro)])
+    rows.append(["macro", "", "", "", "", "", *_metric_cells(doc["macro"])])
     widths = [
         max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))
     ]
@@ -273,7 +212,7 @@ def render_text(metric_report: MetricReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report_json(metric_report: MetricReport, path) -> None:
+def write_report_json(doc: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report_to_json(metric_report), handle, indent=2, sort_keys=True)
+        json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -36,6 +36,7 @@ from .core import (
     Query,
     ScoredEntity,
     TraceRecord,
+    _record,
     query_from_record,
     read_jsonl,
     read_tsv,
@@ -273,4 +274,5 @@ def read_pt_training_jsonl(
 ) -> Iterator[tuple[Query, ProductType]]:
     """Read {text, store, pt} records into (query, product type) pairs."""
     for record in read_jsonl(path):
+        record = _record(record, "pt")
         yield query_from_record(record), ProductType(record["pt"])

@@ -119,8 +119,9 @@ class FeaturizerConfig:
     idf: IdfTable | None = None
 
     def __post_init__(self) -> None:
-        if self.dim < _MIN_DIM:
-            raise ValueError(f"dim must be at least {_MIN_DIM}")
+        # A bool or a float is not a bucket count.
+        if type(self.dim) is not int or self.dim < _MIN_DIM:
+            raise ValueError(f"dim must be an int of at least {_MIN_DIM}, not {self.dim!r}")
         if self.idf is not None and self.idf.weights.shape != (self.dim,):
             raise ValueError("idf table shape does not match dim")
 

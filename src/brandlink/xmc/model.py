@@ -37,10 +37,11 @@ class BeamParams:
     top_k: int = 5
 
     def __post_init__(self) -> None:
-        if self.beam_size < 1:
-            raise ValueError("beam_size must be at least 1")
-        if self.top_k < 1:
-            raise ValueError("top_k must be at least 1")
+        for name in ("beam_size", "top_k"):
+            value = getattr(self, name)
+            # A bool or a float is not a count.
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an int of at least 1, not {value!r}")
 
 
 @dataclass(eq=False)

@@ -49,7 +49,7 @@ def test_subcommand_help_lists_options(capsys):
     assert "--seed" in out
 
 
-# Every option each subcommand takes, 40 settable values in all.
+# Every option each subcommand takes, 39 settable values in all.
 OPTIONS = {
     "build-dict": {"b2e", "out"},
     "gen-corpus": {
@@ -63,7 +63,7 @@ OPTIONS = {
         "associations", "fused-matcher",
     },
     "eval": {"gold", "results", "slice", "report"},
-    "bench": {"sizes", "queries", "beam-size", "dim", "out"},
+    "bench": {"sizes", "queries", "dim", "out"},
 }
 
 
@@ -147,14 +147,15 @@ class TestConfigResolution:
             ("link", "beam_size"),
             ("link", "top_k"),
             ("bench", "seed"),
+            ("bench", "beam_size"),
             ("eval", "false_alarm"),
             ("gen-weak-labels", "threshold"),
             ("gen-corpus", "config"),
         ],
     )
     def test_deleted_option_is_unknown(self, capsys, command, key):
-        # Fixed settings: tree 16/100/seed 0, penalty 1e-3, beam 10/top 5,
-        # bench seed 0, weak-label threshold 1.0.  The false-alarm rate is
+        # Fixed settings: tree 16/100/seed 0, penalty 1e-3, beam 10/top 5
+        # for link and bench alike, bench seed 0, weak-label threshold 1.0.  The false-alarm rate is
         # eval's overall coverage on non-branded gold.  Every option is a
         # flag: there is no config file.
         assert run([command, "--" + key.replace("_", "-"), "4", "--dry-run"]) == 2
@@ -363,7 +364,6 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, flag",
         [
-            (["bench", "--beam-size", "0"], "--beam-size"),
             (["bench", "--dim", "0"], "--dim"),
             (["gen-corpus", "--entities", "-1"], "--entities"),
             (["gen-corpus", "--variants", "9"], "--variants"),
@@ -372,7 +372,7 @@ class TestExitCodes:
             (["train-pt", "--reg", "0"], "--reg"),
             (["train-pt", "--reg", "nan"], "--reg"),
         ],
-        ids=["beam-size", "bench-dim", "entities", "variants", "xmc-dim", "pt-dim", "reg",
+        ids=["bench-dim", "entities", "variants", "xmc-dim", "pt-dim", "reg",
              "nan-reg"],
     )
     def test_out_of_range_value_exits_2_before_reading_input(

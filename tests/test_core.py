@@ -314,6 +314,19 @@ def test_pt_training_reader_returns_or_raises_value_error(tmp_path, value):
         pass
 
 
+def test_engagement_record_lacking_strength_names_it():
+    record = _READERS["engagement"][1]
+    with pytest.raises(ValueError, match="strength"):
+        engagement_from_record({k: v for k, v in record.items() if k != "strength"})
+
+
+def test_pt_training_row_lacking_pt_names_it(tmp_path):
+    path = tmp_path / "pt.jsonl"
+    path.write_text(json.dumps(_QUERY_RECORD) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="pt"):
+        list(read_pt_training_jsonl(path))
+
+
 @pytest.mark.parametrize("field, value", [("entities", "E1"), ("brand_names", "nike")])
 def test_labeled_record_labels_must_be_lists(field, value):
     # Read as a sequence, "E1" would be the two entities E and 1.

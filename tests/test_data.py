@@ -312,3 +312,30 @@ class TestSyntheticCorpus:
             CorpusSpec(pt_space_size=1)
         with pytest.raises(ValueError):
             CorpusSpec(seed=-1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("languages", "en"),
+            ("languages", ["en"]),
+            ("languages", ("en", "")),
+            ("languages", ("en", 5)),
+            ("n_entities", "5"),
+            ("n_entities", 5.0),
+            ("surface_variants_per_entity", True),
+            ("n_branded_queries", 10.5),
+            ("n_nonbranded_queries", None),
+            ("pt_space_size", 3.0),
+            ("seed", 1.5),
+            ("seed", False),
+        ],
+        ids=[
+            "languages-str", "languages-list", "languages-empty-name", "languages-int-name",
+            "entities-str", "entities-float", "variants-bool", "branded-float",
+            "nonbranded-none", "pt-types-float", "seed-float", "seed-bool",
+        ],
+    )
+    def test_spec_field_of_wrong_type_rejected(self, field, value):
+        # languages="en" would label queries with the languages e and n.
+        with pytest.raises(ValueError, match=field):
+            CorpusSpec(**{field: value})

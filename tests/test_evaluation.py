@@ -1,4 +1,6 @@
 """Scoring counts, metric formulas, false alarms, and sliced reports."""
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,13 +18,11 @@ from brandlink.core import (
 from brandlink.evaluation import (
     UNDEFINED_MARKER,
     EvalCounts,
-    false_alarm_rate,
     metrics,
     render_text,
     report,
-    report_to_json,
     score,
-    share_percent,
+    write_report_json,
 )
 
 US = StoreTag("us")
@@ -237,25 +237,19 @@ class TestMetrics:
 
 
 class TestFalseAlarmRate:
+    # On gold that is all non-branded, coverage is the false-alarm rate.
+
     def test_three_percent(self):
         pairs = [(nonbranded(f"q{i}"), single(E1) if i < 3 else NIL_RESULT) for i in range(100)]
-        assert false_alarm_rate(pairs) == pytest.approx(3.0)
+        assert metrics(score(pairs)).coverage == pytest.approx(3.0)
 
     def test_all_nil_is_zero(self):
         pairs = [(nonbranded(f"q{i}"), NIL_RESULT) for i in range(10)]
-        assert false_alarm_rate(pairs) == 0.0
+        assert metrics(score(pairs)).coverage == 0.0
 
     def test_no_prediction_is_not_an_alarm(self):
         pairs = [(nonbranded(f"q{i}"), NO_PRED) for i in range(10)]
-        assert false_alarm_rate(pairs) == 0.0
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            false_alarm_rate([])
-
-    def test_branded_gold_rejected(self):
-        with pytest.raises(ValueError):
-            false_alarm_rate([(branded("nike shoes", E1), NIL_RESULT)])
+        assert metrics(score(pairs)).coverage == 0.0
 
 
 def by_language(example):
@@ -275,27 +269,25 @@ class TestReport:
             pairs.append(
                 (branded(f"de{i}", E2, "de"), single(E2) if i < 3 else NO_PRED)
             )
-        result = report(by_language, pairs)
-        assert result.macro.recall == pytest.approx(50.0)
+        doc = report(by_language, pairs)
+        assert doc["macro"]["recall"] == 50.0
 
     def test_single_slice_macro_equals_slice(self):
         pairs = [
             (branded("nike shoes", E1, "en"), single(E1)),
             (branded("sony tv", E2, "en"), NO_PRED),
         ]
-        result = report(by_language, pairs)
-        assert len(result.slices) == 1
-        slice_row = result.slices[0].metrics
-        for name in ("coverage", "recall", "precision", "f1"):
-            assert result.macro.value(name) == pytest.approx(slice_row.value(name))
+        doc = report(by_language, pairs)
+        assert len(doc["slices"]) == 1
+        assert doc["macro"] == doc["slices"][0]["metrics"]
 
     def test_overall_pools_all_slices(self):
         pairs = [
             (branded("nike shoes", E1, "en"), single(E1)),
             (branded("sony tv", E2, "de"), single(E1)),
         ]
-        result = report(by_language, pairs)
-        assert result.overall.counts == EvalCounts(t=2, l_single=2, p_single=2, c=1)
+        doc = report(by_language, pairs)
+        assert doc["overall"]["counts"] == {"t": 2, "l_single": 2, "p_single": 2, "c": 1}
 
     def test_language_rows_ordered_by_descending_share(self):
         # Language mix with the hundredth-percent resolution of a realistic
@@ -317,13 +309,11 @@ class TestReport:
         for lang, n in mix:
             for i in range(n):
                 pairs.append((branded(f"{lang}{i}", E1, lang), single(E1)))
-        result = report(by_language, pairs)
-        total = result.overall.counts.t
-        assert total == 10001
-        assert [s.key for s in result.slices] == [lang for lang, _ in mix]
-        assert result.slices[0].key == "en"
-        assert round(share_percent(result.slices[0], total), 2) == 39.55
-        shares = [share_percent(s, total) for s in result.slices]
+        doc = report(by_language, pairs)
+        assert doc["overall"]["counts"]["t"] == 10001
+        assert [s["key"] for s in doc["slices"]] == [lang for lang, _ in mix]
+        assert doc["slices"][0]["share"] == 39.55
+        shares = [s["share"] for s in doc["slices"]]
         assert shares == sorted(shares, reverse=True)
 
     def test_ties_broken_by_key(self):
@@ -331,8 +321,8 @@ class TestReport:
             (branded("b0", E1, "fr"), single(E1)),
             (branded("b1", E1, "de"), single(E1)),
         ]
-        result = report(by_language, pairs)
-        assert [s.key for s in result.slices] == ["de", "fr"]
+        doc = report(by_language, pairs)
+        assert [s["key"] for s in doc["slices"]] == ["de", "fr"]
 
     def test_macro_skips_undefined_slices(self):
         # "de" slice has no Single predictions: its precision is undefined
@@ -341,8 +331,8 @@ class TestReport:
             (branded("en0", E1, "en"), single(E1)),
             (branded("de0", E1, "de"), NO_PRED),
         ]
-        result = report(by_language, pairs)
-        assert result.macro.precision == pytest.approx(100.0)
+        doc = report(by_language, pairs)
+        assert doc["macro"]["precision"] == 100.0
 
 
 class TestRendering:
@@ -355,7 +345,7 @@ class TestRendering:
         return report(by_language, pairs)
 
     def test_json_shape_and_rounding(self):
-        doc = report_to_json(self.fixture_report())
+        doc = self.fixture_report()
         assert doc["schema_version"] == 1
         assert doc["overall"]["counts"]["t"] == 3
         en = next(s for s in doc["slices"] if s["key"] == "en")
@@ -379,3 +369,46 @@ class TestRendering:
         pairs = [(branded("nike shoes", E1, "en"), NO_PRED)]
         text = render_text(report(by_language, pairs))
         assert "0.00" + UNDEFINED_MARKER in text
+
+    def test_report_file_is_the_document(self, tmp_path):
+        doc = self.fixture_report()
+        write_report_json(doc, tmp_path / "report.json")
+        assert json.loads((tmp_path / "report.json").read_text()) == doc
+
+
+_SLICED_PAIRS = st.lists(
+    st.tuples(
+        st.sampled_from(["en", "de", "ja", None]),
+        st.sampled_from([E1, E2, (E1, E2), NIL]),
+        st.sampled_from([single(E1), single(E2), NIL_RESULT, NO_PRED]),
+    ),
+    max_size=40,
+)
+
+
+@given(_SLICED_PAIRS)
+def test_text_table_prints_the_document(specs):
+    pairs = [
+        (nonbranded(f"q{i}", lang) if gold == NIL else branded(f"q{i}", gold, lang), result)
+        for i, (lang, gold, result) in enumerate(specs)
+    ]
+    doc = report(by_language, pairs)
+    lines = render_text(doc).splitlines()[2:]
+    parts = [*doc["slices"], doc["overall"]]
+    assert len(lines) == len(parts) + 1
+
+    def cells(values: dict) -> list[str]:
+        return [
+            f"{values[name]:.2f}" + (UNDEFINED_MARKER if name in values["undefined"] else "")
+            for name in ("coverage", "recall", "precision", "f1")
+        ]
+
+    for line, part in zip(lines, parts):
+        counts = part["counts"]
+        assert line.split() == [
+            part["key"],
+            f"{part['share']:.2f}",
+            *(str(counts[k]) for k in ("t", "l_single", "p_single", "c")),
+            *cells(part["metrics"]),
+        ]
+    assert lines[-1].split() == ["macro", *cells(doc["macro"])]

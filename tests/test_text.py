@@ -268,6 +268,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             FeaturizerConfig(dim=2**15)
 
+    @pytest.mark.parametrize(
+        "dim", [65536.5, float(2**16), "65536"], ids=["fraction", "float", "str"]
+    )
+    def test_dim_must_be_an_int(self, dim):
+        with pytest.raises(ValueError, match="dim"):
+            FeaturizerConfig(dim=dim)
+
 
 class TestIdf:
     def test_single_document_weights(self):

@@ -358,6 +358,23 @@ def idf_model():
     return model, [text for text, _ in data] + ["nikee", "usb cable"]
 
 
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ({"beam_size": 2.5}, "beam_size"),
+        ({"beam_size": True, "top_k": 2}, "beam_size"),
+        ({"top_k": 2.0}, "top_k"),
+        ({"top_k": True}, "top_k"),
+        ({"beam_size": "10"}, "beam_size"),
+    ],
+    ids=["float-beam", "bool-beam", "float-top-k", "bool-top-k", "string-beam"],
+)
+def test_beam_params_must_be_positive_ints(fields, name):
+    # Accepted, a float or a bool would fail every query in beam_predict.
+    with pytest.raises(ValueError, match=name):
+        BeamParams(**fields)
+
+
 class TestBeamAgainstOracle:
     def test_wide_beam_equals_exhaustive(self, fifty_label_model):
         model, queries = fifty_label_model
