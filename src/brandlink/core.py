@@ -86,7 +86,16 @@ class BrandMention:
     span: tuple[int, int]
 
     def __post_init__(self) -> None:
-        start, end = self.span
+        # ``type() is`` checks: a mention is built for every detected query.
+        if type(self.surface) is not str:
+            raise ValueError(f"mention surface must be a string, not {self.surface!r}")
+        span = self.span
+        if (
+            type(span) is not tuple or len(span) != 2
+            or type(span[0]) is not int or type(span[1]) is not int
+        ):
+            raise ValueError(f"mention span must be a pair of ints, not {span!r}")
+        start, end = span
         if not (0 <= start < end):
             raise ValueError(f"invalid mention span {self.span}")
         if end - start != len(self.surface):
@@ -142,6 +151,13 @@ class LinkResult:
     trace: tuple[TraceRecord, ...] = ()
 
     def __post_init__(self) -> None:
+        # ``type() is`` checks: several results are built for every query.
+        if type(self.outcome) is not Outcome:
+            raise ValueError(f"result outcome must be an Outcome, not {self.outcome!r}")
+        if self.best is not None and type(self.best) is not ScoredEntity:
+            raise ValueError(f"result best must be a ScoredEntity or None, not {self.best!r}")
+        if type(self.trace) is not tuple:
+            raise ValueError(f"result trace must be a tuple, not {type(self.trace).__name__}")
         if (self.best is not None) != (self.outcome is Outcome.SINGLE):
             raise ValueError("best is set exactly for Single outcomes")
 
@@ -193,8 +209,18 @@ class LabeledQuery:
     source: Source
 
     def __post_init__(self) -> None:
-        if not all(isinstance(name, str) for name in self.brand_names):
-            raise ValueError("brand_names must be strings")
+        if not isinstance(self.query, Query):
+            raise ValueError(f"labeled query's query must be a Query, not {self.query!r}")
+        if not isinstance(self.source, Source):
+            raise ValueError(f"labeled query's source must be a Source, not {self.source!r}")
+        if not isinstance(self.brand_names, tuple) or not all(
+            isinstance(name, str) for name in self.brand_names
+        ):
+            raise ValueError("brand_names must be a tuple of strings")
+        if not isinstance(self.entities, tuple) or not all(
+            isinstance(entity, BrandEntityId) for entity in self.entities
+        ):
+            raise ValueError("entities must be a tuple of BrandEntityIds")
         if not self.entities:
             raise ValueError("a labeled query needs at least one entity label")
         has_nil = any(e.is_nil for e in self.entities)

@@ -8,6 +8,11 @@ Featurization hashes word 1- and 2-grams and character 2- to 4-grams with
 CRC-32 (scheme ``crc32/v1``) into a TF(-IDF) vector of ``dim`` buckets
 with unit L2 norm.  The n-gram orders and the hash are fixed; artifacts
 record them, so a loader refuses a model featurized any other way.
+
+ASCII text, raw in :func:`normalize` and normalized in
+:func:`hashed_counts`, takes a fast path that folds and encodes it whole;
+other text is folded and encoded character by character.  Both paths give
+the same bytes, as each function's docstring explains.
 """
 from __future__ import annotations
 
@@ -79,7 +84,10 @@ def normalize(raw: str) -> NormalizedText:
 
     Applies compatibility + case folding per character, collapses any
     whitespace run to a single space, and strips the ends.  Idempotent:
-    normalizing the ``text`` of the result reproduces it.
+    normalizing the ``text`` of the result reproduces it.  A raw string
+    that ``str.isascii`` accepts is folded by one ``str.lower``: NFKC
+    leaves ASCII unchanged and case folding an ASCII letter lowers it, so
+    that equals the per-character fold.
 
     Args:
         raw: Raw query text; may be empty.
@@ -87,7 +95,8 @@ def normalize(raw: str) -> NormalizedText:
     Returns:
         The normalized text with its tokens.
     """
-    tokens = tuple("".join(map(_fold_char, raw)).split())
+    folded = raw.lower() if raw.isascii() else "".join(map(_fold_char, raw))
+    tokens = tuple(folded.split())
     return NormalizedText(text=" ".join(tokens), tokens=tokens)
 
 
@@ -192,24 +201,33 @@ def hashed_counts(text: NormalizedText, config: FeaturizerConfig) -> dict[int, i
     """Raw term-frequency counts per hash bucket for one text.
 
     A word n-gram hashes as ``crc32(b"w:" + utf8) % dim`` and a character
-    n-gram as ``crc32(b"c:" + utf8) % dim``.
+    n-gram as ``crc32(b"c:" + utf8) % dim``.  ASCII text is encoded once
+    and its character n-grams hashed as byte slices of that encoding.  One
+    byte is one character there, so each slice is the n-gram's own UTF-8
+    encoding: the buckets, and their insertion order, are those of the
+    per-character path that other text takes.
     """
     counts: dict[int, int] = {}
     crc32, dim = zlib.crc32, config.dim
+    s = text.text
+    is_ascii = s.isascii()
 
     # Word n-grams over runs of non-CJK tokens; CJK tokens fall back to the
-    # character n-grams alone.
-    run: list[str] = []
-    runs: list[list[str]] = []
-    for token in text.tokens:
-        if _CJK.search(token):
-            if run:
-                runs.append(run)
-                run = []
-        else:
-            run.append(token)
-    if run:
-        runs.append(run)
+    # character n-grams alone.  ASCII text has no CJK token: one run.
+    runs: list[tuple[str, ...] | list[str]] = []
+    if is_ascii:
+        runs.append(text.tokens)
+    else:
+        run: list[str] = []
+        for token in text.tokens:
+            if _CJK.search(token):
+                if run:
+                    runs.append(run)
+                    run = []
+            else:
+                run.append(token)
+        if run:
+            runs.append(run)
     for tokens in runs:
         for n in range(1, WORD_NGRAMS + 1):
             for i in range(len(tokens) - n + 1):
@@ -217,11 +235,17 @@ def hashed_counts(text: NormalizedText, config: FeaturizerConfig) -> dict[int, i
                 counts[idx] = counts.get(idx, 0) + 1
 
     lo, hi = CHAR_NGRAMS
-    s = text.text
-    for n in range(lo, hi + 1):
-        for i in range(len(s) - n + 1):
-            idx = crc32(s[i : i + n].encode("utf-8"), _CHAR_CRC) % dim
-            counts[idx] = counts.get(idx, 0) + 1
+    if is_ascii:
+        b = s.encode("ascii")
+        for n in range(lo, hi + 1):
+            for i in range(len(b) - n + 1):
+                idx = crc32(b[i : i + n], _CHAR_CRC) % dim
+                counts[idx] = counts.get(idx, 0) + 1
+    else:
+        for n in range(lo, hi + 1):
+            for i in range(len(s) - n + 1):
+                idx = crc32(s[i : i + n].encode("utf-8"), _CHAR_CRC) % dim
+                counts[idx] = counts.get(idx, 0) + 1
 
     return counts
 

@@ -71,6 +71,37 @@ def test_non_string_fields_rejected(build, field):
         build()
 
 
+E1 = BrandEntityId("E1")
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: BrandMention(5, (0, 1)), "surface"),
+        (lambda: BrandMention("ab", [0, 2]), "span"),
+        (lambda: BrandMention("ab", (0.0, 2.0)), "span"),
+        (lambda: LabeledQuery("q", (), (NIL,), Source.SL), "query"),
+        (lambda: LabeledQuery(Query("q", StoreTag("us")), (), (NIL,), "sl"), "source"),
+        (lambda: LabeledQuery(Query("q", StoreTag("us")), ("x",), ("E1",), Source.SL), "entities"),
+        (lambda: LabeledQuery(Query("q", StoreTag("us")), ("x",), [E1], Source.SL), "entities"),
+        (lambda: LabeledQuery(Query("q", StoreTag("us")), ["x"], (E1,), Source.SL), "brand_names"),
+        (lambda: LinkResult("nil"), "outcome"),
+        (lambda: LinkResult(Outcome.NIL, trace=[TraceRecord("a", "b")]), "trace"),
+        (lambda: LinkResult(Outcome.NIL, trace=[1]), "trace"),
+        (lambda: LinkResult(Outcome.SINGLE, best=0.5), "best"),
+    ],
+    ids=["int-surface", "list-span", "float-span", "str-query", "str-source", "str-entity",
+         "list-entities", "list-brand-names", "str-outcome", "list-trace", "int-trace",
+         "float-best"],
+)
+def test_constructor_field_of_wrong_type_rejected(build, field):
+    # Each value would fail later, far from its cause: when the result's
+    # record is written (a string outcome, a float best, a non-record trace
+    # entry) or when the frozen value is hashed (a list field).
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
 def test_nil_is_the_only_nil():
     assert NIL.is_nil
     assert NIL.id == NIL_ID

@@ -11,6 +11,7 @@ from brandlink import text as text_module
 from brandlink.text import (
     FeaturizerConfig,
     IdfTable,
+    NormalizedText,
     SparseVector,
     featurize,
     featurize_corpus,
@@ -22,11 +23,49 @@ from brandlink.text import (
 CFG = FeaturizerConfig(dim=2**16)
 
 
+# normalize before ASCII took its fast path: every character folded on its
+# own, kept as the reference the current one must equal.
+def reference_normalize(raw: str) -> NormalizedText:
+    tokens = tuple("".join(map(text_module._fold_char, raw)).split())
+    return NormalizedText(text=" ".join(tokens), tokens=tokens)
+
+
+# Every ASCII code point, so the separators str.split treats as whitespace
+# (\x0b, \x0c, \x1c-\x1f) and the other controls are drawn.
+_ASCII_TEXT = st.text(alphabet=st.sampled_from([chr(cp) for cp in range(128)]), max_size=60)
+# Full Unicode, lone surrogates included.
+_UNICODE_TEXT = st.text(
+    alphabet=st.one_of(
+        st.characters(exclude_categories=()),
+        st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, exclude_categories=()),
+    ),
+    max_size=40,
+)
+
+
 class TestNormalize:
     def test_fold_and_collapse(self):
         out = normalize("Red  NIKE Shoes ")
         assert out.text == "red nike shoes"
         assert out.tokens == ("red", "nike", "shoes")
+
+    @given(raw=st.one_of(_UNICODE_TEXT, _ASCII_TEXT))
+    def test_equals_reference(self, raw):
+        assert normalize(raw) == reference_normalize(raw)
+
+    def test_ascii_skips_the_per_character_fold(self, monkeypatch):
+        calls = []
+        fold = text_module._fold_char
+
+        def counted(ch):
+            calls.append(ch)
+            return fold(ch)
+
+        monkeypatch.setattr(text_module, "_fold_char", counted)
+        assert normalize("Nike  Air\tMAX 90").text == "nike air max 90"
+        assert calls == []
+        assert normalize("Straße ＡＢ").text == "strasse ab"
+        assert calls == list("Straße ＡＢ")
 
     def test_empty(self):
         out = normalize("")
@@ -209,7 +248,9 @@ _IDF_CONFIGS = {
 
 
 class TestFeaturizeReference:
-    @given(raw=_MIXED_TEXT, dim=st.sampled_from(_DIMS), idf=st.booleans())
+    @given(
+        raw=st.one_of(_MIXED_TEXT, _ASCII_TEXT), dim=st.sampled_from(_DIMS), idf=st.booleans()
+    )
     def test_equals_reference(self, raw, dim, idf):
         config = _IDF_CONFIGS[dim] if idf else FeaturizerConfig(dim=dim)
         text = normalize(raw)
@@ -222,11 +263,13 @@ class TestFeaturizeReference:
 
 
 class TestHashedCounts:
-    @given(raw=_MIXED_TEXT, dim=st.sampled_from([2**16, 2**18, 2**20, 2**16 + 7]))
+    @given(raw=st.one_of(_MIXED_TEXT, _ASCII_TEXT), dim=st.sampled_from(_DIMS))
     def test_equals_reference(self, raw, dim):
         config = FeaturizerConfig(dim=dim)
         text = normalize(raw)
-        assert dict(hashed_counts(text, config)) == reference_hashed_counts(text, config)
+        # Insertion order too, not only the buckets.
+        got, want = hashed_counts(text, config), reference_hashed_counts(text, config)
+        assert list(got.items()) == list(want.items())
 
     def test_prefix_state_matches_concatenation(self):
         for gram in (b"", b"a", b"nike shoes", "鞋子".encode("utf-8")):
